@@ -15,7 +15,7 @@ Subpackage map:
 - cli:         the `kafw` command-line front end
 """
 
-from .gf2 import BinMatrix, DomainParams, gf_cube, gf_mul, is_orthomorphism, mat_is_invertible, mat_kernel_basis, mat_vec, mat_xor
+from .gf2 import BinMatrix, DomainParams, gf_cube, gf_mul, is_orthomorphism, mat_is_invertible, mat_kernel_basis, mat_vec
 from .feistel import Block, CipherInstance, kafw_encrypt, kafw_decrypt
 from .schedules import KafvSchedule, KeySchedule, LuciferSchedule, builtin, kafv_to_kafw, lucifer_strip
 from .oracles import (
@@ -53,6 +53,5 @@ __all__ = [
     "mat_is_invertible",
     "mat_kernel_basis",
     "mat_vec",
-    "mat_xor",
     "run_trial",
 ]

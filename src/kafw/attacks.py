@@ -71,6 +71,24 @@ def weak_delta(matrices: Sequence[BinMatrix]) -> int:
     return min(basis)
 
 
+def _quartet_params(wf, g, delta: int, left: int, right: int) -> BoomerangParams:
+    """Shifts of a quartet over t = len(g) rounds, t = 4 or 5.
+
+    (nabla1, nabla2) starts the probability-1 trail down rounds 1-2, and
+    nabla3 = (gamma_t ^ wf2).d, nabla4 = (gamma_{t-1} ^ wf3).d start the one
+    up rounds t, t-1.
+    """
+    return BoomerangParams(
+        delta=delta,
+        nabla1=mat_vec(wf[0] ^ g[1], delta),
+        nabla2=mat_vec(wf[1] ^ g[0], delta),
+        nabla3=mat_vec(g[-1] ^ wf[2], delta),
+        nabla4=mat_vec(g[-2] ^ wf[3], delta),
+        base_left=left,
+        base_right=right,
+    )
+
+
 def quartet_params_4round(
     s: KeySchedule, delta: int, left: int = 0, right: int = 0
 ) -> BoomerangParams:
@@ -78,15 +96,7 @@ def quartet_params_4round(
     wf, g = _affine_forms(s)
     if s.t != 4:
         raise ArityMismatch("the 4-round boomerang needs t = 4")
-    return BoomerangParams(
-        delta=delta,
-        nabla1=mat_vec(wf[0] ^ g[1], delta),
-        nabla2=mat_vec(wf[1] ^ g[0], delta),
-        nabla3=mat_vec(g[3] ^ wf[2], delta),
-        nabla4=mat_vec(g[2] ^ wf[3], delta),
-        base_left=left,
-        base_right=right,
-    )
+    return _quartet_params(wf, g, delta, left, right)
 
 
 def run_quartet(rk: RelatedKeyOracle, n: int, bp: BoomerangParams) -> int:
@@ -111,6 +121,24 @@ def four_round_boomerang(
     return run_quartet(rk, s.params.n, quartet_params_4round(s, delta, left, right))
 
 
+_FIVE_ROUND_NAMES = {5: "the switch boomerang", 3: "this boomerang"}
+
+
+def _five_round_boomerang(
+    rk: RelatedKeyOracle, s: KeySchedule, partner: int, delta: int | None, left: int, right: int
+) -> int:
+    """5-round quartet on an offset with M1.d = M{partner}.d (partner 5 or 3)."""
+    wf, g = _affine_forms(s)
+    if s.t != 5:
+        raise ArityMismatch(f"{_FIVE_ROUND_NAMES[partner]} needs t = 5")
+    condition = g[0] ^ g[partner - 1]
+    if delta is None:
+        delta = weak_delta([condition])
+    elif delta == 0 or mat_vec(condition, delta) != 0:
+        raise NoWeakDelta(f"offset does not satisfy M1.d = M{partner}.d")
+    return run_quartet(rk, s.params.n, _quartet_params(wf, g, delta, left, right))
+
+
 def five_round_boomerang_switch(
     rk: RelatedKeyOracle,
     s: KeySchedule,
@@ -120,23 +148,7 @@ def five_round_boomerang_switch(
 ) -> int:
     """5-round boomerang: the middle round is switched for free when the offset
     satisfies M1.d = M5.d, so the bottom trail covers rounds 4-5."""
-    wf, g = _affine_forms(s)
-    if s.t != 5:
-        raise ArityMismatch("the switch boomerang needs t = 5")
-    if delta is None:
-        delta = weak_delta([g[0] ^ g[4]])
-    elif delta == 0 or mat_vec(g[0] ^ g[4], delta) != 0:
-        raise NoWeakDelta("offset does not satisfy M1.d = M5.d")
-    bp = BoomerangParams(
-        delta=delta,
-        nabla1=mat_vec(wf[0] ^ g[1], delta),
-        nabla2=mat_vec(wf[1] ^ g[0], delta),
-        nabla3=mat_vec(g[4] ^ wf[2], delta),
-        nabla4=mat_vec(g[3] ^ wf[3], delta),
-        base_left=left,
-        base_right=right,
-    )
-    return run_quartet(rk, s.params.n, bp)
+    return _five_round_boomerang(rk, s, 5, delta, left, right)
 
 
 def five_round_complementation_boomerang(
@@ -149,23 +161,18 @@ def five_round_complementation_boomerang(
     """5-round quartet for schedules with M1.d = M3.d: the probability-1 top
     trail then extends through round 3, and the bottom trail covers rounds 4-5
     exactly as in the switch variant."""
-    wf, g = _affine_forms(s)
-    if s.t != 5:
-        raise ArityMismatch("this boomerang needs t = 5")
-    if delta is None:
-        delta = weak_delta([g[0] ^ g[2]])
-    elif delta == 0 or mat_vec(g[0] ^ g[2], delta) != 0:
-        raise NoWeakDelta("offset does not satisfy M1.d = M3.d")
-    bp = BoomerangParams(
-        delta=delta,
-        nabla1=mat_vec(wf[0] ^ g[1], delta),
-        nabla2=mat_vec(wf[1] ^ g[0], delta),
-        nabla3=mat_vec(g[4] ^ wf[2], delta),
-        nabla4=mat_vec(g[3] ^ wf[3], delta),
-        base_left=left,
-        base_right=right,
-    )
-    return run_quartet(rk, s.params.n, bp)
+    return _five_round_boomerang(rk, s, 3, delta, left, right)
+
+
+def quartet_probe(
+    rk: RelatedKeyOracle, s: KeySchedule, delta: int, left: int = 0, right: int = 0
+) -> int:
+    """Boomerang-shaped null probe: the quartet with all block shifts zero.
+
+    Structurally valid against any schedule; closes only by accident unless
+    the schedule leaks a degenerate differential.
+    """
+    return run_quartet(rk, s.params.n, BoomerangParams(delta, 0, 0, 0, 0, left, right))
 
 
 def any_round_differential(

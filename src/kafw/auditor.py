@@ -199,15 +199,6 @@ def check_corollary2(s: KafvSchedule) -> AuditReport:
     return report
 
 
-def uniformity_witnesses(phi: Callable[[int], int], n: int) -> tuple[int, int]:
-    """(y, count) achieving the uniformity maximum; handy for reports."""
-    _check_width(n)
-    tab = _table(phi, n)
-    counts = np.bincount(tab, minlength=1 << n)
-    y = int(counts.argmax())
-    return y, int(counts[y])
-
-
 def validate_kernel_witness(m: BinMatrix, witness: int) -> bool:
     """A reported witness must be nonzero and in the kernel."""
     return witness != 0 and mat_vec(m, witness) == 0

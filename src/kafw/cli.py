@@ -13,6 +13,7 @@ an explicit --seed flag wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .auditor import (
 )
 from .equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from .errors import (
+    DomainError,
     DomainTooLarge,
     KafwError,
     NoWeakDelta,
@@ -38,8 +40,8 @@ from .errors import (
 )
 from .feistel import CipherInstance
 from .gf2 import DomainParams
-from .oracles import RandomFunctionOracle, RandomPermutationOracle, derive_seed
-from .schedfile import ParsedSchedule, parse_schedule_file
+from .oracles import derive_seed
+from .schedfile import ParsedSchedule, parse_schedule_text
 from .schedules import (
     BUILTIN_NAMES,
     KafvSchedule,
@@ -50,8 +52,6 @@ from .schedules import (
 )
 
 _PRECONDITION_ERRORS = (NoWeakDelta, NotAffine, TooFewRounds, OddN, DomainTooLarge)
-
-ATTACK_CHOICES = ("thm3", "thm4", "appb5", "appbany", "birthday")
 
 _BUILTIN_HELP = (
     "a schedule file path or one of the builtin names: " + ", ".join(BUILTIN_NAMES)
@@ -70,7 +70,21 @@ def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("KAFW_SEED")
-    return int(env, 0) if env else 0
+    try:
+        return int(env, 0) if env else 0
+    except ValueError:
+        raise DomainError(f"KAFW_SEED must be an integer, got {env!r}") from None
+
+
+def _hex_arg(text: str, bits: int, what: str) -> int:
+    """A hex command-line value, checked to lie below 2^bits."""
+    try:
+        value = int(text, 16)
+    except ValueError:
+        raise DomainError(f"{what} must be hex, got {text!r}") from None
+    if not 0 <= value < 1 << bits:
+        raise DomainError(f"{what} {text!r} does not fit in {bits} bits")
+    return value
 
 
 def _load_schedule(source: str, n: int | None, rounds: int | None) -> ParsedSchedule:
@@ -85,42 +99,28 @@ def _load_schedule(source: str, n: int | None, rounds: int | None) -> ParsedSche
             kwargs["rounds"] = rounds
         sched = builtin(source, params, **kwargs)
         return ParsedSchedule("kafw", sched)
-    return parse_schedule_file(Path(source).read_text())
-
-
-def _schedule_params(parsed: ParsedSchedule) -> DomainParams:
-    return parsed.schedule.params
-
-
-def _make_round_functions(n: int, rounds: int, seed: int, kind: str, single_f: bool):
-    count = 1 if single_f else rounds
-    oracles = []
-    for i in range(count):
-        child = derive_seed(seed, "f", i)
-        if kind == "permutation":
-            oracles.append(RandomPermutationOracle(n, child))
-        else:
-            oracles.append(RandomFunctionOracle(n, child))
-    return tuple(oracles)
+    try:
+        text = Path(source).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise KafwError(f"cannot read schedule file {source!r}: {exc}") from None
+    return parse_schedule_text(text)
 
 
 def cmd_encrypt(args, out) -> int:
     seed = _default_seed(args)
-    parsed = _load_schedule(args.schedule, args.n, args.rounds)
-    construction = args.construction or parsed.construction
-    p = _schedule_params(parsed)
-    rounds = args.rounds or parsed.schedule.t
-    fs = _make_round_functions(p.n, rounds, seed, args.function_kind, not args.per_round_f)
-    instance = CipherInstance(p, rounds, parsed.schedule, fs, construction)
-    key = int(args.key, 16)
-    block = int(args.block, 16)
+    spec = _construction_spec(args, _load_schedule(args.schedule, args.n, args.rounds))
+    p = spec.params
+    fs = game.round_oracles(spec, seed)
+    instance = CipherInstance(p, spec.rounds, spec.schedule, fs, spec.construction)
+    key = _hex_arg(args.key, p.n, "key")
+    block = _hex_arg(args.block, 2 * p.n, "block")
     ct = instance.encrypt_block(key, block)
     _emit(
         {
             "command": "encrypt",
             "n": p.n,
-            "rounds": rounds,
-            "construction": construction,
+            "rounds": spec.rounds,
+            "construction": spec.construction,
             "schedule": args.schedule,
             "key": _hexw(key, p.n),
             "block": _hexw(block, 2 * p.n),
@@ -136,9 +136,9 @@ def cmd_encrypt(args, out) -> int:
 
 def cmd_schedule(args, out) -> int:
     parsed = _load_schedule(args.schedule, args.n, args.rounds)
-    p = _schedule_params(parsed)
-    key = int(args.key, 16)
     s = parsed.schedule
+    p = s.params
+    key = _hex_arg(args.key, p.n, "key")
     record = {
         "command": "schedule",
         "construction": parsed.construction,
@@ -148,15 +148,10 @@ def cmd_schedule(args, out) -> int:
     }
     if isinstance(s, KeySchedule):
         record["whitening"] = [_hexw(s.whitening_key(j, key), p.n) for j in range(4)]
-        record["round_keys"] = [
-            _hexw(s.round_key(i, key), p.n) for i in range(1, s.t + 1)
-        ]
-    elif isinstance(s, KafvSchedule):
+    if isinstance(s, KafvSchedule):
         record["subkeys"] = [_hexw(s.subkey(i, key), p.n) for i in range(s.t + 2)]
-    elif isinstance(s, LuciferSchedule):
-        record["round_keys"] = [
-            _hexw(s.round_key(i, key), p.n) for i in range(1, s.t + 1)
-        ]
+    else:  # KAFw and Lucifer round keys k_1..k_t
+        record["round_keys"] = [_hexw(s.round_key(i, key), p.n) for i in range(1, s.t + 1)]
     _emit(record, out)
     return 0
 
@@ -201,55 +196,38 @@ def cmd_audit(args, out) -> int:
     return 0
 
 
-def _distinguisher_for(args, rounds: int):
-    if args.name in ("thm3", "boomerang4"):
-        return game.boomerang4_distinguisher()
-    if args.name in ("thm4", "switch5"):
-        return game.switch5_distinguisher()
-    if args.name in ("appb5", "comp5"):
-        return game.comp5_distinguisher()
-    if args.name in ("appbany", "comp-any"):
-        return game.comp_any_distinguisher()
-    if args.name == "birthday":
-        return game.birthday_distinguisher(args.qe, args.qg, rounds)
-    if args.name == "quartet-probe":
-        return game.quartet_probe_distinguisher()
-    raise KafwError(f"unknown attack {args.name!r}")
-
-
 def _construction_spec(args, parsed: ParsedSchedule) -> game.ConstructionSpec:
-    schedule = parsed.schedule
-    construction = args.construction or parsed.construction
-    if isinstance(schedule, KafvSchedule):
-        # Attacks and the game target the KAFw form; functionally identical.
-        schedule = kafv_to_kafw(schedule)
-        construction = "kafw"
-    elif isinstance(schedule, LuciferSchedule):
-        raise KafwError("attack/advantage need a kafw, kaf, or kafv schedule")
+    s = parsed.schedule
     return game.ConstructionSpec(
-        params=_schedule_params(parsed),
-        rounds=args.rounds or schedule.t,
-        schedule=schedule,
-        construction=construction,
+        params=s.params,
+        rounds=args.rounds or s.t,
+        schedule=s,
+        construction=args.construction or parsed.construction,
         function_kind=args.function_kind,
         single_f=not args.per_round_f,
     )
 
 
-def cmd_attack(args, out) -> int:
+def _game_setup(args):
+    """Seed, construction and distinguisher of an attack or advantage run."""
     seed = _default_seed(args)
-    parsed = _load_schedule(args.schedule, args.n, args.rounds)
-    spec = _construction_spec(args, parsed)
-    d = _distinguisher_for(args, spec.rounds)
-    world = game.WorldSpec(args.world, spec)
-    for i in range(args.trials):
-        trial_seed = derive_seed(seed, args.world, i)
-        outcome = game.run_trial_detailed(d, world, trial_seed)
+    spec = _construction_spec(args, _load_schedule(args.schedule, args.n, args.rounds))
+    if isinstance(spec.schedule, KafvSchedule):
+        # Attacks and the game target the KAFw form; functionally identical.
+        spec = dataclasses.replace(spec, schedule=kafv_to_kafw(spec.schedule), construction="kafw")
+    elif isinstance(spec.schedule, LuciferSchedule):
+        raise KafwError("attack/advantage need a kafw, kaf, or kafv schedule")
+    return seed, spec, game.ATTACKS[args.name](args.qe, args.qg, spec.rounds)
+
+
+def cmd_attack(args, out) -> int:
+    seed, spec, d = _game_setup(args)
+    for kind, i, trial_seed, outcome in game.iter_trials(d, spec, args.trials, seed, (args.world,)):
         _emit(
             {
                 "command": "attack",
                 "name": args.name,
-                "world": args.world,
+                "world": kind,
                 "trial": i,
                 "seed": seed,
                 "trial_seed": trial_seed,
@@ -262,31 +240,31 @@ def cmd_attack(args, out) -> int:
     return 0
 
 
+def _emit_trials(trials, attack: str, out):
+    """Pass trials through, writing one advantage-trial record for each."""
+    for kind, i, trial_seed, outcome in trials:
+        _emit(
+            {
+                "command": "advantage-trial",
+                "attack": attack,
+                "world": kind,
+                "trial": i,
+                "trial_seed": trial_seed,
+                "bit": outcome.bit,
+                "q_e": outcome.q_e_used,
+                "q_f": outcome.q_f_used,
+            },
+            out,
+        )
+        yield kind, i, trial_seed, outcome
+
+
 def cmd_advantage(args, out) -> int:
-    seed = _default_seed(args)
-    parsed = _load_schedule(args.schedule, args.n, args.rounds)
-    spec = _construction_spec(args, parsed)
-    d = _distinguisher_for(args, spec.rounds)
+    seed, spec, d = _game_setup(args)
+    trials = game.iter_trials(d, spec, args.trials, seed)
     if args.verbose:
-        for kind in (game.REAL, game.IDEAL):
-            world = game.WorldSpec(kind, spec)
-            for i in range(args.trials):
-                trial_seed = derive_seed(seed, kind, i)
-                outcome = game.run_trial_detailed(d, world, trial_seed)
-                _emit(
-                    {
-                        "command": "advantage-trial",
-                        "attack": args.name,
-                        "world": kind,
-                        "trial": i,
-                        "trial_seed": trial_seed,
-                        "bit": outcome.bit,
-                        "q_e": outcome.q_e_used,
-                        "q_f": outcome.q_f_used,
-                    },
-                    out,
-                )
-    est = game.estimate_advantage(d, spec, args.trials, seed)
+        trials = _emit_trials(trials, args.name, out)
+    est = game.summarize_trials(trials)
     _emit(
         {
             "command": "advantage",
@@ -335,10 +313,6 @@ def cmd_equivalence(args, out) -> int:
     return 0 if result.passed else 1
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def cmd_bound(args, out) -> int:
     N = 1 << args.n
     result = game.bound_formula(
@@ -373,20 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, schedule=True):
-        if schedule:
-            sp.add_argument("--schedule", required=True, help=_BUILTIN_HELP)
+    def common(sp):
+        sp.add_argument("--schedule", required=True, help=_BUILTIN_HELP)
         sp.add_argument("--n", type=int, help="half-block width (required for builtins)")
         sp.add_argument("--rounds", type=int, help="round count override")
         sp.add_argument("--seed", type=int, default=None, help="base seed (default: $KAFW_SEED or 0)")
 
+    def construction(sp, function_kind, per_round_f):
+        sp.add_argument("--construction", choices=("kafw", "kaf", "kafv", "lucifer"))
+        sp.add_argument("--function-kind", choices=("function", "permutation"),
+                        default=function_kind)
+        sp.add_argument("--per-round-f", action="store_true", default=per_round_f,
+                        help="independent per-round functions")
+
     sp = sub.add_parser("encrypt", help="evaluate one encryption")
     common(sp)
-    sp.add_argument("--construction", choices=("kafw", "kaf", "kafv", "lucifer"))
+    construction(sp, "function", False)
     sp.add_argument("--key", required=True, help="master key, hex")
     sp.add_argument("--block", required=True, help="2n-bit plaintext, hex")
-    sp.add_argument("--function-kind", choices=("function", "permutation"), default="function")
-    sp.add_argument("--per-round-f", action="store_true", help="independent per-round functions")
     sp.set_defaults(run=cmd_encrypt)
 
     sp = sub.add_parser("schedule", help="show derived sub-keys for a key")
@@ -402,12 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("attack", help="run a distinguisher, one record per trial")
     common(sp)
-    sp.add_argument("--name", required=True, choices=ATTACK_CHOICES + ("quartet-probe", "boomerang4", "switch5", "comp5", "comp-any"))
+    sp.add_argument("--name", required=True, choices=tuple(game.ATTACKS))
     sp.add_argument("--world", required=True, choices=("real", "ideal"))
     sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--construction", choices=("kafw", "kaf", "kafv", "lucifer"))
-    sp.add_argument("--function-kind", choices=("function", "permutation"), default="permutation")
-    sp.add_argument("--per-round-f", action="store_true", default=True)
+    construction(sp, "permutation", True)
     sp.add_argument("--single-f", dest="per_round_f", action="store_false")
     sp.add_argument("--qe", type=int, default=2, help="related-key queries (birthday)")
     sp.add_argument("--qg", type=int, default=2, help="offline key guesses (birthday)")
@@ -415,13 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("advantage", help="estimate real-vs-ideal advantage")
     common(sp)
-    sp.add_argument("--attack", dest="name", required=True, choices=ATTACK_CHOICES + ("quartet-probe",))
+    sp.add_argument("--attack", dest="name", required=True, choices=tuple(game.ATTACKS))
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--construction", choices=("kafw", "kaf", "kafv", "lucifer"))
-    sp.add_argument("--function-kind", choices=("function", "permutation"), default="function")
-    sp.add_argument("--per-round-f", action="store_true")
-    sp.add_argument("--qe", type=int, default=2)
-    sp.add_argument("--qg", type=int, default=2)
+    construction(sp, "function", False)
+    sp.add_argument("--qe", type=int, default=2, help="related-key queries (birthday)")
+    sp.add_argument("--qg", type=int, default=2, help="offline key guesses (birthday)")
     sp.add_argument("--out", type=str, default=None, help="write records to this path")
     sp.add_argument("--verbose", action="store_true", help="also emit per-trial records")
     sp.set_defaults(run=cmd_advantage)
@@ -439,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--qf", type=int, required=True)
     sp.add_argument("--qe", type=int, required=True)
-    sp.add_argument("--delta1", type=_parse_fraction, default=Fraction(0))
-    sp.add_argument("--delta2", type=_parse_fraction, default=Fraction(0))
-    sp.add_argument("--delta3", type=_parse_fraction, default=Fraction(0))
+    sp.add_argument("--delta1", type=Fraction, default=Fraction(0))
+    sp.add_argument("--delta2", type=Fraction, default=Fraction(0))
+    sp.add_argument("--delta3", type=Fraction, default=Fraction(0))
     sp.set_defaults(run=cmd_bound)
 
     return parser
@@ -457,12 +431,9 @@ def main(argv=None) -> int:
         out = opened
     try:
         return args.run(args, out)
-    except _PRECONDITION_ERRORS as exc:
-        _emit({"command": args.cmd, "error": type(exc).__name__, "message": str(exc)}, sys.stdout)
-        return 2
     except KafwError as exc:
         _emit({"command": args.cmd, "error": type(exc).__name__, "message": str(exc)}, sys.stdout)
-        return 1
+        return 2 if isinstance(exc, _PRECONDITION_ERRORS) else 1
     finally:
         if opened:
             opened.close()

@@ -5,6 +5,10 @@ class KafwError(Exception):
     """Base class for all library-specific errors."""
 
 
+class DomainError(KafwError, ValueError):
+    """An argument lies outside the range the operation accepts."""
+
+
 class DomainTooLarge(KafwError):
     """An exhaustive enumeration was requested for a width beyond the supported cap."""
 

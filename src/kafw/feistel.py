@@ -113,6 +113,8 @@ class CipherInstance:
             raise ScheduleArityMismatch(
                 f"schedule arity {self.schedule.t} != rounds {self.rounds}"
             )
+        if self.construction == "kaf" and not self.schedule.has_zero_whitening():
+            raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
 
     # Block-level entry points so oracles can treat any instance as E_k.
     def encrypt_block(self, key: int, block: int) -> int:

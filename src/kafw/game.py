@@ -21,10 +21,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import attacks
-from .attacks import AttackOutcome, BoomerangParams
+from .attacks import AttackOutcome
+from .errors import DomainError
 from .feistel import CipherInstance
 from .gf2 import DomainParams
 from .oracles import (
@@ -102,7 +103,8 @@ class AdvantageEstimate:
     mean_q_f: float
 
 
-def _round_oracles(spec: ConstructionSpec, seed: int, transcript) -> list:
+def round_oracles(spec: ConstructionSpec, seed: int, transcript=None) -> list:
+    """The round-function oracles of one instance: one shared, or one per round."""
     count = 1 if spec.single_f else spec.rounds
     out = []
     for i in range(count):
@@ -127,7 +129,7 @@ def run_trial_detailed(
     # Note: with a transcript attached in the real world, cipher-internal
     # function queries show up too; the oracle set is shared by design.
     entries = [] if record_transcript else None
-    oracles = _round_oracles(spec, seed, entries)
+    oracles = round_oracles(spec, seed, entries)
     if w.kind == REAL:
         instance = CipherInstance(
             params, spec.rounds, schedule, tuple(oracles), spec.construction
@@ -152,35 +154,63 @@ def run_trial(d: Distinguisher, w: WorldSpec, seed: int) -> int:
     return run_trial_detailed(d, w, seed).bit
 
 
-def estimate_advantage(
-    d: Distinguisher, construction: ConstructionSpec, trials: int, base_seed: int
-) -> AdvantageEstimate:
-    """Independent trials in each world; frequencies, advantage, and 95% CI."""
+Trial = tuple[str, int, int, AttackOutcome]
+
+
+def iter_trials(
+    d: Distinguisher,
+    spec: ConstructionSpec,
+    trials: int,
+    seed: int,
+    worlds: Iterable[str] = (REAL, IDEAL),
+) -> Iterator[Trial]:
+    """Run `trials` trials of d in each world in turn.
+
+    Yields (world kind, trial index, trial seed, outcome); trial i of a
+    world runs under derive_seed(seed, kind, i).
+    """
     if trials < 1:
-        raise ValueError("need at least one trial")
-    ones = {REAL: 0, IDEAL: 0}
-    qe_total = qf_total = 0
-    for kind in (REAL, IDEAL):
-        world = WorldSpec(kind, construction)
+        raise DomainError("need at least one trial")
+    for kind in worlds:
+        world = WorldSpec(kind, spec)
         for i in range(trials):
-            outcome = run_trial_detailed(d, world, derive_seed(base_seed, kind, i))
-            ones[kind] += outcome.bit
-            qe_total += outcome.q_e_used
-            qf_total += outcome.q_f_used
-    p_real = ones[REAL] / trials
-    p_ideal = ones[IDEAL] / trials
+            trial_seed = derive_seed(seed, kind, i)
+            yield kind, i, trial_seed, run_trial_detailed(d, world, trial_seed)
+
+
+def summarize_trials(trials: Iterable[Trial]) -> AdvantageEstimate:
+    """Output-1 frequencies, advantage and 95% CI of an equal number of
+    trials in each world, as iter_trials yields them."""
+    ones = {REAL: 0, IDEAL: 0}
+    runs = {REAL: 0, IDEAL: 0}
+    qe_total = qf_total = 0
+    for kind, _i, _seed, outcome in trials:
+        runs[kind] += 1
+        ones[kind] += outcome.bit
+        qe_total += outcome.q_e_used
+        qf_total += outcome.q_f_used
+    count = runs[REAL]
+    p_real = ones[REAL] / count
+    p_ideal = ones[IDEAL] / count
     ci = 1.96 * math.sqrt(
-        p_real * (1 - p_real) / trials + p_ideal * (1 - p_ideal) / trials
+        p_real * (1 - p_real) / count + p_ideal * (1 - p_ideal) / count
     )
     return AdvantageEstimate(
         p_real=p_real,
         p_ideal=p_ideal,
         advantage=abs(p_real - p_ideal),
         ci_halfwidth=ci,
-        trials=trials,
-        mean_q_e=qe_total / (2 * trials),
-        mean_q_f=qf_total / (2 * trials),
+        trials=count,
+        mean_q_e=qe_total / (2 * count),
+        mean_q_f=qf_total / (2 * count),
     )
+
+
+def estimate_advantage(
+    d: Distinguisher, construction: ConstructionSpec, trials: int, base_seed: int
+) -> AdvantageEstimate:
+    """Independent trials in each world; frequencies, advantage, and 95% CI."""
+    return summarize_trials(iter_trials(d, construction, trials, base_seed))
 
 
 @dataclass(frozen=True)
@@ -247,68 +277,42 @@ def constant_distinguisher(bit: int) -> Distinguisher:
 # replay exactly and quantify over those choices.
 
 
-def boomerang4_distinguisher() -> Distinguisher:
-    def run(ctx: GameContext) -> int:
-        N = ctx.params.N
-        delta = ctx.rng.randrange(1, N)
-        return attacks.four_round_boomerang(
-            ctx.rk, ctx.schedule, delta, ctx.rng.randrange(N), ctx.rng.randrange(N)
-        )
+def _schedule_distinguisher(name: str, attack: str, q_e: int, draws_delta: bool) -> Distinguisher:
+    """Run attacks.<attack>(rk, schedule, delta, left, right).
 
-    return Distinguisher("boomerang4", run, q_e=4, q_f=0)
-
-
-def switch5_distinguisher() -> Distinguisher:
-    def run(ctx: GameContext) -> int:
-        N = ctx.params.N
-        return attacks.five_round_boomerang_switch(
-            ctx.rk, ctx.schedule, None, ctx.rng.randrange(N), ctx.rng.randrange(N)
-        )
-
-    return Distinguisher("switch5", run, q_e=4, q_f=0)
-
-
-def comp5_distinguisher() -> Distinguisher:
-    def run(ctx: GameContext) -> int:
-        N = ctx.params.N
-        return attacks.five_round_complementation_boomerang(
-            ctx.rk, ctx.schedule, None, ctx.rng.randrange(N), ctx.rng.randrange(N)
-        )
-
-    return Distinguisher("comp5", run, q_e=4, q_f=0)
-
-
-def comp_any_distinguisher() -> Distinguisher:
-    def run(ctx: GameContext) -> int:
-        N = ctx.params.N
-        return attacks.any_round_differential(
-            ctx.rk, ctx.schedule, None, ctx.rng.randrange(N), ctx.rng.randrange(N)
-        )
-
-    return Distinguisher("comp-any", run, q_e=2, q_f=0)
-
-
-def quartet_probe_distinguisher() -> Distinguisher:
-    """Boomerang-shaped null probe: random offset, all block shifts zero.
-
-    Structurally valid against any schedule; closes only by accident unless
-    the schedule leaks a degenerate differential.
+    The offset is drawn first when `draws_delta`; otherwise the attack
+    derives it from the schedule.  The attack is looked up at call time.
     """
 
     def run(ctx: GameContext) -> int:
         N = ctx.params.N
-        bp = BoomerangParams(
-            delta=ctx.rng.randrange(1, N),
-            nabla1=0,
-            nabla2=0,
-            nabla3=0,
-            nabla4=0,
-            base_left=ctx.rng.randrange(N),
-            base_right=ctx.rng.randrange(N),
-        )
-        return attacks.run_quartet(ctx.rk, ctx.params.n, bp)
+        delta = ctx.rng.randrange(1, N) if draws_delta else None
+        left = ctx.rng.randrange(N)
+        right = ctx.rng.randrange(N)
+        return getattr(attacks, attack)(ctx.rk, ctx.schedule, delta, left, right)
 
-    return Distinguisher("quartet-probe", run, q_e=4, q_f=0)
+    return Distinguisher(name, run, q_e=q_e, q_f=0)
+
+
+def boomerang4_distinguisher() -> Distinguisher:
+    return _schedule_distinguisher("boomerang4", "four_round_boomerang", 4, True)
+
+
+def switch5_distinguisher() -> Distinguisher:
+    return _schedule_distinguisher("switch5", "five_round_boomerang_switch", 4, False)
+
+
+def comp5_distinguisher() -> Distinguisher:
+    return _schedule_distinguisher("comp5", "five_round_complementation_boomerang", 4, False)
+
+
+def comp_any_distinguisher() -> Distinguisher:
+    return _schedule_distinguisher("comp-any", "any_round_differential", 2, False)
+
+
+def quartet_probe_distinguisher() -> Distinguisher:
+    """Boomerang-shaped null probe: random offset, all block shifts zero."""
+    return _schedule_distinguisher("quartet-probe", "quartet_probe", 4, True)
 
 
 def birthday_distinguisher(q_e: int, q_g: int, rounds: int | None = None) -> Distinguisher:
@@ -329,3 +333,19 @@ def birthday_distinguisher(q_e: int, q_g: int, rounds: int | None = None) -> Dis
     # per guess at `rounds` function queries each.
     q_f = 2 * q_g * rounds if rounds is not None else None
     return Distinguisher("birthday", run, q_e=q_e + q_g, q_f=q_f)
+
+
+# Attack names and their aliases -> factory(q_e, q_g, rounds).  The budgets
+# size the birthday attack only; the quartet attacks have fixed ones.
+ATTACKS: dict[str, Callable[[int, int, int | None], Distinguisher]] = {
+    name: factory
+    for names, factory in (
+        (("thm3", "boomerang4"), lambda *_: boomerang4_distinguisher()),
+        (("thm4", "switch5"), lambda *_: switch5_distinguisher()),
+        (("appb5", "comp5"), lambda *_: comp5_distinguisher()),
+        (("appbany", "comp-any"), lambda *_: comp_any_distinguisher()),
+        (("birthday",), birthday_distinguisher),
+        (("quartet-probe",), lambda *_: quartet_probe_distinguisher()),
+    )
+    for name in names
+}

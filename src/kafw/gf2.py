@@ -193,10 +193,6 @@ def mat_vec(m: BinMatrix, v: int) -> int:
     return out
 
 
-def mat_xor(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    return a ^ b
-
-
 def _kernel_basis_of_rows(rows: Iterable[int], ncols: int) -> tuple[int, ...]:
     """Basis of {v : every row r has parity(r & v) = 0}, rows of any count."""
     # Incremental elimination: keep one reduced row per pivot (highest set bit).

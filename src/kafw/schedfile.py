@@ -263,7 +263,3 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
     if t_field is not None and t_field != inferred_t:
         raise ParseError(f"t = {t_field} but entries imply t = {inferred_t}", 1, 1)
     return ParsedSchedule(construction, schedule)
-
-
-# Alias under the interface's historical name; the argument is file TEXT.
-parse_schedule_file = parse_schedule_text

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from kafw import game
 from kafw.cli import build_parser, main
 from kafw.schedules import BUILTIN_NAMES
 
@@ -148,3 +151,53 @@ def test_env_var_seed(capsys, monkeypatch):
     code, recs = run_cli(capsys, "encrypt", "--schedule", "minimal4", "--n", "8",
                          "--key", "00", "--block", "0000", "--seed", "3")
     assert recs[0]["seed"] == 3
+
+
+def test_advantage_verbose_runs_each_trial_once(capsys, monkeypatch):
+    calls = []
+    run = game.run_trial_detailed
+    monkeypatch.setattr(game, "run_trial_detailed", lambda *a: calls.append(a) or run(*a))
+    args = ("advantage", "--attack", "thm3", "--schedule", "identity_bad(4)", "--n", "8",
+            "--trials", "7", "--seed", "2")
+    code, verbose = run_cli(capsys, *args, "--verbose")
+    assert code == 0 and len(calls) == 14
+    assert [r["command"] for r in verbose] == ["advantage-trial"] * 14 + ["advantage"]
+    code, quiet = run_cli(capsys, *args)
+    assert quiet == verbose[-1:]
+
+
+def test_advantage_accepts_the_attack_aliases(capsys):
+    for alias, name in (("boomerang4", "thm3"), ("comp-any", "appbany")):
+        runs = [run_cli(capsys, "advantage", "--attack", attack, "--schedule", "identity_bad(4)",
+                        "--n", "8", "--trials", "5", "--seed", "1") for attack in (alias, name)]
+        (code_a, [rec_a]), (code_n, [rec_n]) = runs
+        assert code_a == code_n == 0
+        assert {**rec_a, "attack": name} == rec_n
+
+
+ENCRYPT8 = ("encrypt", "--schedule", "minimal4", "--n", "8")
+
+
+@pytest.mark.parametrize("argv, env, error", [
+    (ENCRYPT8 + ("--key", "1ff", "--block", "0"), None, "DomainError"),
+    (ENCRYPT8 + ("--key", "0", "--block", "10000"), None, "DomainError"),
+    (ENCRYPT8 + ("--key", "zz", "--block", "0"), None, "DomainError"),
+    (("schedule", "--schedule", "minimal4", "--n", "8", "--key", "100"), None, "DomainError"),
+    (("audit", "--check", "def1", "--schedule", "no/such.sched"), None, "KafwError"),
+    (ENCRYPT8 + ("--key", "0", "--block", "0"), "zz", "DomainError"),
+    (("advantage", "--attack", "thm3", "--schedule", "identity_bad(4)", "--n", "8",
+      "--trials", "0"), None, "DomainError"),
+    (("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n", "8",
+      "--world", "real", "--trials", "0"), None, "DomainError"),
+    (ENCRYPT8[:2] + ("tweakem4", "--n", "8", "--construction", "kaf", "--key", "0",
+                     "--block", "0"), None, "ScheduleArityMismatch"),
+])
+def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
+    if env is None:
+        monkeypatch.delenv("KAFW_SEED", raising=False)
+    else:
+        monkeypatch.setenv("KAFW_SEED", env)
+    code, recs = run_cli(capsys, *argv)
+    assert code == 1
+    assert [r["error"] for r in recs] == [error]
+    assert recs[0]["command"] == argv[0]

@@ -229,6 +229,8 @@ def test_kaf_requires_zero_whitening():
     whitened = CipherInstance(P8, 4, builtin("tweakem4", P8), (table_f(8, 1),))
     with pytest.raises(ScheduleArityMismatch):
         kaf_encrypt(whitened, 9, pt)
+    with pytest.raises(ScheduleArityMismatch):
+        CipherInstance(P8, 4, builtin("tweakem4", P8), (table_f(8, 1),), "kaf")
 
 
 def test_kaf_equals_kafw_with_zero_whitening():

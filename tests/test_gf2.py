@@ -19,7 +19,6 @@ from kafw.gf2 import (
     mat_kernel_basis,
     mat_rank,
     mat_vec,
-    mat_xor,
     matrix_from_text,
     matrix_to_text,
 )
@@ -132,7 +131,7 @@ def test_kernel_of_identity_and_zero():
 def test_permutation_matrix_xor_kills_all_ones():
     m1 = BinMatrix.from_bit_permutation([1, 2, 3, 4, 0])
     m3 = BinMatrix.from_bit_permutation([4, 0, 1, 2, 3])
-    diff = mat_xor(m1, m3)
+    diff = m1 ^ m3
     all_ones = 0b11111
     assert mat_vec(diff, all_ones) == 0
     assert all_ones in set(_span(mat_kernel_basis(diff)))
@@ -165,8 +164,8 @@ def test_joint_kernel():
     assert joint_kernel_basis([m1, BinMatrix.zero(4)]) == ()
     rot1 = BinMatrix.rotation(4, 1)
     rot2 = BinMatrix.rotation(4, 2)
-    joint = joint_kernel_basis([mat_xor(BinMatrix.identity(4), rot1),
-                                mat_xor(BinMatrix.identity(4), rot2)])
+    joint = joint_kernel_basis([BinMatrix.identity(4) ^ rot1,
+                                BinMatrix.identity(4) ^ rot2])
     for v in _span(joint):
         assert mat_vec(rot1, v) == v and mat_vec(rot2, v) == v
     assert 0b1111 in _span(joint)
