@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ArityMismatch, NoWeakDelta, TooFewRounds
+from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
 from .feistel import CipherInstance
 from .gf2 import BinMatrix, joint_kernel_basis, mat_vec
 from .oracles import RelatedKeyOracle
@@ -228,7 +228,6 @@ def birthday_collision_attack(
     construction: str = "kafw",
     offsets: Sequence[int] | None = None,
     guesses: Sequence[int] | None = None,
-    plaintexts: tuple[int, int] = (0, 1),
 ) -> int:
     """Collide secret related keys with offline key guesses.
 
@@ -236,12 +235,15 @@ def birthday_collision_attack(
     plaintext, evaluates the construction under q_g guessed keys offline
     through the public round-function interface, and on a ciphertext match
     confirms the candidate on a second plaintext (one extra oracle query).
+    The probe plaintext is 0 and the confirming one 1.
     Success against the construction approaches 1 - exp(-q_e*q_g/N); an
     ideal cipher only passes the confirmation by accident.
     """
     N = params.N
+    if not (0 <= q_e <= N and 0 <= q_g <= N):
+        raise DomainError(f"q_e = {q_e} and q_g = {q_g} must lie in [0, {N}]")
     offline = CipherInstance(params, rounds, schedule, tuple(fs), construction)
-    w1, w2 = plaintexts
+    w1, w2 = 0, 1
     if offsets is None:
         offsets = rng.sample(range(N), q_e)
     if guesses is None:

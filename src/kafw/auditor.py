@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainTooLarge, NotAffine
+from .errors import ArityMismatch, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from .gf2 import MAX_EXHAUSTIVE_N, BinMatrix, mat_is_invertible, mat_kernel_basis, mat_vec
 from .schedules import KafvSchedule, KeySchedule
 
@@ -63,17 +63,22 @@ def measure_uniformity(phi: Callable[[int], int], n: int) -> int:
     return int(np.bincount(tab, minlength=1 << n).max())
 
 
+def _worst_shifted_count(t1: np.ndarray, t2: np.ndarray, offsets: range) -> int:
+    """max over a in offsets and y of |{k : t1[k] ^ t2[k ^ a] = y}|."""
+    N = len(t1)
+    idx = np.arange(N)
+    worst = 0
+    for a in offsets:
+        diffs = t1 ^ t2[idx ^ a]
+        worst = max(worst, int(np.bincount(diffs, minlength=N).max()))
+    return worst
+
+
 def measure_axu(phi: Callable[[int], int], n: int) -> int:
     """Non-linearity count max_{a != 0, b} |{k : phi(k ^ a) ^ phi(k) = b}|."""
     _check_width(n)
-    N = 1 << n
     tab = _table(phi, n)
-    idx = np.arange(N)
-    worst = 0
-    for a in range(1, N):
-        diffs = tab ^ tab[idx ^ a]
-        worst = max(worst, int(np.bincount(diffs, minlength=N).max()))
-    return worst
+    return _worst_shifted_count(tab, tab, range(1, 1 << n))
 
 
 def measure_cross_uniformity(
@@ -81,34 +86,30 @@ def measure_cross_uniformity(
 ) -> int:
     """max_{a, y} |{k : phi1(k) ^ phi4(k ^ a) = y}|, a ranging over all offsets."""
     _check_width(n)
-    N = 1 << n
-    t1 = _table(phi1, n)
-    t4 = _table(phi4, n)
-    idx = np.arange(N)
-    worst = 0
-    for a in range(N):
-        diffs = t1 ^ t4[idx ^ a]
-        worst = max(worst, int(np.bincount(diffs, minlength=N).max()))
-    return worst
+    return _worst_shifted_count(_table(phi1, n), _table(phi4, n), range(1 << n))
 
 
-def _delta_report(check, s, phi1, phi4, threshold):
+def _require(s, t: int, kind: type) -> None:
+    """Check the round count, then the schedule class; a schedule of the wrong
+    length keeps the ArityMismatch it has always got, whatever its class."""
+    if s.t != t:
+        noun = "KAFv schedules" if kind is KafvSchedule else "schedules"
+        raise ArityMismatch(f"this audit applies to {t}-round {noun}")
+    if not isinstance(s, kind):
+        raise ScheduleArityMismatch(f"this audit reads a {kind.__name__}, not a {type(s).__name__}")
+
+
+def _delta_report(check, s, threshold, outer) -> AuditReport:
+    """Definition 1 counts for the two maps `outer(s)` of a 4-round KAFw schedule."""
+    _require(s, 4, KeySchedule)
     n = s.params.n
-    f1, f4 = s.bind(phi1), s.bind(phi4)
+    f1, f4 = (s.bind(m) for m in outer(s))
     d1 = max(measure_uniformity(f1, n), measure_uniformity(f4, n))
     d2 = max(measure_axu(f1, n), measure_axu(f4, n))
     d3 = measure_cross_uniformity(f1, f4, n)
     good = d1 <= threshold and d2 <= threshold and d3 <= threshold
-    return AuditReport(
-        check=check,
-        n=n,
-        passed=good,
-        delta1_times_n=d1,
-        delta2_times_n=d2,
-        delta3_times_n=d3,
-        good_like=good,
-        threshold=threshold,
-    )
+    return AuditReport(check, n, good, delta1_times_n=d1, delta2_times_n=d2,
+                       delta3_times_n=d3, good_like=good, threshold=threshold)
 
 
 def check_definition1(s: KeySchedule, threshold: int = 3) -> AuditReport:
@@ -117,86 +118,63 @@ def check_definition1(s: KeySchedule, threshold: int = 3) -> AuditReport:
     No universal numeric cutoff exists; `good_like` flags all three counts
     at or below `threshold` (default 3, the reference instance's level).
     """
-    if s.t != 4:
-        raise ArityMismatch("this audit applies to 4-round schedules")
-    return _delta_report("def1", s, s.phi1_map(), s.phi4_map(), threshold)
+    return _delta_report("def1", s, threshold, lambda s: (s.phi1_map(), s.phi4_map()))
 
 
 def check_corollary1_nl(s: KeySchedule, threshold: int = 3) -> AuditReport:
     """Same audit for a plain KAF schedule, where phi_1 = gamma_1 and phi_4 = gamma_4."""
-    if s.t != 4:
-        raise ArityMismatch("this audit applies to 4-round schedules")
-    return _delta_report("cor1-nl", s, s.round_keys[0], s.round_keys[3], threshold)
+    return _delta_report("cor1-nl", s, threshold, lambda s: (s.round_keys[0], s.round_keys[3]))
 
 
-def _invertibility(label: str, m: BinMatrix, report: AuditReport) -> bool:
-    basis = mat_kernel_basis(m)
-    report.kernel_witnesses[label] = None if not basis else min(basis)
-    return not basis
+def _affine_report(check, s, kind, outer, inner) -> AuditReport:
+    """6-round affine conditions on a `kind` schedule.  `outer(s)` and `inner(s)`
+    each give two (label, matrix) pairs: the outer matrices and their XOR must
+    be bijective, and each inner matrix invertible (else a kernel witness)."""
+    _require(s, 6, kind)
+    if not s.is_affine:
+        raise NotAffine("this audit needs affine sub-key maps")
+    (a, ma), (b, mb) = outer(s)
+    bij = {a: mat_is_invertible(ma), b: mat_is_invertible(mb)}
+    bij[f"{a}^{b}"] = mat_is_invertible(ma ^ mb)
+    wit = {label: min(mat_kernel_basis(m), default=None) for label, m in inner(s)}
+    passed = all(bij.values()) and not any(wit.values())
+    return AuditReport(check, s.params.n, passed, phi_bijectivity=bij, kernel_witnesses=wit)
+
+
+def _gamma_sums(s: KeySchedule):
+    g = s.gamma_matrix
+    return ("M1^M3", g(1) ^ g(3)), ("M4^M6", g(4) ^ g(6))
 
 
 def check_definition3(s: KeySchedule) -> AuditReport:
     """6-round affine conditions: phi_1, phi_6, phi_1 ^ phi_6 bijective and
     M1.d != M3.d, M4.d != M6.d for every d != 0."""
-    if s.t != 6:
-        raise ArityMismatch("this audit applies to 6-round schedules")
-    if not s.is_affine:
-        raise NotAffine("this audit needs affine sub-key maps")
-    p = s.params
-    m_phi1 = s.phi1_map().matrix(p)
-    m_phi6 = s.phi6_map().matrix(p)
-    report = AuditReport(check="def3", n=p.n, passed=True)
-    report.phi_bijectivity = {
-        "phi1": mat_is_invertible(m_phi1),
-        "phi6": mat_is_invertible(m_phi6),
-        "phi1^phi6": mat_is_invertible(m_phi1 ^ m_phi6),
-    }
-    ok = all(report.phi_bijectivity.values())
-    ok &= _invertibility("M1^M3", s.gamma_matrix(1) ^ s.gamma_matrix(3), report)
-    ok &= _invertibility("M4^M6", s.gamma_matrix(4) ^ s.gamma_matrix(6), report)
-    report.passed = ok
-    return report
+    return _affine_report(
+        "def3", s, KeySchedule,
+        lambda s: (("phi1", s.phi1_map().matrix(s.params)), ("phi6", s.phi6_map().matrix(s.params))),
+        _gamma_sums,
+    )
 
 
 def check_corollary1_affine(s: KeySchedule) -> AuditReport:
-    """6-round affine KAF conditions, with gamma_1/gamma_6 standing in for the phis."""
-    if s.t != 6:
-        raise ArityMismatch("this audit applies to 6-round schedules")
-    if not s.is_affine:
-        raise NotAffine("this audit needs affine sub-key maps")
-    m1, m6 = s.gamma_matrix(1), s.gamma_matrix(6)
-    report = AuditReport(check="cor1-affine", n=s.params.n, passed=True)
-    report.phi_bijectivity = {
-        "gamma1": mat_is_invertible(m1),
-        "gamma6": mat_is_invertible(m6),
-        "gamma1^gamma6": mat_is_invertible(m1 ^ m6),
-    }
-    ok = all(report.phi_bijectivity.values())
-    ok &= _invertibility("M1^M3", m1 ^ s.gamma_matrix(3), report)
-    ok &= _invertibility("M4^M6", s.gamma_matrix(4) ^ m6, report)
-    report.passed = ok
-    return report
+    """6-round affine KAF conditions, with gamma_1/gamma_6 standing in for the phis:
+    Definition 3 of the same schedule with its whitening dropped."""
+    return _affine_report(
+        "cor1-affine", s, KeySchedule,
+        lambda s: (("gamma1", s.gamma_matrix(1)), ("gamma6", s.gamma_matrix(6))),
+        _gamma_sums,
+    )
 
 
 def check_corollary2(s: KafvSchedule) -> AuditReport:
     """6-round affine KAFv conditions: outer sub-keys bijective (also jointly),
-    and the second/fifth round matrices themselves invertible."""
-    if s.t != 6:
-        raise ArityMismatch("this audit applies to 6-round KAFv schedules")
-    if not s.is_affine:
-        raise NotAffine("this audit needs affine sub-key maps")
-    g0, g7 = s.star_matrix(0), s.star_matrix(7)
-    report = AuditReport(check="cor2", n=s.params.n, passed=True)
-    report.phi_bijectivity = {
-        "gamma*0": mat_is_invertible(g0),
-        "gamma*7": mat_is_invertible(g7),
-        "gamma*0^gamma*7": mat_is_invertible(g0 ^ g7),
-    }
-    ok = all(report.phi_bijectivity.values())
-    ok &= _invertibility("M*2", s.star_matrix(2), report)
-    ok &= _invertibility("M*5", s.star_matrix(5), report)
-    report.passed = ok
-    return report
+    and the second/fifth round matrices themselves invertible.  These are
+    Definition 3's conditions on kafv_to_kafw(s)."""
+    return _affine_report(
+        "cor2", s, KafvSchedule,
+        lambda s: (("gamma*0", s.star_matrix(0)), ("gamma*7", s.star_matrix(7))),
+        lambda s: (("M*2", s.star_matrix(2)), ("M*5", s.star_matrix(5))),
+    )
 
 
 def validate_kernel_witness(m: BinMatrix, witness: int) -> bool:

@@ -44,6 +44,7 @@ from .oracles import derive_seed
 from .schedfile import ParsedSchedule, parse_schedule_text
 from .schedules import (
     BUILTIN_NAMES,
+    CONSTRUCTIONS,
     KafvSchedule,
     KeySchedule,
     LuciferSchedule,
@@ -156,19 +157,20 @@ def cmd_schedule(args, out) -> int:
     return 0
 
 
+# --check name -> audit; cor1 is the non-linear audit at t = 4, the affine one otherwise.
+_AUDITS = {
+    "def1": check_definition1,
+    "def3": lambda s, threshold: check_definition3(s),
+    "cor1": lambda s, threshold: (
+        check_corollary1_nl(s, threshold) if s.t == 4 else check_corollary1_affine(s)
+    ),
+    "cor2": lambda s, threshold: check_corollary2(s),
+}
+
+
 def cmd_audit(args, out) -> int:
-    parsed = _load_schedule(args.schedule, args.n, args.rounds)
-    s = parsed.schedule
-    if args.check == "def1":
-        report = check_definition1(s, args.threshold)
-    elif args.check == "def3":
-        report = check_definition3(s)
-    elif args.check == "cor2":
-        report = check_corollary2(s)
-    elif args.check == "cor1":
-        report = check_corollary1_nl(s, args.threshold) if s.t == 4 else check_corollary1_affine(s)
-    else:
-        raise KafwError(f"unknown check {args.check!r}")
+    s = _load_schedule(args.schedule, args.n, args.rounds).schedule
+    report = _AUDITS[args.check](s, args.threshold)
     n = report.n
     record = {
         "command": "audit",
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="base seed (default: $KAFW_SEED or 0)")
 
     def construction(sp, function_kind, per_round_f):
-        sp.add_argument("--construction", choices=("kafw", "kaf", "kafv", "lucifer"))
+        sp.add_argument("--construction", choices=tuple(CONSTRUCTIONS))
         sp.add_argument("--function-kind", choices=("function", "permutation"),
                         default=function_kind)
         sp.add_argument("--per-round-f", action="store_true", default=per_round_f,
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("audit", help="measure key-schedule goodness")
     common(sp)
-    sp.add_argument("--check", required=True, choices=("def1", "def3", "cor1", "cor2"))
+    sp.add_argument("--check", required=True, choices=tuple(_AUDITS))
     sp.add_argument("--threshold", type=int, default=3, help="good-like cutoff for the delta counts")
     sp.set_defaults(run=cmd_audit)
 

@@ -35,6 +35,7 @@ from .schedules import (
     ZeroMap,
     kafv_to_kafw,
     lucifer_strip,
+    random_affine_map,
 )
 
 
@@ -56,8 +57,7 @@ def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
     if kind == 0:
         return ZeroMap()
     if kind == 1:
-        rows = tuple(rng.randrange(p.N) for _ in range(p.n))
-        return AffineSubkey(BinMatrix(rows), rng.randrange(p.N))
+        return random_affine_map(p, rng)
     if kind == 2:
         return FieldCubicSubkey(rng.randrange(1, p.N))
     return XorSubkey((random_subkey_map(p, rng), random_subkey_map(p, rng)))

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import ScheduleArityMismatch, TooFewRounds
 from .gf2 import DomainParams
-from .schedules import KafvSchedule, KeySchedule, LuciferSchedule
+from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
 
 
 class Block(NamedTuple):
@@ -84,13 +84,6 @@ class CipherInstance:
     round_functions: Sequence[RoundFunction]
     construction: str = "kafw"
 
-    _SCHEDULE_KIND = {
-        "kafw": KeySchedule,
-        "kaf": KeySchedule,
-        "kafv": KafvSchedule,
-        "lucifer": LuciferSchedule,
-    }
-
     def __post_init__(self):
         fs = tuple(self.round_functions)
         if len(fs) == 1 and self.rounds != 1:
@@ -100,7 +93,7 @@ class CipherInstance:
             raise ScheduleArityMismatch(
                 f"{self.rounds} rounds but {len(fs)} round functions"
             )
-        kind = self._SCHEDULE_KIND.get(self.construction)
+        kind = CONSTRUCTIONS.get(self.construction)
         if kind is None:
             raise ValueError(f"unknown construction {self.construction!r}")
         if self.schedule is None:
@@ -118,34 +111,30 @@ class CipherInstance:
 
     # Block-level entry points so oracles can treat any instance as E_k.
     def encrypt_block(self, key: int, block: int) -> int:
-        n = self.params.n
-        pt = block_from_int(block, n)
-        if self.construction in ("kafw", "kaf"):
-            ct = kafw_encrypt(self, key, pt)
-        elif self.construction == "kafv":
-            ct = kafv_encrypt(self, key, pt)
-        else:
-            keys = [self.schedule.round_key(i, key) for i in range(1, self.rounds + 1)]
-            ct = lucifer_encrypt(self, keys, pt)
-        return block_to_int(ct, n)
+        return self._block_op(key, block, kafw_encrypt, kafv_encrypt, lucifer_encrypt)
 
     def decrypt_block(self, key: int, block: int) -> int:
+        return self._block_op(key, block, kafw_decrypt, kafv_decrypt, lucifer_decrypt)
+
+    def _block_op(self, key, block, kafw_op, kafv_op, lucifer_op) -> int:
         n = self.params.n
-        ct = block_from_int(block, n)
-        if self.construction in ("kafw", "kaf"):
-            pt = kafw_decrypt(self, key, ct)
-        elif self.construction == "kafv":
-            pt = kafv_decrypt(self, key, ct)
+        state = block_from_int(block, n)
+        kind = CONSTRUCTIONS[self.construction]
+        if kind is KeySchedule:
+            out = kafw_op(self, key, state)
+        elif kind is KafvSchedule:
+            out = kafv_op(self, key, state)
         else:
             keys = [self.schedule.round_key(i, key) for i in range(1, self.rounds + 1)]
-            pt = lucifer_decrypt(self, keys, ct)
-        return block_to_int(pt, n)
+            out = lucifer_op(self, keys, state)
+        return block_to_int(out, n)
 
 
-def _kafw_schedule(c: CipherInstance) -> KeySchedule:
+def _schedule(c: CipherInstance, kind: type):
+    """c's schedule, checked to be a `kind` with one round key per round."""
     s = c.schedule
-    if not isinstance(s, KeySchedule):
-        raise ScheduleArityMismatch("KAFw evaluation needs a whitening-style schedule")
+    if not isinstance(s, kind):
+        raise ScheduleArityMismatch(f"this evaluation needs a {kind.__name__}")
     if s.t != c.rounds:
         raise ScheduleArityMismatch(f"schedule arity {s.t} != rounds {c.rounds}")
     return s
@@ -155,7 +144,7 @@ def kafw_encrypt(
     c: CipherInstance, key: int, plaintext: Block, trace: TraceRecord | None = None
 ) -> Block:
     """wk_out ^ (round t) o ... o (round 1) (wk_in ^ plaintext)."""
-    s = _kafw_schedule(c)
+    s = _schedule(c, KeySchedule)
     state = Block(
         plaintext.left ^ s.whitening_key(0, key),
         plaintext.right ^ s.whitening_key(1, key),
@@ -178,7 +167,7 @@ def kafw_encrypt(
 
 
 def kafw_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    s = _kafw_schedule(c)
+    s = _schedule(c, KeySchedule)
     state = Block(
         ciphertext.left ^ s.whitening_key(2, key),
         ciphertext.right ^ s.whitening_key(3, key),
@@ -199,7 +188,7 @@ def kafw_encrypt_traced(c: CipherInstance, key: int, plaintext: Block) -> TraceR
 
 def replay_trace(c: CipherInstance, key: int, plaintext: Block, trace: TraceRecord) -> Block:
     """Recompute the ciphertext from recorded y values, without round functions."""
-    s = _kafw_schedule(c)
+    s = _schedule(c, KeySchedule)
     state = Block(
         plaintext.left ^ s.whitening_key(0, key),
         plaintext.right ^ s.whitening_key(1, key),
@@ -215,31 +204,22 @@ def replay_trace(c: CipherInstance, key: int, plaintext: Block, trace: TraceReco
 
 def kaf_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
     """KAFw with zero whitening."""
-    s = _kafw_schedule(c)
+    s = _schedule(c, KeySchedule)
     if not s.has_zero_whitening():
         raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
     return kafw_encrypt(c, key, plaintext)
 
 
 def kaf_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    s = _kafw_schedule(c)
+    s = _schedule(c, KeySchedule)
     if not s.has_zero_whitening():
         raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
     return kafw_decrypt(c, key, ciphertext)
 
 
-def _kafv_schedule(c: CipherInstance) -> KafvSchedule:
-    s = c.schedule
-    if not isinstance(s, KafvSchedule):
-        raise ScheduleArityMismatch("KAFv evaluation needs a KAFv schedule")
-    if s.t != c.rounds:
-        raise ScheduleArityMismatch(f"schedule arity {s.t} != rounds {c.rounds}")
-    return s
-
-
 def kafv_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
     """(g*_{t+1}||0) ^ rounds(... (0||g*_0) ^ plaintext)."""
-    s = _kafv_schedule(c)
+    s = _schedule(c, KafvSchedule)
     state = Block(plaintext.left, plaintext.right ^ s.subkey(0, key))
     for i in range(1, c.rounds + 1):
         state = psi_tilde_round(state, s.subkey(i, key), c.round_functions[i - 1])
@@ -247,7 +227,7 @@ def kafv_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
 
 
 def kafv_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    s = _kafv_schedule(c)
+    s = _schedule(c, KafvSchedule)
     state = Block(ciphertext.left ^ s.subkey(c.rounds + 1, key), ciphertext.right)
     for i in range(c.rounds, 0, -1):
         state = psi_tilde_round_inverse(state, s.subkey(i, key), c.round_functions[i - 1])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadMatrix, DomainTooLarge
+from .errors import BadMatrix, DomainError, DomainTooLarge
 
 # Lowest-lexicographic irreducible polynomial of each degree, as the mask of
 # the coefficients below x^n.  Verified irreducible by the gcd-based test
@@ -131,8 +131,10 @@ class DomainParams:
 
 def gf_mul(a: int, b: int, p: DomainParams) -> int:
     """Product of a and b in GF(2^n) under p's reduction polynomial."""
-    full = (1 << p.n) | p.reduction_polynomial
-    return _poly_mulmod(a, b, full)
+    n = p.n
+    if (a | b) >> n:  # also nonzero for a negative operand
+        raise DomainError(f"gf_mul operands {a:#x}, {b:#x} are not elements of GF(2^{n})")
+    return _poly_mulmod(a, b, (1 << n) | p.reduction_polynomial)
 
 
 def gf_cube(a: int, p: DomainParams) -> int:

@@ -30,6 +30,7 @@ from typing import NamedTuple
 from .errors import BadMatrix, ParseError
 from .gf2 import BinMatrix, DomainParams, REDUCTION_POLYNOMIALS
 from .schedules import (
+    CONSTRUCTIONS,
     AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
@@ -201,7 +202,7 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
             t_field = parser.int_word("t")
         elif name == "construction":
             ctok = parser.expect("word")
-            if ctok.text not in ("kafw", "kaf", "kafv", "lucifer"):
+            if ctok.text not in CONSTRUCTIONS:
                 raise ParseError(f"unknown construction {ctok.text!r}", ctok.line, ctok.col)
             construction = ctok.text
         else:
@@ -229,7 +230,8 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
         node, _tok = astnode_tok
         return _build_map(node, p)
 
-    if construction in ("kafw", "kaf"):
+    cls = CONSTRUCTIONS[construction]
+    if cls is KeySchedule:
         if any(kind == "star" for kind, _ in entries):
             raise ParseError(f"star entries are not valid for {construction}", 1, 1)
         gammas = contiguous("gamma", 1)
@@ -245,21 +247,18 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
             for j in range(4)
         )
         schedule = KeySchedule(p, whitening, tuple(built(e) for e in gammas))
-        inferred_t = schedule.t
-    elif construction == "kafv":
+    elif cls is KafvSchedule:
         stars = contiguous("star", 0)
         if len(stars) < 2:
             raise ParseError("kafv needs entries star0..star{t+1}", 1, 1)
         if any(kind != "star" for kind, _ in entries):
             raise ParseError("kafv takes only star entries", 1, 1)
         schedule = KafvSchedule(p, tuple(built(e) for e in stars))
-        inferred_t = schedule.t
     else:  # lucifer
         gammas = contiguous("gamma", 1)
         if any(kind != "gamma" for kind, _ in entries):
             raise ParseError("lucifer takes only gamma entries", 1, 1)
         schedule = LuciferSchedule(p, tuple(built(e) for e in gammas))
-        inferred_t = schedule.t
-    if t_field is not None and t_field != inferred_t:
-        raise ParseError(f"t = {t_field} but entries imply t = {inferred_t}", 1, 1)
+    if t_field is not None and t_field != schedule.t:
+        raise ParseError(f"t = {t_field} but entries imply t = {schedule.t}", 1, 1)
     return ParsedSchedule(construction, schedule)

@@ -2,9 +2,9 @@
 
 A schedule is a tuple of sub-key maps, each an n-bit to n-bit transformation
 of the master key.  Map kinds: zero, affine (F2 matrix plus constant),
-field-affine-cubic (m (x) k ^ k^3 over GF(2^n)), an explicit table, or a
-finite XOR of other maps.  Affine maps expose their matrix so attack and
-audit code can reason about differences; everything else raises NotAffine.
+field-affine-cubic (m (x) k ^ k^3 over GF(2^n)), or a finite XOR of other
+maps.  Affine maps expose their matrix so attack and audit code can reason
+about differences; everything else raises NotAffine.
 """
 
 from __future__ import annotations
@@ -88,19 +88,6 @@ class FieldCubicSubkey(SubkeyMap):
 
     def value(self, k, p):
         return gf_mul(self.multiplier, k, p) ^ gf_cube(k, p)
-
-
-@dataclass(frozen=True)
-class TableSubkey(SubkeyMap):
-    """Explicit lookup table; only sensible at enumeration-scale widths."""
-
-    table: tuple[int, ...]
-
-    def value(self, k, p):
-        return self.table[k]
-
-    def is_zero(self, p):
-        return not any(self.table)
 
 
 @dataclass(frozen=True)
@@ -258,6 +245,15 @@ class LuciferSchedule:
         return self.maps[i - 1].value(k, self.params)
 
 
+# Construction name -> the schedule class it reads.
+CONSTRUCTIONS = {
+    "kafw": KeySchedule,
+    "kaf": KeySchedule,
+    "kafv": KafvSchedule,
+    "lucifer": LuciferSchedule,
+}
+
+
 def kafv_to_kafw(s: KafvSchedule) -> KeySchedule:
     """KAFw schedule functionally equivalent to the given KAFv schedule.
 
@@ -385,12 +381,13 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     raise UnknownName(f"unknown builtin schedule {name!r}")
 
 
+def random_affine_map(p: DomainParams, rng: random.Random) -> AffineSubkey:
+    """Uniformly random affine map; draws the n matrix rows, then the constant."""
+    rows = tuple(rng.randrange(p.N) for _ in range(p.n))
+    return AffineSubkey(BinMatrix(rows), rng.randrange(p.N))
+
+
 def random_affine(p: DomainParams, t: int, rng: random.Random) -> KeySchedule:
     """Uniformly random affine schedule: t+4 random matrices and constants."""
-
-    def rand_map() -> AffineSubkey:
-        rows = tuple(rng.randrange(p.N) for _ in range(p.n))
-        return AffineSubkey(BinMatrix(rows), rng.randrange(p.N))
-
-    whitening = tuple(rand_map() for _ in range(4))
-    return KeySchedule(p, whitening, tuple(rand_map() for _ in range(t)))
+    whitening = tuple(random_affine_map(p, rng) for _ in range(4))
+    return KeySchedule(p, whitening, tuple(random_affine_map(p, rng) for _ in range(t)))

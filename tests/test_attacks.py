@@ -14,7 +14,7 @@ from kafw.attacks import (
     quartet_params_4round,
     weak_delta,
 )
-from kafw.errors import ArityMismatch, NoWeakDelta, NotAffine, TooFewRounds
+from kafw.errors import ArityMismatch, DomainError, NoWeakDelta, NotAffine, TooFewRounds
 from kafw.feistel import CipherInstance
 from kafw.game import ConstructionSpec, WorldSpec
 from kafw.gf2 import BinMatrix, DomainParams, gf_mul, mat_vec
@@ -211,6 +211,15 @@ def test_birthday_miss_returns_zero():
         rk, fs, P8, 4, s, 1, 1, rng, offsets=[0x21], guesses=[0x00]
     )
     assert bit == 0
+
+
+@pytest.mark.parametrize("q_e, q_g", [(257, 1), (1, 257), (-1, 1), (1, -1)])
+def test_birthday_rejects_budgets_outside_the_key_space(q_e, q_g):
+    s = builtin("minimal4", P8)
+    rk, fs = real_oracle(s, 4, 0x5C, 16)
+    with pytest.raises(DomainError):
+        birthday_collision_attack(rk, fs, P8, 4, s, q_e, q_g, random.Random(0))
+    assert rk.query_count == 0
 
 
 def test_good_schedules_reject_affine_attacks():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kafw.errors import ArityMismatch, DomainTooLarge, NotAffine
+from kafw.errors import ArityMismatch, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from kafw.auditor import (
     check_corollary1_affine,
     check_corollary1_nl,
@@ -16,16 +16,19 @@ from kafw.auditor import (
     measure_uniformity,
     validate_kernel_witness,
 )
-from kafw.gf2 import BinMatrix, DomainParams, gf_cube, mat_vec
+from kafw.gf2 import BinMatrix, DomainParams, gf_cube, gf_mul, mat_vec
 from kafw.schedules import (
     AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
     KeySchedule,
+    LuciferSchedule,
     ZeroMap,
     builtin,
     identity_map,
+    kafv_to_kafw,
     ortho_map,
+    random_affine_map,
 )
 
 P3 = DomainParams.for_width(3)
@@ -242,3 +245,64 @@ def test_audit_error_paths():
         )
     with pytest.raises(DomainTooLarge):
         measure_uniformity(lambda k: k, 17)
+    # Each audit reads one schedule class; the round count is checked first.
+    ident = identity_map(8)
+    kafv4 = KafvSchedule(P8, (ident,) * 6)
+    kafv6 = KafvSchedule(P8, (ident,) * 8)
+    lucifer4 = LuciferSchedule(P8, (ident,) * 4)
+    for check, s in [
+        (check_definition1, kafv4),
+        (check_definition1, lucifer4),
+        (check_corollary1_nl, lucifer4),
+        (check_definition3, kafv6),
+        (check_corollary1_affine, kafv6),
+        (check_corollary2, builtin("ortho6", P8)),
+    ]:
+        with pytest.raises(ScheduleArityMismatch):
+            check(s)
+    with pytest.raises(ArityMismatch):
+        check_corollary2(builtin("minimal4", P8))
+
+
+def _mixed_affine_map(p, rng):
+    """A random affine map, or one multiplying by a random field element: those
+    are invertible unless by zero, and their XORs are such maps too, so the
+    conditions pass often enough to test both outcomes."""
+    if rng.randrange(4) == 0:
+        return random_affine_map(p, rng)
+    c = rng.randrange(p.N)
+    cols = [gf_mul(c, 1 << j, p) for j in range(p.n)]
+    rows = tuple(sum(((cols[j] >> i) & 1) << j for j in range(p.n)) for i in range(p.n))
+    return AffineSubkey(BinMatrix(rows), rng.randrange(p.N))
+
+
+def _same_findings(a, b):
+    assert a.passed == b.passed
+    assert list(a.phi_bijectivity.values()) == list(b.phi_bijectivity.values())
+    assert list(a.kernel_witnesses.values()) == list(b.kernel_witnesses.values())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_corollary2_is_definition3_of_the_converted_schedule(n):
+    p = DomainParams.for_width(n)
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(60):
+        s = KafvSchedule(p, tuple(_mixed_affine_map(p, rng) for _ in range(8)))
+        rep = check_corollary2(s)
+        _same_findings(rep, check_definition3(kafv_to_kafw(s)))
+        outcomes.add(rep.passed)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_corollary1_affine_is_definition3_without_whitening(n):
+    p = DomainParams.for_width(n)
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(60):
+        s = KeySchedule(p, (Z, Z, Z, Z), tuple(_mixed_affine_map(p, rng) for _ in range(6)))
+        rep = check_corollary1_affine(s)
+        _same_findings(rep, check_definition3(s))
+        outcomes.add(rep.passed)
+    assert outcomes == {True, False}

@@ -1,6 +1,7 @@
 """Command-line front end: records, exit codes, help surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,8 @@ ENCRYPT8 = ("encrypt", "--schedule", "minimal4", "--n", "8")
       "--world", "real", "--trials", "0"), None, "DomainError"),
     (ENCRYPT8[:2] + ("tweakem4", "--n", "8", "--construction", "kaf", "--key", "0",
                      "--block", "0"), None, "ScheduleArityMismatch"),
+    (("attack", "--name", "birthday", "--schedule", "minimal4", "--n", "4", "--qe", "100",
+      "--world", "real"), None, "DomainError"),
 ])
 def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
     if env is None:
@@ -201,3 +204,22 @@ def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error)
     assert code == 1
     assert [r["error"] for r in recs] == [error]
     assert recs[0]["command"] == argv[0]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+AUDIT_SCHEDULES = [
+    ("minimal4", "--n", "8"),
+    ("ortho6", "--n", "8"),
+    (str(DATA / "kafv4_affine.sched"),),
+    (str(DATA / "kafv6_affine.sched"),),
+    (str(DATA / "lucifer4.sched"),),
+]
+
+
+@pytest.mark.parametrize("check", ("def1", "def3", "cor1", "cor2"))
+@pytest.mark.parametrize("schedule", AUDIT_SCHEDULES, ids=lambda s: Path(s[0]).name)
+def test_every_audit_of_every_schedule_kind_gives_one_record(capsys, check, schedule):
+    code, recs = run_cli(capsys, "audit", "--check", check, "--schedule", *schedule)
+    assert len(recs) == 1
+    assert code in (0, 1, 2)
+    assert (code == 0) == ("error" not in recs[0])

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kafw.errors import DomainTooLarge
+from kafw.errors import DomainError, DomainTooLarge
 from kafw.gf2 import (
     REDUCTION_POLYNOMIALS,
     BinMatrix,
@@ -64,6 +64,13 @@ def test_gf_mul_example_values():
         for x in range(p.N):
             assert gf_mul(x, 1, p) == x
             assert gf_mul(x, 0, p) == 0
+
+
+@pytest.mark.parametrize("a, b", [(0x1FF, 3), (3, 0x100), (-1, 3), (2, -2)])
+def test_gf_mul_rejects_non_field_operands(a, b):
+    with pytest.raises(DomainError):
+        gf_mul(a, b, P8)
+    assert gf_mul(0xFF, 0xFF, P8) < P8.N
 
 
 def test_gf_cube_values():
