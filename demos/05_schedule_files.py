@@ -5,6 +5,7 @@ Writes a schedule file, parses it back, and drives the same experiment
 through the `kafw` CLI entry point (newline-delimited JSON records).
 """
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -27,8 +28,11 @@ s = parsed.schedule
 print(f"construction={parsed.construction} t={s.t} n={s.params.n}")
 print("round keys at k=0x2a:", [f"{s.round_key(i, 0x2A):02x}" for i in range(1, 5)])
 
+# Work inside a scratch directory so records name the file, not where it lives.
+start = os.getcwd()
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "minimal4.sched"
+    os.chdir(tmp)
+    path = Path("minimal4.sched")
     path.write_text(TEXT)
 
     print("\n== kafw audit --check cor1 ==")
@@ -46,3 +50,4 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\n== kafw bound ==")
     main(["bound", "--theorem", "1", "--n", "8", "--qf", "4", "--qe", "4",
           "--delta1", "3/256", "--delta2", "2/256", "--delta3", "2/256"])
+    os.chdir(start)

@@ -316,9 +316,10 @@ def cmd_equivalence(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
-    N = 1 << args.n
+    if args.n < 0:
+        raise DomainError(f"n must be nonnegative, got {args.n}")
     result = game.bound_formula(
-        args.theorem, args.qf, args.qe, N, args.delta1, args.delta2, args.delta3
+        args.theorem, args.qf, args.qe, 1 << args.n, args.delta1, args.delta2, args.delta3
     )
     _emit(
         {
@@ -424,8 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early: stop quietly, and keep the flush at
+        # interpreter exit from failing on the closed pipe too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
     out = sys.stdout
     opened = None
     if getattr(args, "out", None):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DomainTooLarge
+from .errors import DomainError, DomainTooLarge, TooFewRounds
 from .feistel import (
     Block,
     CipherInstance,
@@ -69,11 +69,17 @@ def _function_table(n: int, seed: int):
     return table.__getitem__
 
 
-def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
-    """Converted-schedule KAFw vs the original KAFv, exhaustively per seed."""
+def _check_sweep(n: int, seeds) -> DomainParams:
     if n > MAX_EXHAUSTIVE_N:
         raise DomainTooLarge("exhaustive sweep capped")
-    p = DomainParams.for_width(n)
+    if not seeds:
+        raise DomainError("a sweep needs at least one oracle seed")
+    return DomainParams.for_width(n)
+
+
+def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
+    """Converted-schedule KAFw vs the original KAFv, exhaustively per seed."""
+    p = _check_sweep(n, seeds)
     cases = mismatches = 0
     first = None
     for seed in seeds:
@@ -98,11 +104,9 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
 
 def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Lucifer chain vs keyless outer rounds around the stripped KAFv core."""
-    if n > MAX_EXHAUSTIVE_N:
-        raise DomainTooLarge("exhaustive sweep capped")
+    p = _check_sweep(n, seeds)
     if t < 3:
-        raise ValueError("the sandwich needs t >= 3")
-    p = DomainParams.for_width(n)
+        raise TooFewRounds("the sandwich needs t >= 3")
     cases = mismatches = 0
     first = None
     for seed in seeds:

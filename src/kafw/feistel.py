@@ -9,16 +9,19 @@ XORs the key into the output instead:
 
     (L, R)  ->  (R, L ^ f(R) ^ round_key)
 
-KAFw adds input whitening wf0(k)||wf1(k) and output whitening
-wf2(k)||wf3(k); KAF is KAFw with zero whitening; a t-round KAFv uses t+2
-sub-keys, 0||g*_0 before and g*_{t+1}||0 after its rounds.  Decryption
-only ever evaluates round functions forward, so non-invertible functions
-still give permutations of the full 2n-bit block.
+Every construction is one chain w_out ^ round_t o ... o round_1 (w_in ^ x)
+with its own sub-key layout: KAFw whitens with wf0(k)||wf1(k) and
+wf2(k)||wf3(k), KAF (construction="kaf") is KAFw with zero whitening, a
+t-round KAFv whitens with 0||g*_0 and g*_{t+1}||0, and Lucifer not at all.
+Decryption is the reversed chain between two half swaps (round^-1 = swap o
+round o swap): round functions are only ever evaluated forward, so
+non-invertible ones still give permutations of the full 2n-bit block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ScheduleArityMismatch, TooFewRounds
@@ -43,21 +46,13 @@ RoundFunction = Callable[[int], int]
 
 
 def psi_round(state: Block, round_key: int, f: RoundFunction) -> Block:
-    """KAFw round map."""
+    """KAFw round map (reference for one round of the chain)."""
     return Block(state.right, state.left ^ f(round_key ^ state.right))
-
-
-def psi_round_inverse(state: Block, round_key: int, f: RoundFunction) -> Block:
-    return Block(state.right ^ f(round_key ^ state.left), state.left)
 
 
 def psi_tilde_round(state: Block, round_key: int, f: RoundFunction) -> Block:
     """KAFv/Lucifer round map (key XORed after the round function)."""
     return Block(state.right, state.left ^ f(state.right) ^ round_key)
-
-
-def psi_tilde_round_inverse(state: Block, round_key: int, f: RoundFunction) -> Block:
-    return Block(state.right ^ f(state.left) ^ round_key, state.left)
 
 
 @dataclass
@@ -67,6 +62,31 @@ class TraceRecord:
     pre_whitened: Block
     rounds: list[tuple[int, int, Block]]  # (x_i, y_i, state after round i)
     ciphertext: Block
+
+
+def _chain(fs, layout: tuple, left: int, right: int, inverse=False, trace=None):
+    """w_out ^ round_t o ... o round_1 (w_in ^ (left, right)) on plain ints.
+
+    layout is (w_in, round keys, w_out, whether the keys go into f or after
+    it).  The inverse runs the reversed rounds and swapped whitening between
+    two half swaps; `trace` collects (x_i, y_i, state after round i).
+    """
+    w_in, keys, w_out, key_into_f = layout
+    if inverse:
+        fs, keys, w_in, w_out = fs[::-1], keys[::-1], w_out[::-1], w_in[::-1]
+        left, right = right, left
+    left ^= w_in[0]
+    right ^= w_in[1]
+    into, after = (keys, repeat(0)) if key_into_f else (repeat(0), keys)
+    for f, k_in, k_out in zip(fs, into, after):
+        x = k_in ^ right
+        y = f(x)
+        left, right = right, left ^ y ^ k_out
+        if trace is not None:
+            trace.append((x, y, Block(left, right)))
+    left ^= w_out[0]
+    right ^= w_out[1]
+    return (right, left) if inverse else (left, right)
 
 
 @dataclass
@@ -111,23 +131,16 @@ class CipherInstance:
 
     # Block-level entry points so oracles can treat any instance as E_k.
     def encrypt_block(self, key: int, block: int) -> int:
-        return self._block_op(key, block, kafw_encrypt, kafv_encrypt, lucifer_encrypt)
+        return self._block_op(key, block, False)
 
     def decrypt_block(self, key: int, block: int) -> int:
-        return self._block_op(key, block, kafw_decrypt, kafv_decrypt, lucifer_decrypt)
+        return self._block_op(key, block, True)
 
-    def _block_op(self, key, block, kafw_op, kafv_op, lucifer_op) -> int:
+    def _block_op(self, key: int, block: int, inverse: bool) -> int:
         n = self.params.n
-        state = block_from_int(block, n)
-        kind = CONSTRUCTIONS[self.construction]
-        if kind is KeySchedule:
-            out = kafw_op(self, key, state)
-        elif kind is KafvSchedule:
-            out = kafv_op(self, key, state)
-        else:
-            keys = [self.schedule.round_key(i, key) for i in range(1, self.rounds + 1)]
-            out = lucifer_op(self, keys, state)
-        return block_to_int(out, n)
+        layout = _LAYOUTS[CONSTRUCTIONS[self.construction]](self, key)
+        left, right = _chain(self.round_functions, layout, block >> n, block & self.params.mask, inverse)
+        return (left << n) | right
 
 
 def _schedule(c: CipherInstance, kind: type):
@@ -140,121 +153,88 @@ def _schedule(c: CipherInstance, kind: type):
     return s
 
 
-def kafw_encrypt(
-    c: CipherInstance, key: int, plaintext: Block, trace: TraceRecord | None = None
-) -> Block:
-    """wk_out ^ (round t) o ... o (round 1) (wk_in ^ plaintext)."""
+def _kafw_layout(c: CipherInstance, key: int) -> tuple:
+    """wf0||wf1, gamma_1..gamma_t into f, wf2||wf3."""
     s = _schedule(c, KeySchedule)
-    state = Block(
-        plaintext.left ^ s.whitening_key(0, key),
-        plaintext.right ^ s.whitening_key(1, key),
-    )
-    if trace is not None:
-        trace.pre_whitened = state
-    for i in range(1, c.rounds + 1):
-        x = s.round_key(i, key) ^ state.right
-        y = c.round_functions[i - 1](x)
-        state = Block(state.right, state.left ^ y)
-        if trace is not None:
-            trace.rounds.append((x, y, state))
-    out = Block(
-        state.left ^ s.whitening_key(2, key),
-        state.right ^ s.whitening_key(3, key),
-    )
-    if trace is not None:
-        trace.ciphertext = out
-    return out
+    w_in = (s.whitening_key(0, key), s.whitening_key(1, key))
+    keys = [s.round_key(i, key) for i in range(1, c.rounds + 1)]
+    return w_in, keys, (s.whitening_key(2, key), s.whitening_key(3, key)), True
+
+
+def _kafv_layout(c: CipherInstance, key: int) -> tuple:
+    """0||g*_0, g*_1..g*_t after f, g*_{t+1}||0."""
+    s = _schedule(c, KafvSchedule)
+    keys = [s.subkey(i, key) for i in range(1, c.rounds + 1)]
+    return (0, s.subkey(0, key)), keys, (s.subkey(c.rounds + 1, key), 0), False
+
+
+def _lucifer_layout(c: CipherInstance, keys: Sequence[int]) -> tuple:
+    """No whitening, explicit round keys k1..kt after f."""
+    if len(keys) < 2:
+        raise TooFewRounds("lucifer needs t >= 2")
+    if len(keys) != c.rounds:
+        raise ScheduleArityMismatch("one key per round required")
+    return (0, 0), keys, (0, 0), False
+
+
+def _lucifer_schedule_layout(c: CipherInstance, key: int) -> tuple:
+    s = _schedule(c, LuciferSchedule)
+    return _lucifer_layout(c, [s.round_key(i, key) for i in range(1, c.rounds + 1)])
+
+
+# Schedule class -> the sub-key layout of its construction under one key.
+_LAYOUTS = {
+    KeySchedule: _kafw_layout,
+    KafvSchedule: _kafv_layout,
+    LuciferSchedule: _lucifer_schedule_layout,
+}
+
+
+def kafw_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
+    """wk_out ^ (round t) o ... o (round 1) (wk_in ^ plaintext)."""
+    return Block(*_chain(c.round_functions, _kafw_layout(c, key), *plaintext))
 
 
 def kafw_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    s = _schedule(c, KeySchedule)
-    state = Block(
-        ciphertext.left ^ s.whitening_key(2, key),
-        ciphertext.right ^ s.whitening_key(3, key),
-    )
-    for i in range(c.rounds, 0, -1):
-        state = psi_round_inverse(state, s.round_key(i, key), c.round_functions[i - 1])
-    return Block(
-        state.left ^ s.whitening_key(0, key),
-        state.right ^ s.whitening_key(1, key),
-    )
+    return Block(*_chain(c.round_functions, _kafw_layout(c, key), *ciphertext, True))
 
 
 def kafw_encrypt_traced(c: CipherInstance, key: int, plaintext: Block) -> TraceRecord:
-    trace = TraceRecord(plaintext, [], plaintext)
-    kafw_encrypt(c, key, plaintext, trace)
+    layout = _kafw_layout(c, key)
+    w_in = layout[0]
+    trace = TraceRecord(Block(plaintext.left ^ w_in[0], plaintext.right ^ w_in[1]), [], plaintext)
+    trace.ciphertext = Block(*_chain(c.round_functions, layout, *plaintext, False, trace.rounds))
     return trace
 
 
 def replay_trace(c: CipherInstance, key: int, plaintext: Block, trace: TraceRecord) -> Block:
     """Recompute the ciphertext from recorded y values, without round functions."""
-    s = _schedule(c, KeySchedule)
-    state = Block(
-        plaintext.left ^ s.whitening_key(0, key),
-        plaintext.right ^ s.whitening_key(1, key),
-    )
-    for i, (x, y, _after) in enumerate(trace.rounds, start=1):
-        assert x == s.round_key(i, key) ^ state.right, "trace inconsistent with schedule"
-        state = Block(state.right, state.left ^ y)
-    return Block(
-        state.left ^ s.whitening_key(2, key),
-        state.right ^ s.whitening_key(3, key),
-    )
+    recorded = iter(trace.rounds)
 
+    def recorded_y(x: int) -> int:
+        x_i, y_i, _after = next(recorded)
+        assert x == x_i, "trace inconsistent with schedule"
+        return y_i
 
-def kaf_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
-    """KAFw with zero whitening."""
-    s = _schedule(c, KeySchedule)
-    if not s.has_zero_whitening():
-        raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
-    return kafw_encrypt(c, key, plaintext)
-
-
-def kaf_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    s = _schedule(c, KeySchedule)
-    if not s.has_zero_whitening():
-        raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
-    return kafw_decrypt(c, key, ciphertext)
+    return Block(*_chain(repeat(recorded_y), _kafw_layout(c, key), *plaintext))
 
 
 def kafv_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
     """(g*_{t+1}||0) ^ rounds(... (0||g*_0) ^ plaintext)."""
-    s = _schedule(c, KafvSchedule)
-    state = Block(plaintext.left, plaintext.right ^ s.subkey(0, key))
-    for i in range(1, c.rounds + 1):
-        state = psi_tilde_round(state, s.subkey(i, key), c.round_functions[i - 1])
-    return Block(state.left ^ s.subkey(c.rounds + 1, key), state.right)
+    return Block(*_chain(c.round_functions, _kafv_layout(c, key), *plaintext))
 
 
 def kafv_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    s = _schedule(c, KafvSchedule)
-    state = Block(ciphertext.left ^ s.subkey(c.rounds + 1, key), ciphertext.right)
-    for i in range(c.rounds, 0, -1):
-        state = psi_tilde_round_inverse(state, s.subkey(i, key), c.round_functions[i - 1])
-    return Block(state.left, state.right ^ s.subkey(0, key))
+    return Block(*_chain(c.round_functions, _kafv_layout(c, key), *ciphertext, True))
 
 
 def lucifer_encrypt(c: CipherInstance, keys: Sequence[int], plaintext: Block) -> Block:
     """Chain of key-after-function rounds under explicit round keys k1..kt."""
-    if len(keys) < 2:
-        raise TooFewRounds("lucifer needs t >= 2")
-    if len(keys) != c.rounds:
-        raise ScheduleArityMismatch("one key per round required")
-    state = plaintext
-    for i, k in enumerate(keys):
-        state = psi_tilde_round(state, k, c.round_functions[i])
-    return state
+    return Block(*_chain(c.round_functions, _lucifer_layout(c, keys), *plaintext))
 
 
 def lucifer_decrypt(c: CipherInstance, keys: Sequence[int], ciphertext: Block) -> Block:
-    if len(keys) < 2:
-        raise TooFewRounds("lucifer needs t >= 2")
-    if len(keys) != c.rounds:
-        raise ScheduleArityMismatch("one key per round required")
-    state = ciphertext
-    for i in range(len(keys) - 1, -1, -1):
-        state = psi_tilde_round_inverse(state, keys[i], c.round_functions[i])
-    return state
+    return Block(*_chain(c.round_functions, _lucifer_layout(c, keys), *ciphertext, True))
 
 
 def tweakable_encrypt(c: CipherInstance, key: int, tweak: int, plaintext: Block) -> Block:

@@ -244,7 +244,7 @@ def bound_formula(
     6: 6 rounds, affine schedule, random function.
     """
     if min(q_f, q_e, N) < 0:
-        raise ValueError("parameters must be nonnegative")
+        raise DomainError("parameters must be nonnegative")
     d1, d2, d3 = Fraction(delta1), Fraction(delta2), Fraction(delta3)
     pre: bool | None
     if theorem == 1:
@@ -264,7 +264,7 @@ def bound_formula(
         value = Fraction(6 * q_e * q_f + 18 * q_e**2, N)
         pre = None
     else:
-        raise ValueError("theorem must be one of 1, 2, 5, 6")
+        raise DomainError("theorem must be one of 1, 2, 5, 6")
     return BoundResult(theorem=theorem, value=value, precondition_ok=pre, vacuous=value > 1)
 
 

@@ -106,7 +106,7 @@ class DomainParams:
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_N:
-            raise ValueError(f"n must be in [2, {MAX_N}], got {self.n}")
+            raise DomainError(f"n must be in [2, {MAX_N}], got {self.n}")
         if not 0 < self.reduction_polynomial < (1 << self.n):
             raise ValueError("reduction polynomial mask out of range")
         if not is_irreducible(self.reduction_polynomial, self.n):
@@ -117,7 +117,7 @@ class DomainParams:
     @classmethod
     def for_width(cls, n: int) -> "DomainParams":
         if n not in REDUCTION_POLYNOMIALS:
-            raise ValueError(f"no reduction polynomial shipped for n={n}")
+            raise DomainError(f"no reduction polynomial shipped for n={n}")
         return cls(n, REDUCTION_POLYNOMIALS[n])
 
     @property

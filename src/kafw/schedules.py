@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import (
     ArityMismatch,
+    DomainError,
     NotAffine,
     OddN,
     TooFewRounds,
@@ -345,7 +346,7 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
         m1 = params.get("m1", 2)
         m4 = params.get("m4", 3)
         if m1 == m4 or m1 == 0 or m4 == 0:
-            raise ValueError("minimal4 needs two distinct nonzero multipliers")
+            raise DomainError("minimal4 needs two distinct nonzero multipliers")
         return KeySchedule(
             p,
             no_whitening,
@@ -362,7 +363,7 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
         m1 = params.get("m1", 2)
         m4 = params.get("m4", 3)
         if m1 == m4 or m1 == 0 or m4 == 0:
-            raise ValueError("tweakem4 needs two distinct nonzero multipliers")
+            raise DomainError("tweakem4 needs two distinct nonzero multipliers")
         return KeySchedule(
             p,
             (zero, FieldCubicSubkey(m1), FieldCubicSubkey(m4), zero),
@@ -375,7 +376,7 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
         return KeySchedule(p, no_whitening, (identity_map(p.n),) * t)
     if base == "bitperm_bad5":
         if p.n < 5:
-            raise ValueError("bitperm_bad5 needs n >= 5 for five distinct rotations")
+            raise DomainError("bitperm_bad5 needs n >= 5 for five distinct rotations")
         rots = tuple(AffineSubkey(BinMatrix.rotation(p.n, r)) for r in range(5))
         return KeySchedule(p, no_whitening, rots)
     raise UnknownName(f"unknown builtin schedule {name!r}")

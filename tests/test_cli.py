@@ -1,6 +1,9 @@
 """Command-line front end: records, exit codes, help surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,14 @@ def test_attack_precondition_failure_exit_2(capsys):
                          "--world", "real", "--trials", "1")
     assert code == 2
     assert recs[0]["error"] == "NoWeakDelta"
+
+
+def test_too_few_sweep_rounds_exit_2(capsys):
+    for pair, rounds in (("kafv-kafw", "1"), ("lucifer", "2")):
+        code, recs = run_cli(capsys, "equivalence", "--pair", pair, "--n", "4",
+                             "--rounds", rounds, "--seeds", "1")
+        assert code == 2
+        assert [r["error"] for r in recs] == ["TooFewRounds"]
 
 
 def test_advantage_summary_and_out_file(capsys, tmp_path):
@@ -194,6 +205,17 @@ ENCRYPT8 = ("encrypt", "--schedule", "minimal4", "--n", "8")
                      "--block", "0"), None, "ScheduleArityMismatch"),
     (("attack", "--name", "birthday", "--schedule", "minimal4", "--n", "4", "--qe", "100",
       "--world", "real"), None, "DomainError"),
+    (("schedule", "--schedule", "minimal4", "--n", "40", "--key", "0"), None, "DomainError"),
+    (("equivalence", "--pair", "kafv-kafw", "--n", "1", "--rounds", "4"), None, "DomainError"),
+    (ENCRYPT8[:2] + ("bitperm_bad5", "--n", "4", "--key", "0", "--block", "0"), None,
+     "DomainError"),
+    (("bound", "--theorem", "1", "--n", "8", "--qf", "-1", "--qe", "4"), None, "DomainError"),
+    (("bound", "--theorem", "2", "--n", "8", "--qf", "4", "--qe", "-1"), None, "DomainError"),
+    (("bound", "--theorem", "1", "--n", "-1", "--qf", "4", "--qe", "4"), None, "DomainError"),
+    (("equivalence", "--pair", "kafv-kafw", "--n", "4", "--rounds", "4", "--seeds", "0"), None,
+     "DomainError"),
+    (("equivalence", "--pair", "lucifer", "--n", "4", "--rounds", "4", "--seeds", "-2"), None,
+     "DomainError"),
 ])
 def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
     if env is None:
@@ -223,3 +245,19 @@ def test_every_audit_of_every_schedule_kind_gives_one_record(capsys, check, sche
     assert len(recs) == 1
     assert code in (0, 1, 2)
     assert (code == 0) == ("error" not in recs[0])
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    # About 300 KB of records, well past a 64 KiB pipe buffer.
+    argv = ["attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n", "8",
+            "--world", "real", "--trials", "2000"]
+    proc = subprocess.Popen([sys.executable, "-m", "kafw.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["command"] == "attack"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

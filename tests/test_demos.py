@@ -1,4 +1,4 @@
-"""Each demo script runs to completion against this checkout."""
+"""Each demo script runs to completion against this checkout, with the same output every time."""
 
 import os
 import subprocess
@@ -16,6 +16,8 @@ def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     env.pop("KAFW_SEED", None)
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                            text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
+    runs = [subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                           text=True, timeout=300) for _ in range(2)]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -3,7 +3,7 @@
 import pytest
 
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
-from kafw.errors import DomainTooLarge
+from kafw.errors import DomainError, DomainTooLarge, TooFewRounds
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -27,5 +27,11 @@ def test_lucifer_sandwich_three_rounds():
 def test_sweep_guards():
     with pytest.raises(DomainTooLarge):
         kafv_vs_kafw_sweep(17, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewRounds):
         lucifer_sandwich_sweep(4, 2)
+
+
+@pytest.mark.parametrize("sweep", (kafv_vs_kafw_sweep, lucifer_sandwich_sweep))
+def test_sweeps_reject_an_empty_seed_list(sweep):
+    with pytest.raises(DomainError):
+        sweep(4, 4, seeds=())

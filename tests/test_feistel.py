@@ -1,17 +1,17 @@
 """Cipher constructions: round maps, pipelines, round trips, structural identities."""
 
+import hashlib
 import random
 
 import pytest
 
+from kafw.equivalence import random_subkey_map
 from kafw.errors import ScheduleArityMismatch, TooFewRounds
 from kafw.feistel import (
     Block,
     CipherInstance,
     block_from_int,
     block_to_int,
-    kaf_decrypt,
-    kaf_encrypt,
     kafv_decrypt,
     kafv_encrypt,
     kafw_decrypt,
@@ -20,15 +20,13 @@ from kafw.feistel import (
     lucifer_decrypt,
     lucifer_encrypt,
     psi_round,
-    psi_round_inverse,
     psi_tilde_round,
-    psi_tilde_round_inverse,
     replay_trace,
     tweakable_decrypt,
     tweakable_encrypt,
 )
 from kafw.gf2 import BinMatrix, DomainParams
-from kafw.oracles import RandomFunctionOracle
+from kafw.oracles import RandomFunctionOracle, RandomPermutationOracle
 from kafw.schedules import (
     AffineSubkey,
     KafvSchedule,
@@ -58,6 +56,10 @@ def table_f(n, seed):
     return [oracle.query(x) for x in range(1 << n)].__getitem__
 
 
+def swap(state):
+    return Block(state.right, state.left)
+
+
 def test_psi_round_examples():
     ident = lambda x: x
     assert psi_round(Block(0b1010, 0b0110), 0, ident) == Block(0b0110, 0b1100)
@@ -68,7 +70,8 @@ def test_psi_round_examples():
     for _ in range(50):
         state = Block(rng.randrange(16), rng.randrange(16))
         k = rng.randrange(16)
-        assert psi_round_inverse(psi_round(state, k, f), k, f) == state
+        # The inverse round is the same round between two half swaps.
+        assert swap(psi_round(swap(psi_round(state, k, f)), k, f)) == state
 
 
 def test_psi_tilde_examples():
@@ -83,7 +86,7 @@ def test_psi_tilde_examples():
             folded = lambda x: f(x) ^ 0x7
             assert psi_tilde_round(state, 0x7, f) == psi_round(state, 0, folded)
             k = 0x7
-            assert psi_tilde_round_inverse(psi_tilde_round(state, k, f), k, f) == state
+            assert swap(psi_tilde_round(swap(psi_tilde_round(state, k, f)), k, f)) == state
 
 
 def test_degenerate_all_zero_four_rounds_is_four_swaps():
@@ -224,11 +227,7 @@ def test_encryption_with_noninvertible_function_is_bijection():
 
 def test_kaf_requires_zero_whitening():
     inst = CipherInstance(P8, 4, builtin("minimal4", P8), (table_f(8, 1),), "kaf")
-    pt = Block(1, 2)
-    assert kaf_decrypt(inst, 9, kaf_encrypt(inst, 9, pt)) == pt
-    whitened = CipherInstance(P8, 4, builtin("tweakem4", P8), (table_f(8, 1),))
-    with pytest.raises(ScheduleArityMismatch):
-        kaf_encrypt(whitened, 9, pt)
+    assert inst.decrypt_block(9, inst.encrypt_block(9, 0x0102)) == 0x0102
     with pytest.raises(ScheduleArityMismatch):
         CipherInstance(P8, 4, builtin("tweakem4", P8), (table_f(8, 1),), "kaf")
 
@@ -239,7 +238,8 @@ def test_kaf_equals_kafw_with_zero_whitening():
     for _ in range(50):
         k = rng.randrange(256)
         pt = Block(rng.randrange(256), rng.randrange(256))
-        assert kaf_encrypt(inst, k, pt) == kafw_encrypt(inst, k, pt)
+        want = block_to_int(kafw_encrypt(inst, k, pt), 8)
+        assert inst.encrypt_block(k, block_to_int(pt, 8)) == want
 
 
 def test_kafv_zero_schedule_is_keyless_chain():
@@ -316,3 +316,98 @@ def test_lucifer_schedule_instance_roundtrip():
     for key in range(16):
         for word in range(0, 256, 7):
             assert inst.decrypt_block(key, inst.encrypt_block(key, word)) == word
+
+
+def test_schedule_less_lucifer_instance_needs_a_schedule_for_block_ops():
+    inst = CipherInstance(P4, 2, None, (table_f(4, 1), table_f(4, 2)), "lucifer")
+    with pytest.raises(ScheduleArityMismatch):
+        inst.encrypt_block(3, 0x12)
+    with pytest.raises(ScheduleArityMismatch):
+        inst.decrypt_block(3, 0x12)
+
+
+def _random_maps(rng, p, count):
+    """Random sub-key maps of every kind the file format has but the zero map."""
+    maps = []
+    while len(maps) < count:
+        m = random_subkey_map(p, rng)
+        if not isinstance(m, ZeroMap):
+            maps.append(m)
+    return tuple(maps)
+
+
+def _kat_instance(construction):
+    rng = random.Random(f"kat-{construction}")
+    if construction == "kafw":
+        sched = KeySchedule(P4, _random_maps(rng, P4, 4), _random_maps(rng, P4, 4))
+        return CipherInstance(P4, 4, sched, (RandomFunctionOracle(4, 11),))
+    if construction == "kaf":
+        fs = tuple(RandomPermutationOracle(4, 20 + i) for i in range(4))
+        return CipherInstance(P4, 4, builtin("minimal4", P4), fs, "kaf")
+    if construction == "kafv":
+        sched = KafvSchedule(P4, _random_maps(rng, P4, 7))
+        return CipherInstance(P4, 5, sched, (RandomPermutationOracle(4, 12),), "kafv")
+    fs = tuple(RandomFunctionOracle(4, 30 + i) for i in range(3))
+    return CipherInstance(P4, 3, LuciferSchedule(P4, _random_maps(rng, P4, 3)), fs, "lucifer")
+
+
+# sha256 of every encrypt_block output, then every decrypt_block output, at n = 4
+# (key-major).  The permutation oracles make them pin the order of f queries too.
+KNOWN_ANSWERS = {
+    "kafw": "6359eeb4a8798b9fd37975661fe605fcbb313fcf93e97a48f6b8245eacb36278",
+    "kaf": "35e0f855680c19f4b6f4aa96e3430b597ca83e37e9caeb8a3061e56582d6b195",
+    "kafv": "3764e77c97226768adcc72017f052f428116d06a1ee23b54628afe21e824c70b",
+    "lucifer": "5e996f919a380dc63cff3c626aa68493b0116675836ca7b97fffb0db3340d10c",
+}
+
+
+@pytest.mark.parametrize("construction", sorted(KNOWN_ANSWERS))
+def test_known_answer_digest_exhaustive_n4(construction):
+    inst = _kat_instance(construction)
+    h = hashlib.sha256()
+    for op in (inst.encrypt_block, inst.decrypt_block):
+        for key in range(16):
+            h.update(bytes(op(key, block) for block in range(256)))
+    assert h.hexdigest() == KNOWN_ANSWERS[construction]
+
+
+def _reference_encrypt(inst, key, pt):
+    """Whitening around a composition of the one-round reference maps."""
+    s, fs, t = inst.schedule, inst.round_functions, inst.rounds
+    if isinstance(s, KeySchedule):
+        state = Block(pt.left ^ s.whitening_key(0, key), pt.right ^ s.whitening_key(1, key))
+        for i in range(1, t + 1):
+            state = psi_round(state, s.round_key(i, key), fs[i - 1])
+        return Block(state.left ^ s.whitening_key(2, key), state.right ^ s.whitening_key(3, key))
+    if isinstance(s, KafvSchedule):
+        state = Block(pt.left, pt.right ^ s.subkey(0, key))
+        for i in range(1, t + 1):
+            state = psi_tilde_round(state, s.subkey(i, key), fs[i - 1])
+        return Block(state.left ^ s.subkey(t + 1, key), state.right)
+    state = pt
+    for i in range(1, t + 1):
+        state = psi_tilde_round(state, s.round_key(i, key), fs[i - 1])
+    return state
+
+
+@pytest.mark.parametrize("construction", ("kafw", "kaf", "kafv", "lucifer"))
+def test_every_construction_is_whitening_around_reference_rounds(construction):
+    rng = random.Random(f"differential-{construction}")
+    for p in (P4, DomainParams.for_width(5), P8):
+        for _ in range(6):
+            t = rng.randrange(2, 7)
+            fs = tuple(table_f(p.n, rng.randrange(1 << 30)) for _ in range(t))
+            if construction == "kafw":
+                sched = KeySchedule(p, _random_maps(rng, p, 4), _random_maps(rng, p, t))
+            elif construction == "kaf":
+                sched = KeySchedule(p, (Z,) * 4, _random_maps(rng, p, t))
+            elif construction == "kafv":
+                sched = KafvSchedule(p, _random_maps(rng, p, t + 2))
+            else:
+                sched = LuciferSchedule(p, _random_maps(rng, p, t))
+            inst = CipherInstance(p, t, sched, fs, construction)
+            for _ in range(40):
+                key, word = rng.randrange(p.N), rng.randrange(p.N * p.N)
+                want = block_to_int(_reference_encrypt(inst, key, block_from_int(word, p.n)), p.n)
+                assert inst.encrypt_block(key, word) == want
+                assert inst.decrypt_block(key, want) == word

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kafw.errors import NotAffine, OddN, TooFewRounds, UnknownName
+from kafw.errors import DomainError, NotAffine, OddN, TooFewRounds, UnknownName
 from kafw.gf2 import BinMatrix, DomainParams, is_orthomorphism, mat_is_invertible, mat_vec
 from kafw.schedules import (
     AffineSubkey,
@@ -218,3 +218,14 @@ def test_identity_map_matrix():
     m = identity_map(6)
     for k in range(64):
         assert m.value(k, DomainParams.for_width(6)) == k
+
+
+@pytest.mark.parametrize("name, n, params", [
+    ("minimal4", 8, {"m1": 5, "m4": 5}),
+    ("minimal4", 8, {"m1": 0}),
+    ("tweakem4", 8, {"m4": 2}),
+    ("bitperm_bad5", 4, {}),
+])
+def test_builtin_parameter_errors_are_domain_errors(name, n, params):
+    with pytest.raises(DomainError):
+        builtin(name, DomainParams.for_width(n), **params)
