@@ -117,7 +117,7 @@ def four_round_boomerang(
     """(0,4)-distinguisher against any 4-round affine schedule; real-world output
     is 1 for every key, function tuple, base plaintext, and nonzero offset."""
     if delta == 0:
-        raise ValueError("the key offset must be nonzero")
+        raise DomainError("the key offset must be nonzero")
     return run_quartet(rk, s.params.n, quartet_params_4round(s, delta, left, right))
 
 

@@ -118,7 +118,7 @@ def check_definition1(s: KeySchedule, threshold: int = 3) -> AuditReport:
     No universal numeric cutoff exists; `good_like` flags all three counts
     at or below `threshold` (default 3, the reference instance's level).
     """
-    return _delta_report("def1", s, threshold, lambda s: (s.phi1_map(), s.phi4_map()))
+    return _delta_report("def1", s, threshold, lambda s: (s.phi1_map(), s.phi_last_map()))
 
 
 def check_corollary1_nl(s: KeySchedule, threshold: int = 3) -> AuditReport:
@@ -151,7 +151,8 @@ def check_definition3(s: KeySchedule) -> AuditReport:
     M1.d != M3.d, M4.d != M6.d for every d != 0."""
     return _affine_report(
         "def3", s, KeySchedule,
-        lambda s: (("phi1", s.phi1_map().matrix(s.params)), ("phi6", s.phi6_map().matrix(s.params))),
+        lambda s: (("phi1", s.phi1_map().matrix(s.params)),
+                   ("phi6", s.phi_last_map().matrix(s.params))),
         _gamma_sums,
     )
 

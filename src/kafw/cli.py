@@ -36,6 +36,7 @@ from .errors import (
     NoWeakDelta,
     NotAffine,
     OddN,
+    ScheduleArityMismatch,
     TooFewRounds,
 )
 from .feistel import CipherInstance
@@ -49,6 +50,7 @@ from .schedules import (
     KeySchedule,
     LuciferSchedule,
     builtin,
+    is_builtin,
     kafv_to_kafw,
 )
 
@@ -89,22 +91,22 @@ def _hex_arg(text: str, bits: int, what: str) -> int:
 
 
 def _load_schedule(source: str, n: int | None, rounds: int | None) -> ParsedSchedule:
-    """Builtin name or file path; builtins need --n."""
-    base = source.split("(")[0]
-    if base in {name.split("(")[0] for name in BUILTIN_NAMES}:
-        if n is None:
-            raise KafwError("builtin schedules need --n")
-        params = DomainParams.for_width(n)
-        kwargs = {}
-        if rounds is not None and base == "identity_bad" and "(" not in source:
-            kwargs["rounds"] = rounds
-        sched = builtin(source, params, **kwargs)
-        return ParsedSchedule("kafw", sched)
-    try:
-        text = Path(source).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise KafwError(f"cannot read schedule file {source!r}: {exc}") from None
-    return parse_schedule_text(text)
+    """Builtin name or file path; builtins need --n.  --rounds gives a bare
+    identity_bad its round count and must equal every other schedule's."""
+    if not is_builtin(source):
+        try:
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise KafwError(f"cannot read schedule file {source!r}: {exc}") from None
+        parsed = parse_schedule_text(text)
+    elif n is None:
+        raise KafwError("builtin schedules need --n")
+    else:
+        parsed = ParsedSchedule("kafw", builtin(source, DomainParams.for_width(n), rounds=rounds))
+    t = parsed.schedule.t
+    if rounds is not None and rounds != t:
+        raise ScheduleArityMismatch(f"schedule arity {t} != rounds {rounds}")
+    return parsed
 
 
 def cmd_encrypt(args, out) -> int:
@@ -202,7 +204,7 @@ def _construction_spec(args, parsed: ParsedSchedule) -> game.ConstructionSpec:
     s = parsed.schedule
     return game.ConstructionSpec(
         params=s.params,
-        rounds=args.rounds or s.t,
+        rounds=s.t,
         schedule=s,
         construction=args.construction or parsed.construction,
         function_kind=args.function_kind,
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--schedule", required=True, help=_BUILTIN_HELP)
         sp.add_argument("--n", type=int, help="half-block width (required for builtins)")
-        sp.add_argument("--rounds", type=int, help="round count override")
+        sp.add_argument("--rounds", type=int, help="round count: sets identity_bad's, checks others'")
         sp.add_argument("--seed", type=int, default=None, help="base seed (default: $KAFW_SEED or 0)")
 
     def construction(sp, function_kind, per_round_f):

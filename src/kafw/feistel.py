@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ScheduleArityMismatch, TooFewRounds
+from .errors import DomainError, ScheduleArityMismatch, TooFewRounds
 from .gf2 import DomainParams
 from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
 
@@ -115,7 +115,7 @@ class CipherInstance:
             )
         kind = CONSTRUCTIONS.get(self.construction)
         if kind is None:
-            raise ValueError(f"unknown construction {self.construction!r}")
+            raise DomainError(f"unknown construction {self.construction!r}")
         if self.schedule is None:
             return  # explicit-key use (lucifer with literal round keys)
         if not isinstance(self.schedule, kind):

@@ -114,7 +114,7 @@ def round_oracles(spec: ConstructionSpec, seed: int, transcript=None) -> list:
         elif spec.function_kind == "function":
             out.append(RandomFunctionOracle(spec.params.n, child, transcript))
         else:
-            raise ValueError(f"unknown function kind {spec.function_kind!r}")
+            raise DomainError(f"unknown function kind {spec.function_kind!r}")
     return out
 
 
@@ -138,7 +138,7 @@ def run_trial_detailed(
     elif w.kind == IDEAL:
         backend = IdealCipherOracle(params.n, derive_seed(seed, "ic"))
     else:
-        raise ValueError(f"unknown world {w.kind!r}")
+        raise DomainError(f"unknown world {w.kind!r}")
     rk = RelatedKeyOracle(key, backend, params.n, limit=d.q_e, transcript=entries)
     budget = FunctionBudget(limit=d.q_f)
     fs = [CountedFunction(o, budget, i) for i, o in enumerate(oracles)]
@@ -246,6 +246,8 @@ def bound_formula(
     if min(q_f, q_e, N) < 0:
         raise DomainError("parameters must be nonnegative")
     d1, d2, d3 = Fraction(delta1), Fraction(delta2), Fraction(delta3)
+    if not all(0 <= d <= 1 for d in (d1, d2, d3)):
+        raise DomainError("delta1..delta3 are probabilities and must lie in [0, 1]")
     pre: bool | None
     if theorem == 1:
         value = 2 * d1 * q_e * q_f + (d2 + d3) * q_e**2 + Fraction(

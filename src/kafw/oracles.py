@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Protocol
 
-from .errors import QueryBudgetExceeded, RedundantQuery
+from .errors import DomainError, QueryBudgetExceeded, RedundantQuery
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -81,7 +80,7 @@ class RandomFunctionOracle:
 
     def query(self, x: int) -> int:
         if not 0 <= x < (1 << self.n):
-            raise ValueError(f"input {x:#x} out of domain")
+            raise DomainError(f"input {x:#x} out of domain")
         y = self.table.get(x)
         if y is None:
             y = stream64(self.seed, x) & ((1 << self.n) - 1)
@@ -126,38 +125,25 @@ class RandomPermutationOracle:
         free = [w for w in range(self._size) if w not in used]
         return free[stream64(self.seed, tag, v, 0) % len(free)]
 
-    def forward(self, x: int) -> int:
-        if not 0 <= x < self._size:
-            raise ValueError(f"input {x:#x} out of domain")
-        y = self.forward_map.get(x)
-        if y is None:
-            y = self._sample(0, x, self.backward_map)
-            self.forward_map[x] = y
-            self.backward_map[y] = x
+    def _lookup(self, v: int, tag: int, own: dict, other: dict, direction: str) -> int:
+        """One query in either direction: `own` maps v to its image, `other` back."""
+        if not 0 <= v < self._size:
+            raise DomainError(f"input {v:#x} out of domain")
+        out = own.get(v)
+        if out is None:
+            out = self._sample(tag, v, other)
+            own[v] = out
+            other[out] = v
             self.query_count += 1
         if self._transcript is not None:
-            self._transcript.append(TranscriptEntry("f", FORWARD, None, x, y))
-        return y
+            self._transcript.append(TranscriptEntry("f", direction, None, v, out))
+        return out
+
+    def forward(self, x: int) -> int:
+        return self._lookup(x, 0, self.forward_map, self.backward_map, FORWARD)
 
     def backward(self, y: int) -> int:
-        if not 0 <= y < self._size:
-            raise ValueError(f"input {y:#x} out of domain")
-        x = self.backward_map.get(y)
-        if x is None:
-            x = self._sample(1, y, self.forward_map)
-            self.backward_map[y] = x
-            self.forward_map[x] = y
-            self.query_count += 1
-        if self._transcript is not None:
-            self._transcript.append(TranscriptEntry("f", BACKWARD, None, y, x))
-        return x
-
-    def query(self, direction: str, v: int) -> int:
-        if direction == FORWARD:
-            return self.forward(v)
-        if direction == BACKWARD:
-            return self.backward(v)
-        raise ValueError(f"unknown direction {direction!r}")
+        return self._lookup(y, 1, self.backward_map, self.forward_map, BACKWARD)
 
     __call__ = forward
 
@@ -173,42 +159,33 @@ class IdealCipherOracle:
     def _perm(self, key: int) -> RandomPermutationOracle:
         perm = self.perms.get(key)
         if perm is None:
+            if not 0 <= key < (1 << self.n):
+                raise DomainError("key out of range")
             perm = RandomPermutationOracle(2 * self.n, derive_seed(self.seed, "ic", key))
             self.perms[key] = perm
         return perm
 
-    def query(self, key: int, direction: str, block: int) -> int:
-        if not 0 <= key < (1 << self.n):
-            raise ValueError("key out of range")
-        return self._perm(key).query(direction, block)
-
-    # Backend protocol used by RelatedKeyOracle.
     def encrypt_block(self, key: int, block: int) -> int:
-        return self.query(key, FORWARD, block)
+        return self._perm(key).forward(block)
 
     def decrypt_block(self, key: int, block: int) -> int:
-        return self.query(key, BACKWARD, block)
-
-
-class CipherBackend(Protocol):
-    def encrypt_block(self, key: int, block: int) -> int: ...
-
-    def decrypt_block(self, key: int, block: int) -> int: ...
+        return self._perm(key).backward(block)
 
 
 class RelatedKeyOracle:
     """RK[E_k]: answers encryption and decryption under k ^ offset.
 
-    Every call advances the q_e counter; an exact repeat of an earlier
-    (offset, direction, block) triple is rejected, matching the convention
-    that distinguishers never make redundant queries.  The master key is
-    not reachable through the query interface.
+    `backend` is a CipherInstance or an IdealCipherOracle.  Every call
+    advances the q_e counter; an exact repeat of an earlier (offset,
+    direction, block) triple is rejected, matching the convention that
+    distinguishers never make redundant queries.  The master key is not
+    reachable through the query interface.
     """
 
     def __init__(
         self,
         key: int,
-        backend: CipherBackend,
+        backend,
         n: int,
         limit: int | None = None,
         transcript: list | None = None,
@@ -222,10 +199,16 @@ class RelatedKeyOracle:
         self._transcript = transcript
 
     def query(self, offset: int, direction: str, block: int) -> int:
+        if direction == FORWARD:
+            op = self._backend.encrypt_block
+        elif direction == BACKWARD:
+            op = self._backend.decrypt_block
+        else:
+            raise DomainError(f"unknown direction {direction!r}")
         if not 0 <= offset < (1 << self.n):
-            raise ValueError("offset out of range")
+            raise DomainError("offset out of range")
         if not 0 <= block < (1 << (2 * self.n)):
-            raise ValueError("block out of range")
+            raise DomainError("block out of range")
         triple = (offset, direction, block)
         if triple in self._seen:
             raise RedundantQuery(f"repeated related-key query {triple}")
@@ -233,13 +216,7 @@ class RelatedKeyOracle:
             raise QueryBudgetExceeded(f"q_e budget {self.limit} exhausted")
         self._seen.add(triple)
         self.query_count += 1
-        related = self._key ^ offset
-        if direction == FORWARD:
-            out = self._backend.encrypt_block(related, block)
-        elif direction == BACKWARD:
-            out = self._backend.decrypt_block(related, block)
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
+        out = op(self._key ^ offset, block)
         if self._transcript is not None:
             self._transcript.append(TranscriptEntry("rk", direction, offset, block, out))
         return out
@@ -289,7 +266,7 @@ class CountedFunction:
 
     def query_backward(self, y: int) -> int:
         if not isinstance(self._oracle, RandomPermutationOracle):
-            raise ValueError("backward queries need a permutation oracle")
+            raise DomainError("backward queries need a permutation oracle")
         self._budget.spend((self._index, BACKWARD, y))
         return self._oracle.backward(y)
 

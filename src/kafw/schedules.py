@@ -176,19 +176,12 @@ class KeySchedule:
         return all(m.is_zero(self.params) for m in self.whitening)
 
     # Derived masking maps: phi_1 = wf1 ^ gamma_1 protects the first round's
-    # function input, phi_4 / phi_6 = wf2 ^ gamma_t the last round's.
+    # function input, phi_t = wf2 ^ gamma_t (phi_4, phi_6) the last round's.
     def phi1_map(self) -> XorSubkey:
         return XorSubkey((self.whitening[1], self.round_keys[0]))
 
-    def phi4_map(self) -> XorSubkey:
-        if self.t != 4:
-            raise ArityMismatch("phi_4 is defined for 4-round schedules")
-        return XorSubkey((self.whitening[2], self.round_keys[3]))
-
-    def phi6_map(self) -> XorSubkey:
-        if self.t != 6:
-            raise ArityMismatch("phi_6 is defined for 6-round schedules")
-        return XorSubkey((self.whitening[2], self.round_keys[5]))
+    def phi_last_map(self) -> XorSubkey:
+        return XorSubkey((self.whitening[2], self.round_keys[-1]))
 
     def bind(self, m: SubkeyMap):
         """Plain int -> int callable for enumeration code."""
@@ -316,6 +309,11 @@ BUILTIN_NAMES = (
 _NAME_RE = re.compile(r"^([a-z_][a-z0-9_]*)(?:\((\d+)\))?$")
 
 
+def is_builtin(source: str) -> bool:
+    """Whether `source` names a builtin schedule (possibly a malformed use of one)."""
+    return source.partition("(")[0] in {name.partition("(")[0] for name in BUILTIN_NAMES}
+
+
 def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     """Named schedule instances.
 
@@ -327,7 +325,7 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     tweakem4        4-round KAFw with wf1 = m1 (x) k ^ k^3, wf2 = m4 (x) k ^ k^3
                     and every other sub-key zero.
     identity_bad(t) gamma_i = k for all t rounds, zero whitening
-                    (complementation-vulnerable).
+                    (complementation-vulnerable); t in the name beats rounds=.
     bitperm_bad5    5 distinct bit-rotations as round-key matrices; the
                     all-ones offset satisfies M1.d = M5.d.
     """
@@ -338,20 +336,19 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     if arg is not None:
         if base != "identity_bad":
             raise UnknownName(f"{base} takes no round-count argument")
-        params.setdefault("rounds", int(arg))
+        params["rounds"] = int(arg)
     zero = ZeroMap()
     no_whitening = (zero, zero, zero, zero)
 
-    if base == "minimal4":
+    if base in ("minimal4", "tweakem4"):
         m1 = params.get("m1", 2)
         m4 = params.get("m4", 3)
         if m1 == m4 or m1 == 0 or m4 == 0:
-            raise DomainError("minimal4 needs two distinct nonzero multipliers")
-        return KeySchedule(
-            p,
-            no_whitening,
-            (FieldCubicSubkey(m1), zero, zero, FieldCubicSubkey(m4)),
-        )
+            raise DomainError(f"{base} needs two distinct nonzero multipliers")
+        c1, c4 = FieldCubicSubkey(m1), FieldCubicSubkey(m4)
+        if base == "minimal4":
+            return KeySchedule(p, no_whitening, (c1, zero, zero, c4))
+        return KeySchedule(p, (zero, c1, c4, zero), (zero, zero, zero, zero))
     if base == "ortho6":
         return KeySchedule(
             p, no_whitening, (identity_map(p.n), zero, zero, zero, zero, ortho_map(p.n))
@@ -359,16 +356,6 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     if base == "filled6":
         ident, pi = identity_map(p.n), ortho_map(p.n)
         return KeySchedule(p, no_whitening, (ident, ident, pi, ident, ident, pi))
-    if base == "tweakem4":
-        m1 = params.get("m1", 2)
-        m4 = params.get("m4", 3)
-        if m1 == m4 or m1 == 0 or m4 == 0:
-            raise DomainError("tweakem4 needs two distinct nonzero multipliers")
-        return KeySchedule(
-            p,
-            (zero, FieldCubicSubkey(m1), FieldCubicSubkey(m4), zero),
-            (zero, zero, zero, zero),
-        )
     if base == "identity_bad":
         t = params.get("rounds")
         if t is None:

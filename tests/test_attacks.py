@@ -63,7 +63,7 @@ def test_boomerang4_always_wins_on_randomized_instances():
 def test_boomerang4_rejects_zero_offset_and_nonaffine():
     s = random_affine(P8, 4, random.Random(0))
     rk, _ = real_oracle(s, 4, 7, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         four_round_boomerang(rk, s, 0)
     mini = builtin("minimal4", P8)
     rk, _ = real_oracle(mini, 4, 7, 2)

@@ -187,7 +187,10 @@ def test_advantage_accepts_the_attack_aliases(capsys):
         assert {**rec_a, "attack": name} == rec_n
 
 
+DATA = Path(__file__).resolve().parent / "data"
 ENCRYPT8 = ("encrypt", "--schedule", "minimal4", "--n", "8")
+THM3_IDEAL = ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n", "8",
+              "--world", "ideal")
 
 
 @pytest.mark.parametrize("argv, env, error", [
@@ -216,6 +219,19 @@ ENCRYPT8 = ("encrypt", "--schedule", "minimal4", "--n", "8")
      "DomainError"),
     (("equivalence", "--pair", "lucifer", "--n", "4", "--rounds", "4", "--seeds", "-2"), None,
      "DomainError"),
+    (("bound", "--theorem", "1", "--n", "8", "--qf", "1", "--qe", "1", "--delta1", "-1"), None,
+     "DomainError"),
+    (ENCRYPT8 + ("--rounds", "0", "--key", "0", "--block", "0"), None, "ScheduleArityMismatch"),
+    (THM3_IDEAL + ("--rounds", "-3"), None, "ScheduleArityMismatch"),
+    (THM3_IDEAL + ("--rounds", "5"), None, "ScheduleArityMismatch"),
+    (("schedule", "--schedule", "minimal4", "--n", "8", "--rounds", "5", "--key", "0"), None,
+     "ScheduleArityMismatch"),
+    (("audit", "--check", "def1", "--schedule", "tweakem4", "--n", "8", "--rounds", "6"), None,
+     "ScheduleArityMismatch"),
+    (("advantage", "--attack", "thm3", "--schedule", str(DATA / "strong5.sched"), "--rounds", "4",
+      "--trials", "1"), None, "ScheduleArityMismatch"),
+    (ENCRYPT8[:2] + ("identity_bad", "--n", "8", "--rounds", "0", "--key", "0", "--block", "0"),
+     None, "ArityMismatch"),
 ])
 def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
     if env is None:
@@ -228,7 +244,6 @@ def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error)
     assert recs[0]["command"] == argv[0]
 
 
-DATA = Path(__file__).resolve().parent / "data"
 AUDIT_SCHEDULES = [
     ("minimal4", "--n", "8"),
     ("ortho6", "--n", "8"),

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kafw.equivalence import random_subkey_map
-from kafw.errors import ScheduleArityMismatch, TooFewRounds
+from kafw.errors import DomainError, ScheduleArityMismatch, TooFewRounds
 from kafw.feistel import (
     Block,
     CipherInstance,
@@ -308,6 +308,8 @@ def test_arity_mismatches():
         CipherInstance(P8, 4, builtin("minimal4", P8), (table_f(8, 1), table_f(8, 2)))
     with pytest.raises(ScheduleArityMismatch):
         CipherInstance(P8, 4, KafvSchedule(P8, (Z,) * 6), (table_f(8, 1),), "kafw")
+    with pytest.raises(DomainError):
+        CipherInstance(P8, 4, builtin("minimal4", P8), (table_f(8, 1),), "feistel")
 
 
 def test_lucifer_schedule_instance_roundtrip():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kafw import game
-from kafw.errors import QueryBudgetExceeded
+from kafw.errors import DomainError, QueryBudgetExceeded
 from kafw.game import (
     ConstructionSpec,
     Distinguisher,
@@ -125,6 +125,22 @@ def test_bound_formula_precondition_flag():
         bound_formula(3, 1, 1, 256)
     with pytest.raises(ValueError):
         bound_formula(1, -1, 1, 256)
+
+
+def test_bound_formula_rejects_deltas_outside_the_unit_interval():
+    for deltas in ((-1, 0, 0), (0, Fraction(257, 256), 0), (0, 0, 2)):
+        with pytest.raises(DomainError):
+            bound_formula(1, 1, 1, 256, *deltas)
+    assert bound_formula(2, 1, 1, 256, 0, 1, 1).value == Fraction(2 * 256 + 9, 256)
+
+
+def test_unknown_function_kind_and_world_are_domain_errors():
+    spec = ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "table")
+    with pytest.raises(DomainError):
+        game.round_oracles(spec, 0)
+    world = WorldSpec("neither", ConstructionSpec(P8, 4, builtin("minimal4", P8)))
+    with pytest.raises(DomainError):
+        run_trial(constant_distinguisher(0), world, 0)
 
 
 def test_estimate_requires_trials():

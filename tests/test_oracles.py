@@ -1,10 +1,11 @@
 """Seeded oracle behavior: determinism, consistency, lazy-sampling soundness."""
 
+import hashlib
 import random
 
 import pytest
 
-from kafw.errors import QueryBudgetExceeded, RedundantQuery
+from kafw.errors import DomainError, QueryBudgetExceeded, RedundantQuery
 from kafw.oracles import (
     BACKWARD,
     FORWARD,
@@ -35,7 +36,7 @@ def test_rf_consistency_and_counter():
 
 def test_rf_rejects_out_of_domain():
     o = RandomFunctionOracle(4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         o.query(16)
 
 
@@ -87,7 +88,7 @@ def test_rp_transcript_determinism():
     runs = []
     for _ in range(2):
         o = RandomPermutationOracle(4, 42)
-        runs.append([o.query(d, v) for d, v in seq])
+        runs.append([(o.forward if d == FORWARD else o.backward)(v) for d, v in seq])
     assert runs[0] == runs[1]
 
 
@@ -105,15 +106,15 @@ def test_ic_per_key_roundtrip_and_determinism():
     ic = IdealCipherOracle(4, 11)
     for key in (0, 7, 15):
         for blk in (0, 100, 255):
-            assert ic.query(key, BACKWARD, ic.query(key, FORWARD, blk)) == blk
+            assert ic.decrypt_block(key, ic.encrypt_block(key, blk)) == blk
     ic2 = IdealCipherOracle(4, 11)
-    assert ic2.query(7, FORWARD, 100) == ic.query(7, FORWARD, 100)
+    assert ic2.encrypt_block(7, 100) == ic.encrypt_block(7, 100)
 
 
 def test_ic_keys_index_distinct_permutations():
     ic = IdealCipherOracle(4, 3)
-    t_a = [ic.query(1, FORWARD, b) for b in range(256)]
-    t_b = [ic.query(2, FORWARD, b) for b in range(256)]
+    t_a = [ic.encrypt_block(1, b) for b in range(256)]
+    t_b = [ic.encrypt_block(2, b) for b in range(256)]
     assert sorted(t_a) == list(range(256))
     assert sorted(t_b) == list(range(256))
     assert t_a != t_b
@@ -195,7 +196,7 @@ def test_counted_function_backward_needs_permutation():
     fp = CountedFunction(RandomPermutationOracle(6, 5), budget)
     assert fp.query_backward(fp.query(9)) == 9
     ff = CountedFunction(RandomFunctionOracle(6, 5), budget)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         ff.query_backward(0)
 
 
@@ -218,3 +219,88 @@ def test_derive_seed_distinguishes_parts():
     assert derive_seed(1, "real", 0) != derive_seed(1, "ideal", 0)
     assert derive_seed(1, "real", 0) != derive_seed(1, "real", 1)
     assert derive_seed(1, "real", 0) == derive_seed(1, "real", 0)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _values_digest(values) -> str:
+    return _digest(",".join(map(str, values)))
+
+
+# (n, seed) -> digests of [forward(x) for every x] and [backward(y) for every y],
+# each on a fresh oracle; both pass the half-load switch to the free list.
+_PERMUTATION_DIGESTS = {
+    (4, 1): ("f3f2d355bd1b1531", "4a18dff4074b3df0"),
+    (4, 2): ("f0558428cb873a67", "0f9ed59ae7dea502"),
+    (5, 1): ("9870091e6dd1e6f5", "53fc7a10e212faec"),
+    (5, 2): ("c62ff3f76d62ad3d", "84ff98861086a9c3"),
+    (6, 1): ("cd0d9b9fd2c1d352", "4eac08ae606e5f52"),
+    (6, 2): ("c99fbc341451a128", "76278b89a15e391d"),
+    (7, 1): ("c7ac337c1160d23c", "2106d37cbd749613"),
+    (7, 2): ("e210b0558a739f47", "57b6b575808113c0"),
+    (8, 1): ("0083d9ab9e73e535", "11e55caca1c627f7"),
+    (8, 2): ("ecbd90d288c15e96", "0b12270479bdaaed"),
+    (9, 1): ("189cb2b09dce9c05", "8b82cac8d5575fc0"),
+    (9, 2): ("22b5f541534e8e75", "8b4aea025bd88b5e"),
+    (10, 1): ("7b1948715795582b", "b2790fc4b0feb401"),
+    (10, 2): ("cf3b8d08fa28dd08", "e022d3d89c8d776d"),
+    (11, 1): ("d4ca84fa34d843f8", "3305c2957b900e06"),
+    (11, 2): ("138bfa73392e78a1", "b98689930dce5a16"),
+    (12, 1): ("48ad5fa97a975e37", "5e9454ea2247cb85"),
+    (12, 2): ("fd1b051091d4ee82", "453db11c5df332f1"),
+}
+
+
+def test_permutation_golden_digests():
+    for (n, seed), (fwd, bwd) in _PERMUTATION_DIGESTS.items():
+        size = 1 << n
+        forward = RandomPermutationOracle(n, seed)
+        backward = RandomPermutationOracle(n, seed)
+        assert _values_digest([forward.forward(x) for x in range(size)]) == fwd, (n, seed)
+        assert _values_digest([backward.backward(y) for y in range(size)]) == bwd, (n, seed)
+    # One seeded interleaving of both directions that fills the whole domain.
+    entries = []
+    o = RandomPermutationOracle(8, 5, entries)
+    rng = random.Random(6)
+    outs = [(o.forward if rng.random() < 0.5 else o.backward)(rng.randrange(256))
+            for _ in range(1500)]
+    assert o.query_count == 256
+    assert _values_digest(outs) == "5f8febc3207621ae"
+    assert _digest(format_transcript(entries, 8)) == "fb2c432790e3d8c8"
+
+
+@pytest.mark.parametrize("direction, values, transcript", [
+    ("encrypt", "c5c20f0988de3fd4", "a724fb207ad9204a"),
+    ("decrypt", "902acb724136eac5", "5dd292c4785841dd"),
+], ids=["encrypt", "decrypt"])
+def test_ideal_cipher_golden_digests(direction, values, transcript):
+    # Every offset and block through the related-key oracle, one direction each.
+    entries = []
+    rk = RelatedKeyOracle(0xB, IdealCipherOracle(4, 3), 4, transcript=entries)
+    op = getattr(rk, direction)
+    assert _values_digest([op(d, b) for d in range(16) for b in range(256)]) == values
+    assert _digest(format_transcript(entries, 4)) == transcript
+
+
+def test_rk_unknown_direction_is_not_counted():
+    rk = RelatedKeyOracle(0, IdealCipherOracle(4, 2), 4, limit=1)
+    with pytest.raises(DomainError):
+        rk.query(0, "sideways", 0)
+    assert rk.query_count == 0
+    rk.encrypt(0, 0)
+    assert rk.query_count == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RandomPermutationOracle(4, 0).forward(-1),
+    lambda: RandomPermutationOracle(4, 0).backward(16),
+    lambda: IdealCipherOracle(4, 0).encrypt_block(16, 0),
+    lambda: IdealCipherOracle(4, 0).decrypt_block(0, 256),
+    lambda: RelatedKeyOracle(0, IdealCipherOracle(4, 0), 4).encrypt(16, 0),
+    lambda: RelatedKeyOracle(0, IdealCipherOracle(4, 0), 4).decrypt(0, 256),
+], ids=["rp-forward", "rp-backward", "ic-key", "ic-block", "rk-offset", "rk-block"])
+def test_oracle_range_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -7,6 +7,7 @@ import pytest
 from kafw.errors import DomainError, NotAffine, OddN, TooFewRounds, UnknownName
 from kafw.gf2 import BinMatrix, DomainParams, is_orthomorphism, mat_is_invertible, mat_vec
 from kafw.schedules import (
+    BUILTIN_NAMES,
     AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
@@ -14,6 +15,7 @@ from kafw.schedules import (
     ZeroMap,
     builtin,
     identity_map,
+    is_builtin,
     kafv_to_kafw,
     lucifer_strip,
     ortho_map,
@@ -125,7 +127,7 @@ def test_builtin_tweakem4():
     mini = builtin("minimal4", P8)
     for k in range(256):
         assert s.phi1_map().value(k, P8) == mini.phi1_map().value(k, P8)
-        assert s.phi4_map().value(k, P8) == mini.phi4_map().value(k, P8)
+        assert s.phi_last_map().value(k, P8) == mini.phi_last_map().value(k, P8)
 
 
 def test_builtin_identity_bad_and_name_parsing():
@@ -135,6 +137,7 @@ def test_builtin_identity_bad_and_name_parsing():
         assert all(s.round_key(i, k) == k for i in range(1, 8))
     s2 = builtin("identity_bad", P8, rounds=3)
     assert s2.t == 3
+    assert builtin("identity_bad(7)", P8, rounds=3).t == 7  # the name wins
     with pytest.raises(UnknownName):
         builtin("identity_bad", P8)
     with pytest.raises(UnknownName):
@@ -183,16 +186,12 @@ def test_xor_map_affine_introspection():
 def test_phi_maps_and_arity():
     s = builtin("minimal4", P8)
     phi1 = s.phi1_map()
-    phi4 = s.phi4_map()
+    phi4 = s.phi_last_map()
     for k in range(0, 256, 11):
         assert phi1.value(k, P8) == s.round_key(1, k)
         assert phi4.value(k, P8) == s.round_key(4, k)
-    from kafw.errors import ArityMismatch
-
-    with pytest.raises(ArityMismatch):
-        s.phi6_map()
     s6 = builtin("ortho6", P8)
-    assert s6.phi6_map().value(5, P8) == s6.round_key(6, 5)
+    assert s6.phi_last_map().value(5, P8) == s6.round_key(6, 5)
 
 
 def test_random_affine_is_deterministic_per_rng():
@@ -229,3 +228,12 @@ def test_identity_map_matrix():
 def test_builtin_parameter_errors_are_domain_errors(name, n, params):
     with pytest.raises(DomainError):
         builtin(name, DomainParams.for_width(n), **params)
+
+
+def test_is_builtin_and_the_shared_multiplier_check():
+    assert all(is_builtin(name) for name in BUILTIN_NAMES)
+    assert is_builtin("identity_bad(9)") and is_builtin("minimal4(3)")
+    assert not is_builtin("data/strong5.sched")
+    for base in ("minimal4", "tweakem4"):
+        with pytest.raises(DomainError, match=f"^{base} needs two distinct nonzero multipliers$"):
+            builtin(base, P8, m1=3)
