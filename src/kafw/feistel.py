@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DomainError, ScheduleArityMismatch, TooFewRounds
+from .errors import ScheduleArityMismatch, TooFewRounds
 from .gf2 import DomainParams
-from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
+from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
 
 
 class Block(NamedTuple):
@@ -113,21 +113,7 @@ class CipherInstance:
             raise ScheduleArityMismatch(
                 f"{self.rounds} rounds but {len(fs)} round functions"
             )
-        kind = CONSTRUCTIONS.get(self.construction)
-        if kind is None:
-            raise DomainError(f"unknown construction {self.construction!r}")
-        if self.schedule is None:
-            return  # explicit-key use (lucifer with literal round keys)
-        if not isinstance(self.schedule, kind):
-            raise ScheduleArityMismatch(
-                f"construction {self.construction!r} needs a {kind.__name__}"
-            )
-        if self.schedule.t != self.rounds:
-            raise ScheduleArityMismatch(
-                f"schedule arity {self.schedule.t} != rounds {self.rounds}"
-            )
-        if self.construction == "kaf" and not self.schedule.has_zero_whitening():
-            raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
+        check_construction(self.construction, self.schedule, self.rounds)
 
     # Block-level entry points so oracles can treat any instance as E_k.
     def encrypt_block(self, key: int, block: int) -> int:

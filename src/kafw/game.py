@@ -37,7 +37,7 @@ from .oracles import (
     RelatedKeyOracle,
     derive_seed,
 )
-from .schedules import KafvSchedule, KeySchedule
+from .schedules import KafvSchedule, KeySchedule, check_construction
 
 REAL = "real"
 IDEAL = "ideal"
@@ -126,6 +126,7 @@ def run_trial_detailed(
     rng = random.Random(derive_seed(seed, "choices"))
     key = derive_seed(seed, "key") & (params.N - 1)
     schedule = spec.schedule(rng) if callable(spec.schedule) else spec.schedule
+    check_construction(spec.construction, schedule, spec.rounds)
     # Note: with a transcript attached in the real world, cipher-internal
     # function queries show up too; the oracle set is shared by design.
     entries = [] if record_transcript else None

@@ -13,11 +13,18 @@ objects).  Conventions, normative for the whole package:
 Field multiplication reduces modulo a fixed irreducible polynomial per
 width (lowest-lexicographic choice, see REDUCTION_POLYNOMIALS); the
 polynomial mask holds the low n coefficients, the x^n term is implicit.
+Up to MAX_EXHAUSTIVE_N bits, products and cubes are lookups in log/antilog
+tables over a generator of the multiplicative group, built on the first
+multiply at each width (never at import or DomainParams construction) and
+cached; wider fields use the shift-and-add product `_poly_mulmod`, which
+also builds the tables.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadMatrix, DomainError, DomainTooLarge
@@ -71,6 +78,41 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _poly_powmod(a: int, e: int, full: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = _poly_mulmod(r, a, full)
+        a = _poly_mulmod(a, a, full)
+        e >>= 1
+    return r
+
+
+@lru_cache(maxsize=None)
+def _log_tables(n: int, poly_mask: int) -> tuple[array, array]:
+    """(log, exp) tables of GF(2^n) under x^n + poly_mask, for n <= MAX_EXHAUSTIVE_N.
+
+    The base is the least g = 2, 3, ... whose order is exactly N - 1 (x
+    need not be primitive: under n = 8's 0x1B it has order 51).  log has N
+    entries (log[0] is unused); exp has 2(N - 1), exp[i] = g^(i mod N - 1),
+    so exp[log a + log b] needs no reduction.
+    """
+    order = (1 << n) - 1
+    full = (1 << n) | poly_mask
+    factors = _prime_divisors(order)
+    g = 2
+    while any(_poly_powmod(g, order // q, full) == 1 for q in factors):
+        g += 1
+    log = array("H", bytes(2 << n))
+    exp = array("H", bytes(4 * order))
+    x = 1
+    for i in range(order):
+        exp[i] = exp[i + order] = x
+        log[x] = i
+        x = _poly_mulmod(x, g, full)
+    return log, exp
 
 
 def is_irreducible(poly_mask: int, n: int) -> bool:
@@ -130,16 +172,35 @@ class DomainParams:
 
 
 def gf_mul(a: int, b: int, p: DomainParams) -> int:
-    """Product of a and b in GF(2^n) under p's reduction polynomial."""
+    """Product of a and b in GF(2^n) under p's reduction polynomial.
+
+    For n <= MAX_EXHAUSTIVE_N a log/antilog lookup (tables built lazily on
+    the first call at that width); above it, shift-and-add.
+    """
     n = p.n
     if (a | b) >> n:  # also nonzero for a negative operand
         raise DomainError(f"gf_mul operands {a:#x}, {b:#x} are not elements of GF(2^{n})")
-    return _poly_mulmod(a, b, (1 << n) | p.reduction_polynomial)
+    if n > MAX_EXHAUSTIVE_N:
+        return _poly_mulmod(a, b, (1 << n) | p.reduction_polynomial)
+    if not (a and b):
+        return 0
+    log, exp = _log_tables(n, p.reduction_polynomial)
+    return exp[log[a] + log[b]]
 
 
 def gf_cube(a: int, p: DomainParams) -> int:
-    """a*a*a in GF(2^n)."""
-    return gf_mul(gf_mul(a, a, p), a, p)
+    """a*a*a in GF(2^n).
+
+    For n <= MAX_EXHAUSTIVE_N one lookup, exp[3 log a mod (N - 1)], in the
+    tables gf_mul builds lazily; above it, two products.
+    """
+    n = p.n
+    if n > MAX_EXHAUSTIVE_N or a >> n:  # gf_mul also rejects a non-element
+        return gf_mul(gf_mul(a, a, p), a, p)
+    if not a:
+        return 0
+    log, exp = _log_tables(n, p.reduction_polynomial)
+    return exp[3 * log[a] % ((1 << n) - 1)]
 
 
 @dataclass(frozen=True)

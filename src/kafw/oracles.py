@@ -14,6 +14,7 @@ cryptographically strong randomness source; determinism is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import blake2b
 
 from .errors import DomainError, QueryBudgetExceeded, RedundantQuery
@@ -24,9 +25,19 @@ BACKWARD = "backward"
 _SEED_MASK = (1 << 64) - 1
 
 
+@lru_cache(maxsize=256)
+def _keyed_state(masked_seed: int):
+    """BLAKE2b keyed by the seed, its key block already compressed; copy before use."""
+    return blake2b(digest_size=8, key=masked_seed.to_bytes(8, "little"))
+
+
 def stream64(seed: int, *parts: int) -> int:
-    """Deterministic 64-bit value for (seed, parts); the package-wide stream."""
-    h = blake2b(digest_size=8, key=(seed & _SEED_MASK).to_bytes(8, "little"))
+    """Deterministic 64-bit value for (seed, parts); the package-wide stream.
+
+    Copies a cached keyed state for the seed (the last 256 seeds are kept)
+    instead of keying a fresh BLAKE2b on every call; the value is the same.
+    """
+    h = _keyed_state(seed & _SEED_MASK).copy()
     for part in parts:
         h.update((part & _SEED_MASK).to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")

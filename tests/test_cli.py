@@ -224,6 +224,7 @@ THM3_IDEAL = ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n"
     (ENCRYPT8 + ("--rounds", "0", "--key", "0", "--block", "0"), None, "ScheduleArityMismatch"),
     (THM3_IDEAL + ("--rounds", "-3"), None, "ScheduleArityMismatch"),
     (THM3_IDEAL + ("--rounds", "5"), None, "ScheduleArityMismatch"),
+    (THM3_IDEAL + ("--trials", "1", "--construction", "kafv"), None, "ScheduleArityMismatch"),
     (("schedule", "--schedule", "minimal4", "--n", "8", "--rounds", "5", "--key", "0"), None,
      "ScheduleArityMismatch"),
     (("audit", "--check", "def1", "--schedule", "tweakem4", "--n", "8", "--rounds", "6"), None,

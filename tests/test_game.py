@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kafw import game
-from kafw.errors import DomainError, QueryBudgetExceeded
+from kafw.errors import DomainError, QueryBudgetExceeded, ScheduleArityMismatch
 from kafw.game import (
     ConstructionSpec,
     Distinguisher,
@@ -141,6 +141,24 @@ def test_unknown_function_kind_and_world_are_domain_errors():
     world = WorldSpec("neither", ConstructionSpec(P8, 4, builtin("minimal4", P8)))
     with pytest.raises(DomainError):
         run_trial(constant_distinguisher(0), world, 0)
+
+
+@pytest.mark.parametrize("kind", [game.REAL, game.IDEAL])
+def test_both_worlds_check_the_construction_against_the_schedule(kind):
+    d = constant_distinguisher(0)
+    cases = [
+        ("kafv", builtin("identity_bad(4)", P8), 4, ScheduleArityMismatch),
+        ("kafw", builtin("identity_bad(4)", P8), 5, ScheduleArityMismatch),
+        ("kaf", lambda rng: random_affine(P8, 4, rng), 4, ScheduleArityMismatch),
+        ("lucifer", builtin("minimal4", P8), 4, ScheduleArityMismatch),
+        ("feistel", builtin("minimal4", P8), 4, DomainError),
+    ]
+    for construction, schedule, rounds, error in cases:
+        world = WorldSpec(kind, ConstructionSpec(P8, rounds, schedule, construction))
+        with pytest.raises(error):
+            run_trial(d, world, 0)
+    ok = WorldSpec(kind, ConstructionSpec(P8, 4, builtin("identity_bad(4)", P8), "kaf"))
+    assert run_trial(d, ok, 0) == 0
 
 
 def test_estimate_requires_trials():

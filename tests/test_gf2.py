@@ -1,12 +1,18 @@
 """Field arithmetic and F2 linear algebra."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kafw
 from kafw.errors import DomainError, DomainTooLarge
 from kafw.gf2 import (
+    MAX_EXHAUSTIVE_N,
     REDUCTION_POLYNOMIALS,
     BinMatrix,
     DomainParams,
@@ -21,6 +27,7 @@ from kafw.gf2 import (
     mat_vec,
     matrix_from_text,
     matrix_to_text,
+    _log_tables,
 )
 
 P3 = DomainParams.for_width(3)
@@ -44,17 +51,85 @@ def schoolbook_mul(a, b, n, poly_mask):
     return sum(bit << i for i, bit in enumerate(coeffs[:n]))
 
 
-def test_gf_mul_matches_schoolbook_exhaustively_n3():
-    for a in range(8):
-        for b in range(8):
-            assert gf_mul(a, b, P3) == schoolbook_mul(a, b, 3, P3.reduction_polynomial)
+def schoolbook_cube(a, n, poly_mask):
+    return schoolbook_mul(schoolbook_mul(a, a, n, poly_mask), a, n, poly_mask)
 
 
-def test_gf_mul_matches_schoolbook_sampled_n8():
-    rng = random.Random(1)
-    for _ in range(300):
-        a, b = rng.randrange(256), rng.randrange(256)
-        assert gf_mul(a, b, P8) == schoolbook_mul(a, b, 8, P8.reduction_polynomial)
+# The table path (n <= MAX_EXHAUSTIVE_N) against the schoolbook oracle.
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_path_matches_schoolbook_exhaustively(n):
+    p = DomainParams.for_width(n)
+    poly = p.reduction_polynomial
+    for a in range(p.N):
+        assert gf_cube(a, p) == schoolbook_cube(a, n, poly)
+        for b in range(p.N):
+            assert gf_mul(a, b, p) == schoolbook_mul(a, b, n, poly)
+
+
+@pytest.mark.parametrize("n", range(9, MAX_EXHAUSTIVE_N + 1))
+def test_table_path_matches_schoolbook_sampled(n):
+    p = DomainParams.for_width(n)
+    poly = p.reduction_polynomial
+    rng = random.Random(n)
+    pairs = [(0, rng.randrange(p.N)), (p.N - 1, p.N - 1), (1, p.N - 1)]
+    pairs += [(rng.randrange(p.N), rng.randrange(p.N)) for _ in range(2000)]
+    for a, b in pairs:
+        assert gf_mul(a, b, p) == schoolbook_mul(a, b, n, poly)
+        assert gf_cube(a, p) == schoolbook_cube(a, n, poly)
+
+
+@pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE_N + 1, 33))
+def test_wide_path_matches_schoolbook_sampled(n):
+    p = DomainParams.for_width(n)
+    poly = p.reduction_polynomial
+    rng = random.Random(n)
+    for _ in range(200):
+        a, b = rng.randrange(p.N), rng.randrange(p.N)
+        assert gf_mul(a, b, p) == schoolbook_mul(a, b, n, poly)
+        assert gf_cube(a, p) == schoolbook_cube(a, n, poly)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_EXHAUSTIVE_N + 1))
+def test_log_table_generator_has_full_order(n):
+    poly = REDUCTION_POLYNOMIALS[n]
+    log, exp = _log_tables(n, poly)
+    order = (1 << n) - 1
+    assert len(log) == order + 1 and len(exp) == 2 * order
+    # g = exp[1] has order exactly N - 1: its first N - 1 powers are all distinct.
+    assert sorted(exp[:order]) == list(range(1, order + 1))
+    assert list(exp[order:]) == list(exp[:order])
+    assert exp[0] == 1 and schoolbook_mul(exp[order - 1], exp[1], n, poly) == 1
+    assert all(exp[log[a]] == a for a in range(1, order + 1))
+
+
+def test_log_table_base_when_x_is_not_primitive():
+    # Under n = 8's AES polynomial 0x1B, x has order 51, so the base must be another element.
+    assert REDUCTION_POLYNOMIALS[8] == 0x1B
+    powers, x = [], 1
+    while x != 1 or not powers:
+        x = schoolbook_mul(x, 0b10, 8, 0x1B)
+        powers.append(x)
+    assert len(powers) == 51
+    log, exp = _log_tables(8, 0x1B)
+    assert exp[1] == 3
+    assert sorted(exp[:255]) == list(range(1, 256))
+
+
+def test_domain_params_build_no_log_table():
+    # An eager n = 16 build costs tens of milliseconds of start-up; the tables
+    # must wait for the first multiply.
+    src = str(Path(kafw.__file__).resolve().parents[1])
+    code = (
+        "import kafw\n"
+        "from kafw.gf2 import DomainParams, _log_tables\n"
+        "from kafw.schedules import builtin\n"
+        "builtin('minimal4', DomainParams.for_width(16))\n"
+        "print(_log_tables.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_gf_mul_example_values():
@@ -66,11 +141,23 @@ def test_gf_mul_example_values():
             assert gf_mul(x, 0, p) == 0
 
 
-@pytest.mark.parametrize("a, b", [(0x1FF, 3), (3, 0x100), (-1, 3), (2, -2)])
+@pytest.mark.parametrize("a, b", [(0x1FF, 3), (3, 0x100), (-1, 3), (2, -2), (0, 0x100), (-1, 0)])
 def test_gf_mul_rejects_non_field_operands(a, b):
     with pytest.raises(DomainError):
         gf_mul(a, b, P8)
     assert gf_mul(0xFF, 0xFF, P8) < P8.N
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 20, 32])
+def test_operand_range_errors_on_both_paths(n):
+    p = DomainParams.for_width(n)
+    for bad in (p.N, -1, -p.N):
+        with pytest.raises(DomainError):
+            gf_mul(bad, 1, p)
+        with pytest.raises(DomainError):
+            gf_mul(1, bad, p)
+        with pytest.raises(DomainError):
+            gf_cube(bad, p)
 
 
 def test_gf_cube_values():

@@ -17,6 +17,7 @@ from kafw.oracles import (
     RelatedKeyOracle,
     format_transcript,
     derive_seed,
+    stream64,
 )
 
 
@@ -213,6 +214,40 @@ def test_transcript_recording_and_format():
     assert lines[0] == f"rk forward delta=2 in=31 out={ct:x}"
     assert lines[1] == f"f forward in=a out={y:x}"
     assert lines[2].startswith("rk backward delta=2")
+
+
+def fresh_stream64(seed, *parts):
+    """stream64 written out: BLAKE2b-64 keyed by the masked seed over the masked parts."""
+    mask = (1 << 64) - 1
+    h = hashlib.blake2b(digest_size=8, key=(seed & mask).to_bytes(8, "little"))
+    for part in parts:
+        h.update((part & mask).to_bytes(8, "little"))
+    return int.from_bytes(h.digest(), "little")
+
+
+@pytest.mark.parametrize("seed, parts, value", [
+    (0, (0,), 0x1F84C16A5CF9FF9A),
+    (0, (1, 2), 0xFABE0F8CBECB81A2),
+    (-1, (7, 8, 9), 0x37D3FB18884BDCB4),
+    ((1 << 64) + 5, (3,), 0xBB69A011AB55E8F5),
+    (5, (3,), 0xBB69A011AB55E8F5),
+    (123, (-1, (1 << 64) + 1), 0x844F79D4EFDC0B9B),
+])
+def test_stream64_known_answers(seed, parts, value):
+    assert stream64(seed, *parts) == fresh_stream64(seed, *parts) == value
+
+
+def test_stream64_cached_states_survive_more_seeds_than_the_cache_holds():
+    rng = random.Random(4)
+    seeds = [rng.randrange(1 << 64) for _ in range(600)] + [0, -1, (1 << 64) + 5]
+    calls = []
+    for round_ in range(3):
+        for i, seed in enumerate(seeds):
+            parts = tuple(rng.randrange(-8, 1 << 20) for _ in range(1 + (i + round_) % 3))
+            calls.append((seed, parts))
+    rng.shuffle(calls)
+    for seed, parts in calls:
+        assert stream64(seed, *parts) == fresh_stream64(seed, *parts)
 
 
 def test_derive_seed_distinguishes_parts():
