@@ -13,6 +13,7 @@ cryptographically strong randomness source; determinism is the point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import blake2b
@@ -107,9 +108,19 @@ class RandomFunctionOracle:
 class RandomPermutationOracle:
     """Lazily-sampled random permutation over `bits`-bit words.
 
-    Fresh outputs are drawn by rejection against the already-used range;
-    once half the domain is assigned, an explicit free list is indexed
-    instead.  Forward and backward maps stay mutually inverse.
+    Below half load, a fresh output is drawn by rejection against the
+    already-used range: candidate stream64(seed, tag, v, attempt) for
+    attempt = 0, 1, ... (tag 0 forward, 1 backward).  From half load on,
+    it is free[stream64(seed, tag, v, 0) % len(free)], the k-th smallest
+    unused value.  Each direction keeps its sorted free list (`forward`
+    the free outputs, `backward` the free inputs), built in O(N) the first
+    time that direction samples at half load or more.  Every new pair
+    then deletes its output from the forward list and its input from the
+    backward list, whichever direction made it: one bisect and one O(N)
+    memmove per built list, so a full fill costs O(N^2) word moves in C
+    rather than O(N^2) Python steps.  Below half load no list exists and
+    a fresh sample pays one truthiness test for them.  Forward and
+    backward maps stay mutually inverse.
     """
 
     def __init__(self, bits: int, seed: int, transcript: list | None = None):
@@ -119,6 +130,7 @@ class RandomPermutationOracle:
         self.backward_map: dict[int, int] = {}
         self.query_count = 0
         self._transcript = transcript
+        self._free: dict[int, list[int]] = {}  # tag -> sorted values unused in its direction
 
     @property
     def _size(self) -> int:
@@ -133,7 +145,9 @@ class RandomPermutationOracle:
                 if cand not in used:
                     return cand
                 attempt += 1
-        free = [w for w in range(self._size) if w not in used]
+        free = self._free.get(tag)
+        if free is None:
+            free = self._free[tag] = [w for w in range(self._size) if w not in used]
         return free[stream64(self.seed, tag, v, 0) % len(free)]
 
     def _lookup(self, v: int, tag: int, own: dict, other: dict, direction: str) -> int:
@@ -145,6 +159,12 @@ class RandomPermutationOracle:
             out = self._sample(tag, v, other)
             own[v] = out
             other[out] = v
+            if self._free:
+                # out is now used by this direction, v by the other one.
+                for t, w in ((tag, out), (1 - tag, v)):
+                    free = self._free.get(t)
+                    if free is not None:
+                        del free[bisect_left(free, w)]
             self.query_count += 1
         if self._transcript is not None:
             self._transcript.append(TranscriptEntry("f", direction, None, v, out))

@@ -2,9 +2,11 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
+from kafw import equivalence
 from kafw.equivalence import random_subkey_map
 from kafw.errors import DomainError, ScheduleArityMismatch, TooFewRounds
 from kafw.feistel import (
@@ -32,6 +34,7 @@ from kafw.schedules import (
     KafvSchedule,
     KeySchedule,
     LuciferSchedule,
+    XorSubkey,
     ZeroMap,
     builtin,
     identity_map,
@@ -413,3 +416,84 @@ def test_every_construction_is_whitening_around_reference_rounds(construction):
                 want = block_to_int(_reference_encrypt(inst, key, block_from_int(word, p.n)), p.n)
                 assert inst.encrypt_block(key, word) == want
                 assert inst.decrypt_block(key, want) == word
+
+
+def _random_schedules(p, t, rng):
+    kafw = KeySchedule(p, _random_maps(rng, p, 4), _random_maps(rng, p, t))
+    return kafw, KafvSchedule(p, _random_maps(rng, p, t + 2))
+
+
+def test_kept_layout_matches_a_fresh_instance_per_call():
+    rng = random.Random(60)
+    sched, star = _random_schedules(P4, 4, rng)
+    f = table_f(4, 61)
+    kafw_inst = CipherInstance(P4, 4, sched, (f,), "kafw")
+    kafv_inst = CipherInstance(P4, 4, star, (f,), "kafv")
+    ops = (
+        (kafw_inst, kafw_encrypt),
+        (kafw_inst, kafw_decrypt),
+        (kafv_inst, kafv_encrypt),
+        (kafv_inst, kafv_decrypt),
+    )
+    key = 0
+    for _ in range(2000):
+        if rng.random() < 0.3:
+            key = rng.randrange(16)
+        inst, op = rng.choice(ops)
+        block = Block(rng.randrange(16), rng.randrange(16))
+        fresh = CipherInstance(P4, 4, inst.schedule, (f,), inst.construction)
+        assert op(inst, key, block) == op(fresh, key, block), (op.__name__, key, block)
+
+
+def test_kept_layout_still_checks_the_construction():
+    rng = random.Random(62)
+    sched, star = _random_schedules(P4, 4, rng)
+    f = table_f(4, 63)
+    kafv_inst = CipherInstance(P4, 4, star, (f,), "kafv")
+    kafw_inst = CipherInstance(P4, 4, sched, (f,), "kafw")
+    kafv_encrypt(kafv_inst, 5, Block(1, 2))
+    kafw_encrypt(kafw_inst, 5, Block(1, 2))
+    for op, inst in ((kafw_encrypt, kafv_inst), (kafw_decrypt, kafv_inst),
+                     (kafv_encrypt, kafw_inst), (kafv_decrypt, kafw_inst)):
+        with pytest.raises(ScheduleArityMismatch):
+            op(inst, 5, Block(1, 2))
+
+
+def test_sweep_evaluates_each_subkey_map_once_per_key(monkeypatch):
+    calls = Counter()
+
+    def spy(cls, attr):
+        original = getattr(cls, attr)
+
+        def counted(self, i, k):
+            calls[(attr, id(self), i, k)] += 1
+            return original(self, i, k)
+
+        monkeypatch.setattr(cls, attr, counted)
+
+    for cls, attr in ((KafvSchedule, "subkey"), (KeySchedule, "round_key"),
+                      (KeySchedule, "whitening_key")):
+        spy(cls, attr)
+    n, t = 3, 2
+    assert equivalence.kafv_vs_kafw_sweep(n, t, seeds=(0,)).passed
+    assert set(calls.values()) == {1}
+    per_attr = Counter(attr for attr, *_ in calls)
+    N = 1 << n
+    assert per_attr == {"subkey": N * (t + 2), "round_key": N * t, "whitening_key": N * 4}
+
+
+def test_sweep_with_a_broken_conversion_still_mismatches(monkeypatch):
+    convert = equivalence.kafv_to_kafw
+
+    def broken(star):
+        # Output whitening wf2 off by the key itself: wrong under every key but 0.
+        s = convert(star)
+        wf = list(s.whitening)
+        wf[2] = XorSubkey((wf[2], identity_map(s.params.n)))
+        return KeySchedule(s.params, tuple(wf), s.round_keys)
+
+    monkeypatch.setattr(equivalence, "kafv_to_kafw", broken)
+    n = 3
+    result = equivalence.kafv_vs_kafw_sweep(n, 2, seeds=(0,))
+    N = 1 << n
+    assert result.mismatches == (N - 1) * N * N

@@ -15,6 +15,7 @@ from kafw.oracles import (
     RandomFunctionOracle,
     RandomPermutationOracle,
     RelatedKeyOracle,
+    TranscriptEntry,
     format_transcript,
     derive_seed,
     stream64,
@@ -285,6 +286,11 @@ _PERMUTATION_DIGESTS = {
     (11, 2): ("138bfa73392e78a1", "b98689930dce5a16"),
     (12, 1): ("48ad5fa97a975e37", "5e9454ea2247cb85"),
     (12, 2): ("fd1b051091d4ee82", "453db11c5df332f1"),
+    # Deletions from long free lists.
+    (13, 1): ("93b843d0753782fa", "7f5966779eb084a8"),
+    (13, 2): ("3ad45671a120f7f9", "f4fef80b6accdfb7"),
+    (14, 1): ("fdc1080644adcfdf", "0224fb9bc8e5dc17"),
+    (14, 2): ("9b63a021432541c9", "cfcd646cd789a950"),
 }
 
 
@@ -304,6 +310,87 @@ def test_permutation_golden_digests():
     assert o.query_count == 256
     assert _values_digest(outs) == "5f8febc3207621ae"
     assert _digest(format_transcript(entries, 8)) == "fb2c432790e3d8c8"
+
+
+class _PerSampleFreeListRule:
+    """The fill rule as first written, kept as the reference for the free lists:
+    rejection below half load, then a free list rebuilt on every fresh sample."""
+
+    def __init__(self, bits, seed, transcript):
+        self.size, self.seed = 1 << bits, seed
+        self.forward_map, self.backward_map = {}, {}
+        self.query_count = 0
+        self.transcript = transcript
+
+    def _sample(self, tag, v, used):
+        if 2 * len(used) < self.size:
+            attempt = 0
+            while True:
+                cand = stream64(self.seed, tag, v, attempt) & (self.size - 1)
+                if cand not in used:
+                    return cand
+                attempt += 1
+        free = [w for w in range(self.size) if w not in used]
+        return free[stream64(self.seed, tag, v, 0) % len(free)]
+
+    def query(self, tag, v):
+        own, other = self.forward_map, self.backward_map
+        if tag:
+            own, other = other, own
+        out = own.get(v)
+        if out is None:
+            out = own[v] = self._sample(tag, v, other)
+            other[out] = v
+            self.query_count += 1
+        self.transcript.append(TranscriptEntry("f", (FORWARD, BACKWARD)[tag], None, v, out))
+        return out
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["forward-list-first", "backward-list-first"])
+def test_rp_free_lists_match_the_per_sample_rule(first):
+    # 100 seeded interleavings per order of first build, n = 2..9, each
+    # filling the domain; the first fresh sample at half load goes `first`.
+    rng = random.Random(20 + first)
+    both_built = 0
+    for trial in range(100):
+        n = 2 + trial % 8
+        size = 1 << n
+        seed = rng.getrandbits(64)
+        entries, ref_entries = [], []
+        o = RandomPermutationOracle(n, seed, entries)
+        ref = _PerSampleFreeListRule(n, seed, ref_entries)
+        forced = False
+        while o.query_count < size:
+            tag, v = rng.randrange(2), rng.randrange(size)
+            if o.query_count == size // 2 and not forced:
+                tag, forced = first, True
+                own = (o.forward_map, o.backward_map)[tag]
+                v = rng.choice([w for w in range(size) if w not in own])
+            out = (o.forward, o.backward)[tag](v)
+            assert out == ref.query(tag, v), (n, seed, tag, v)
+            assert o.forward_map == ref.forward_map
+            assert o.backward_map == ref.backward_map
+            assert o.query_count == ref.query_count
+            assert len(entries) == len(ref_entries) and entries[-1] == ref_entries[-1]
+        assert entries == ref_entries
+        assert next(iter(o._free)) == first
+        both_built += len(o._free) == 2
+    assert both_built > 50
+
+
+def test_rp_below_half_load_builds_no_free_list():
+    o = RandomPermutationOracle(32, 9)
+    for v in range(1000):
+        o.forward(v)
+        o.backward(v)
+    assert o.query_count == 2000 and o._free == {}
+    ic = IdealCipherOracle(16, 4)
+    rk = RelatedKeyOracle(0x1234, ic, 16)
+    for b in range(1000):
+        rk.encrypt(0, b)
+        rk.decrypt(0, b)
+    (perm,) = ic.perms.values()
+    assert perm.query_count == 2000 and perm._free == {}
 
 
 @pytest.mark.parametrize("direction, values, transcript", [
