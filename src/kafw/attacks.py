@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
 from .feistel import CipherInstance
 from .gf2 import BinMatrix, joint_kernel_basis, mat_vec
-from .oracles import RelatedKeyOracle
+from .oracles import CountedFunction, RelatedKeyOracle, order_free
 from .schedules import KeySchedule
 
 
@@ -216,6 +216,18 @@ def any_round_differential(
     return 1 if out0 ^ out1 == expect else 0
 
 
+def _uncounted(fs):
+    """(the oracles behind fs, the FunctionBudget metering them), or None
+    unless fs are CountedFunctions sharing one budget over order-free
+    oracles."""
+    if not all(isinstance(f, CountedFunction) for f in fs):
+        return None
+    budget = fs[0].budget
+    if any(f.budget is not budget for f in fs) or not order_free(f.oracle for f in fs):
+        return None
+    return tuple(f.oracle for f in fs), budget
+
+
 def birthday_collision_attack(
     rk: RelatedKeyOracle,
     fs: Sequence[Callable[[int], int]],
@@ -238,6 +250,17 @@ def birthday_collision_attack(
     The probe plaintext is 0 and the confirming one 1.
     Success against the construction approaches 1 - exp(-q_e*q_g/N); an
     ideal cipher only passes the confirmation by accident.
+
+    The spec is the scalar loop: guess by guess, encrypt through fs, stop
+    at the first confirmed guess.  When fs are CountedFunctions sharing
+    one budget over order-free random functions and every guess lies in
+    [0, N), guesses are instead encrypted in chunks of ceil(N / q_e) (N
+    when q_e = 0), the expected gap between hits, by `encrypt_many` on the oracles behind
+    fs, which charges no budget.  The budget is then charged in scalar
+    order for the guesses the loop would have evaluated: up to each
+    candidate, whose confirmation runs through fs as before, and to the
+    end of a chunk without a confirmed hit.  So the bit, q_e and q_f (and
+    the query at which a budget runs out) are those of the scalar loop.
     """
     N = params.N
     if not (0 <= q_e <= N and 0 <= q_g <= N):
@@ -248,16 +271,39 @@ def birthday_collision_attack(
         offsets = rng.sample(range(N), q_e)
     if guesses is None:
         guesses = rng.sample(range(N), q_g)
-    seen = {}
-    for off in offsets:
-        seen[rk.encrypt(off, w1)] = off
+    seen = dict(zip(rk.encrypt_many(offsets, w1), offsets))
     confirm_cache: dict[int, int] = {}
-    for guess in guesses:
-        off = seen.get(offline.encrypt_block(guess, w1))
-        if off is None:
-            continue
+
+    def confirmed(guess: int, off: int) -> bool:
         if off not in confirm_cache:
             confirm_cache[off] = rk.encrypt(off, w2)
-        if confirm_cache[off] == offline.encrypt_block(guess, w2):
-            return 1
+        return confirm_cache[off] == offline.encrypt_block(guess, w2)
+
+    view = _uncounted(fs) if guesses and 0 <= min(guesses) and max(guesses) < N else None
+    uncounted = view and CipherInstance(params, rounds, schedule, view[0], construction)
+
+    def charge(inputs: list[list[int]], lo: int, hi: int) -> None:
+        """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""
+        if lo < hi:
+            rows = zip(*(f.spend_keys(x[lo:hi]) for f, x in zip(offline.round_functions, inputs)))
+            view[1].spend_many([key for row in rows for key in row])
+
+    step = -(-N // q_e) if q_e else N
+    for start in range(0, len(guesses), step):
+        chunk = guesses[start : start + step]
+        if not (uncounted and uncounted.batches(len(chunk))):
+            for guess in chunk:
+                off = seen.get(offline.encrypt_block(guess, w1))
+                if off is not None and confirmed(guess, off):
+                    return 1
+            continue
+        inputs: list[list[int]] = []
+        charged = 0
+        for j, ct in enumerate(uncounted.encrypt_many(chunk, w1, inputs)):
+            if ct in seen:
+                charge(inputs, charged, j + 1)
+                charged = j + 1
+                if confirmed(chunk[j], seen[ct]):
+                    return 1
+        charge(inputs, charged, len(chunk))
     return 0

@@ -16,17 +16,30 @@ t-round KAFv whitens with 0||g*_0 and g*_{t+1}||0, and Lucifer not at all.
 Decryption is the reversed chain between two half swaps (round^-1 = swap o
 round o swap): round functions are only ever evaluated forward, so
 non-invertible ones still give permutations of the full 2n-bit block.
+
+`CipherInstance.encrypt_many` encrypts one block under many keys.  Over
+order-free random functions it runs the chain round-major, one batched f
+query per round, on a compiled sub-key layout; otherwise it is the loop
+over `encrypt_block`, which stays the spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import xor
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ScheduleArityMismatch, TooFewRounds
+from .errors import DomainError, ScheduleArityMismatch, TooFewRounds
 from .gf2 import DomainParams
+from .oracles import order_free
 from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
+
+
+# encrypt_many runs the scalar loop below this many keys: the fixed costs of
+# the batched path (a column per sub-key map, a query_many per round) pay off
+# from about four keys (minimal4 at n = 8 and 16, ortho6 at n = 8).
+BATCH_MIN = 4
 
 
 class Block(NamedTuple):
@@ -105,6 +118,8 @@ class CipherInstance:
     construction: str = "kafw"
     # (layout function, key, layout) of the last Block-level free-function call.
     _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # ((c, key) -> layout, (c, keys) -> layout columns), from encrypt_many's first batch.
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(self.round_functions)
@@ -125,11 +140,112 @@ class CipherInstance:
         return self._block_op(key, block, True)
 
     def _block_op(self, key: int, block: int, inverse: bool) -> int:
-        # No kept layout here: the games ask for a new key on nearly every call.
         n = self.params.n
-        layout = _LAYOUTS[CONSTRUCTIONS[self.construction]](self, key)
+        # Compiling costs a few reference layouts, and most game instances
+        # see only two to four keys: only encrypt_many compiles.
+        layout = (self._compiled[0] if self._compiled else _LAYOUTS[CONSTRUCTIONS[self.construction]])(self, key)
         left, right = _chain(self.round_functions, layout, block >> n, block & self.params.mask, inverse)
         return (left << n) | right
+
+    def batches(self, count: int) -> bool:
+        """Whether encrypt_many runs round-major on `count` keys: at least
+        BATCH_MIN of them, and every round function an order-free
+        RandomFunctionOracle."""
+        return count >= BATCH_MIN and order_free(self.round_functions)
+
+    def encrypt_many(self, keys: list[int], block: int, inputs: list | None = None) -> list[int]:
+        """[self.encrypt_block(key, block) for key in keys].
+
+        That loop is the spec, and it is what runs unless
+        `batches(len(keys))`; then `_chain_many` runs the rounds over all
+        keys at once, one query_many per round, with the same results.
+        `inputs` (batched only) receives one list per round of that round's
+        f inputs across the keys.
+        """
+        if not self.batches(len(keys)):
+            if inputs is not None:
+                raise DomainError("round inputs are recorded on the batched path only")
+            return [self.encrypt_block(key, block) for key in keys]
+        n = self.params.n
+        columns, key_into_f = (self._compiled or _compile(self))[1](self, keys)
+        left, right = _chain_many(
+            self.round_functions, columns, key_into_f, len(keys), block >> n, block & self.params.mask, inputs
+        )
+        return [(l << n) | r for l, r in zip(left, right)]
+
+
+def _compile(c: CipherInstance) -> tuple:
+    """c's schedule as ((c, key) -> layout, (c, keys) -> (layout columns, key into f)).
+
+    Each layout slot (input whitening halves, round keys, output whitening
+    halves) gets its map's `compiled` form: zero maps drop out, field-cubic
+    maps at n <= MAX_EXHAUSTIVE_N become table lookups.  A key outside
+    [0, N) goes through the construction's reference layout instead, which
+    raises (or not) exactly as it always has.  A schedule that does not fit
+    the instance raises here as in the reference layouts, so it is never
+    compiled.  The functions take c as an argument rather than closing over
+    it, so an instance and its compiled layout form no reference cycle and
+    are freed as soon as a trial drops them.
+    """
+    kind = CONSTRUCTIONS[c.construction]
+    reference = _LAYOUTS[kind]
+    s = _schedule(c, kind)
+    if kind is KeySchedule:
+        maps, key_into_f = (*s.whitening[:2], *s.round_keys, *s.whitening[2:]), True
+    elif kind is KafvSchedule:
+        maps, key_into_f = (None, *s.maps, None), False
+    else:
+        maps, key_into_f = (None, None, *s.maps, None, None), False
+    t, size = c.rounds, c.params.N
+    slots = [None if m is None else m.compiled(c.params) for m in maps]
+    live = [(i, f) for i, f in enumerate(slots) if f is not None]
+
+    def layout(c: CipherInstance, key: int) -> tuple:
+        if not 0 <= key < size:
+            return reference(c, key)
+        v = [0] * (t + 4)
+        for i, f in live:
+            v[i] = f(key)
+        return (v[0], v[1]), tuple(v[2 : t + 2]), (v[t + 2], v[t + 3]), key_into_f
+
+    def columns(c: CipherInstance, keys: list[int]) -> tuple:
+        if min(keys) < 0 or max(keys) >= size:
+            # Key by key, so the first bad key raises as in the scalar loop.
+            rows = [(*w_in, *ks, *w_out) for w_in, ks, w_out, _ in (reference(c, k) for k in keys)]
+            return [list(col) for col in zip(*rows)], key_into_f
+        cols = [None] * (t + 4)
+        for i, f in live:
+            cols[i] = list(map(f, keys))
+        return cols, key_into_f
+
+    c._compiled = layout, columns
+    return c._compiled
+
+
+def _chain_many(fs, columns: list, key_into_f: bool, count: int, left: int, right: int, inputs=None):
+    """_chain forward for one (left, right) under many keys, round-major.
+
+    columns[i] holds layout slot i (input whitening halves, the t round
+    keys, output whitening halves) across the `count` keys, None where it
+    is 0 for all of them.  Each round is one query_many over every key's f
+    input.  Returns the lists of left and right halves.
+    """
+    t = len(fs)
+    lefts = [left] * count if columns[0] is None else [left ^ w for w in columns[0]]
+    rights = [right] * count if columns[1] is None else [right ^ w for w in columns[1]]
+    for f, keys in zip(fs, columns[2 : t + 2]):
+        x = rights if keys is None or not key_into_f else list(map(xor, keys, rights))
+        y = list(map(xor, lefts, f.query_many(x)))
+        if keys is not None and not key_into_f:
+            y = list(map(xor, y, keys))
+        if inputs is not None:
+            inputs.append(x)
+        lefts, rights = rights, y
+    if columns[t + 2] is not None:
+        lefts = list(map(xor, lefts, columns[t + 2]))
+    if columns[t + 3] is not None:
+        rights = list(map(xor, rights, columns[t + 3]))
+    return lefts, rights
 
 
 def _schedule(c: CipherInstance, kind: type):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -23,7 +25,7 @@ from .errors import (
     TooFewRounds,
     UnknownName,
 )
-from .gf2 import BinMatrix, DomainParams, gf_cube, gf_mul, mat_vec
+from .gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams, _log_tables, gf_cube, gf_mul, mat_vec
 
 
 class SubkeyMap:
@@ -42,6 +44,16 @@ class SubkeyMap:
 
     def is_zero(self, p: DomainParams) -> bool:
         return False
+
+    def compiled(self, p: DomainParams) -> Callable[[int], int] | None:
+        """k -> value(k, p) for keys in [0, N), or None for a zero map.
+
+        Callers evaluate keys outside [0, N) with value() itself.
+        """
+        if self.is_zero(p):
+            return None
+        value = self.value
+        return lambda k: value(k, p)
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,42 @@ class FieldCubicSubkey(SubkeyMap):
     def value(self, k, p):
         return gf_mul(self.multiplier, k, p) ^ gf_cube(k, p)
 
+    def compiled(self, p):
+        """A lookup in a uint16 table of all N values for n <= MAX_EXHAUSTIVE_N.
+
+        The multiplier passes gf_mul's operand check first, so one outside
+        the field raises DomainError on the first evaluation, as value() does.
+        """
+        if p.n > MAX_EXHAUSTIVE_N:
+            return super().compiled(p)
+        gf_mul(self.multiplier, 1, p)
+        return _field_cubic_table(self.multiplier, p.n, p.reduction_polynomial).__getitem__
+
+
+@lru_cache(maxsize=32)
+def _field_cubic_table(multiplier: int, n: int, poly: int) -> array:
+    """multiplier (x) k ^ k^3 for every k in GF(2^n), n <= MAX_EXHAUSTIVE_N.
+
+    Built with numpy from the log/antilog tables behind gf_mul and gf_cube,
+    on the first evaluation of such a map (never at import), and kept for
+    the next instance: 2^(n+1) bytes each.  Blocks of 4096 keys keep the
+    temporaries small: whole-range ones cost a run at n = 16 over 1 MB of
+    peak memory.
+    """
+    import numpy as np  # the CLI loads it anyway; `import kafw` does not
+
+    log, exp = _log_tables(n, poly)
+    logs = np.frombuffer(log, dtype=np.uint16)
+    antilog = np.frombuffer(exp, dtype=np.uint16)
+    table = array("H", bytes(2))  # k = 0 maps to 0
+    for lo in range(1, 1 << n, 4096):
+        k_logs = logs[lo : lo + 4096].astype(np.int32)
+        values = antilog[3 * k_logs % ((1 << n) - 1)]
+        if multiplier:
+            values ^= antilog[k_logs + log[multiplier]]
+        table.frombytes(values.tobytes())
+    return table
+
 
 @dataclass(frozen=True)
 class XorSubkey(SubkeyMap):
@@ -122,6 +170,19 @@ class XorSubkey(SubkeyMap):
 
     def is_zero(self, p):
         return all(part.is_zero(p) for part in self.parts)
+
+    def compiled(self, p):
+        parts = [f for f in (part.compiled(p) for part in self.parts) if f is not None]
+        if len(parts) <= 1:
+            return parts[0] if parts else None
+
+        def value(k):
+            out = 0
+            for part in parts:
+                out ^= part(k)
+            return out
+
+        return value
 
 
 def identity_map(n: int) -> AffineSubkey:

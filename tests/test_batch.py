@@ -1,0 +1,461 @@
+"""The batched evaluation path against its scalar spec.
+
+`CipherInstance.encrypt_many`, `RandomFunctionOracle.query_many`,
+`RelatedKeyOracle.encrypt_many` and the chunked birthday attack must give
+exactly what their scalar loops give: outputs, counters, transcripts and
+the exception (with the counts at which it is raised).
+"""
+
+import random
+
+import pytest
+
+from kafw import attacks, game
+from kafw.attacks import birthday_collision_attack
+from kafw.equivalence import random_subkey_map
+from kafw.errors import DomainError, KafwError, QueryBudgetExceeded
+from kafw.feistel import _LAYOUTS, BATCH_MIN, CipherInstance, _chain
+from kafw.gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams
+from kafw.oracles import (
+    CountedFunction,
+    FunctionBudget,
+    IdealCipherOracle,
+    RandomFunctionOracle,
+    RandomPermutationOracle,
+    RelatedKeyOracle,
+    derive_seed,
+    order_free,
+    stream64,
+)
+from kafw.schedules import (
+    CONSTRUCTIONS,
+    AffineSubkey,
+    FieldCubicSubkey,
+    KafvSchedule,
+    KeySchedule,
+    LuciferSchedule,
+    XorSubkey,
+    ZeroMap,
+    builtin,
+)
+
+P4 = DomainParams.for_width(4)
+P8 = DomainParams.for_width(8)
+P16 = DomainParams.for_width(16)
+Z = ZeroMap()
+
+
+def _schedule(construction, p, t, rng):
+    """A seeded schedule whose maps are zero, affine, field-cubic or XORs of them."""
+    maps = lambda count: tuple(random_subkey_map(p, rng) for _ in range(count))  # noqa: E731
+    if construction == "kafw":
+        return KeySchedule(p, maps(4), maps(t))
+    if construction == "kaf":
+        return KeySchedule(p, (Z,) * 4, maps(t))
+    if construction == "kafv":
+        return KafvSchedule(p, maps(t + 2))
+    return LuciferSchedule(p, maps(t))
+
+
+def _reference(inst, key, block):
+    """Ciphertext and f inputs of the scalar chain under the reference layout."""
+    n = inst.params.n
+    layout = _LAYOUTS[CONSTRUCTIONS[inst.construction]](inst, key)
+    trace = []
+    left, right = _chain(inst.round_functions, layout, block >> n, block & inst.params.mask, False, trace)
+    return (left << n) | right, [x for x, _y, _after in trace]
+
+
+def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle, transcripts=(None, None)):
+    """Two instances over equal, separate round-function oracles."""
+    return tuple(
+        CipherInstance(p, t, schedule, tuple(make(p.n, s, tr) for s in seeds), construction)
+        for tr in transcripts
+    )
+
+
+def _check_against_the_scalar_chain(p, t, schedule, construction, seeds, keys, block):
+    batch, scalar = _twins(p, t, schedule, construction, seeds)
+    assert batch.batches(len(keys))
+    inputs = []
+    got = batch.encrypt_many(keys, block, inputs)
+    want = [_reference(scalar, key, block) for key in keys]
+    assert got == [ct for ct, _ in want]
+    assert inputs == [list(col) for col in zip(*(xs for _, xs in want))]
+    # Order-free: the same fresh inputs, whatever the order they came in.
+    for f, g in zip(batch.round_functions, scalar.round_functions):
+        assert f.query_count == g.query_count and f.table == g.table
+    assert got == [batch.encrypt_block(key, block) for key in keys]  # compiled scalar layout
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_encrypt_many_matches_the_scalar_chain(construction, n):
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"encrypt-many-{construction}-{n}")
+    for case in range(12):
+        t = rng.randrange(2, 7)
+        seeds = [rng.randrange(1 << 40) for _ in range(1 if case % 2 else t)]
+        keys = [rng.randrange(p.N) for _ in range(rng.randrange(BATCH_MIN, 80))]  # repeats too
+        block = rng.randrange(p.N * p.N)
+        _check_against_the_scalar_chain(p, t, _schedule(construction, p, t, rng), construction, seeds, keys, block)
+
+
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_encrypt_many_spot_checks_at_n16(construction):
+    rng = random.Random(f"encrypt-many-16-{construction}")
+    schedules = [_schedule(construction, P16, 4, rng) for _ in range(2)]
+    if construction in ("kafw", "kaf"):
+        schedules.append(builtin("minimal4", P16))
+    if construction == "kafw":
+        schedules.append(builtin("tweakem4", P16))
+    for i, schedule in enumerate(schedules):
+        seeds = [rng.randrange(1 << 40) for _ in range(1 if i % 2 else 4)]
+        keys = [rng.randrange(P16.N) for _ in range(40)] + [0, P16.N - 1]
+        _check_against_the_scalar_chain(P16, 4, schedule, construction, seeds, keys, rng.randrange(1 << 32))
+
+
+def test_field_cubic_tables_equal_the_map():
+    for n in range(2, 13):
+        p = DomainParams.for_width(n)
+        for m in {0, 1, 2, p.N - 1}:
+            table = FieldCubicSubkey(m).compiled(p)
+            assert [table(k) for k in range(p.N)] == [FieldCubicSubkey(m).value(k, p) for k in range(p.N)]
+    rng = random.Random(16)
+    for m in (0, 2, 3, rng.randrange(P16.N)):
+        table = FieldCubicSubkey(m).compiled(P16)
+        for k in [0, 1, P16.N - 1] + [rng.randrange(P16.N) for _ in range(2000)]:
+            assert table(k) == FieldCubicSubkey(m).value(k, P16)
+
+
+def test_compiled_maps_drop_zeros_and_keep_the_values():
+    ident = AffineSubkey(BinMatrix.identity(8))
+    assert Z.compiled(P8) is None
+    assert AffineSubkey(BinMatrix.zero(8)).compiled(P8) is None
+    assert XorSubkey((Z, AffineSubkey(BinMatrix.zero(8)))).compiled(P8) is None
+    assert XorSubkey((Z, ident)).compiled(P8)(0x5A) == 0x5A
+    wide = DomainParams.for_width(MAX_EXHAUSTIVE_N + 1)
+    assert FieldCubicSubkey(3).compiled(wide)(12345) == FieldCubicSubkey(3).value(12345, wide)
+
+
+@pytest.mark.parametrize("fallback", ["permutation", "transcript"])
+def test_encrypt_many_falls_back_to_the_scalar_loop(fallback):
+    rng = random.Random(f"fallback-{fallback}")
+    for construction in ("kafw", "kafv", "lucifer"):
+        schedule = _schedule(construction, P8, 4, rng)
+        seeds = [rng.randrange(1 << 40) for _ in range(4)]
+        if fallback == "permutation":
+            batch, scalar = _twins(P8, 4, schedule, construction, seeds, RandomPermutationOracle)
+            logs = (None, None)
+        else:
+            logs = ([], [])
+            batch, scalar = _twins(P8, 4, schedule, construction, seeds, transcripts=logs)
+        keys = [rng.randrange(P8.N) for _ in range(30)]
+        assert not batch.batches(len(keys))
+        assert batch.encrypt_many(keys, 0x1234) == [scalar.encrypt_block(k, 0x1234) for k in keys]
+        assert logs[0] == logs[1]
+        assert [f.query_count for f in batch.round_functions] == [f.query_count for f in scalar.round_functions]
+        with pytest.raises(DomainError):
+            batch.encrypt_many(keys, 0, inputs=[])
+
+
+def test_encrypt_many_below_the_batch_size_is_the_scalar_loop():
+    inst = CipherInstance(P8, 4, builtin("minimal4", P8), (RandomFunctionOracle(8, 1),))
+    assert not inst.batches(BATCH_MIN - 1) and inst.batches(BATCH_MIN)
+    assert inst.encrypt_many([], 5) == []
+    assert inst.encrypt_many([3, 4], 5) == [inst.encrypt_block(3, 5), inst.encrypt_block(4, 5)]
+
+
+def _error(call):
+    with pytest.raises(KafwError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("key", [-1, -256, 256, 1 << 20])
+def test_out_of_range_keys_fail_as_the_reference_layout(key):
+    """No table lookup ever sees such a key: -1 would silently read entry N - 1."""
+    for schedule in (builtin("minimal4", P8), builtin("tweakem4", P8)):
+        inst = CipherInstance(P8, 4, schedule, (RandomFunctionOracle(8, 3),))
+        want = _error(lambda: _LAYOUTS[KeySchedule](inst, key))
+        assert want[0] is DomainError and "gf_mul" in want[1]
+        for compiled in (False, True):  # before and after encrypt_many compiles
+            assert (inst._compiled is not None) == compiled
+            assert _error(lambda: inst.encrypt_block(key, 5)) == want
+            assert _error(lambda: inst.decrypt_block(key, 5)) == want
+            inst.encrypt_many([1, 2, 3, 4], 5)
+        keys = [1, 2, 3, key, 4, 5]
+        assert _error(lambda: inst.encrypt_many(keys, 5)) == want
+        assert _error(lambda: inst.encrypt_many(keys, 5, [])) == want
+
+
+def test_out_of_range_keys_of_affine_schedules_still_evaluate():
+    """mat_vec never checked its key; neither path starts to."""
+    rounds = tuple(AffineSubkey(BinMatrix.rotation(8, r), r) for r in range(4))
+    schedule = KeySchedule(P8, (Z, AffineSubkey(BinMatrix.identity(8), 7), Z, Z), rounds)
+    batch, scalar = _twins(P8, 4, schedule, "kafw", [5])
+    keys = [-3, 0, 300, -1, 255]
+    assert batch.encrypt_many(keys, 9) == [_reference(scalar, k, 9)[0] for k in keys]
+    assert batch._compiled is not None
+    assert [batch.encrypt_block(k, 9) for k in keys] == [_reference(scalar, k, 9)[0] for k in keys]
+
+
+def test_a_multiplier_outside_the_field_still_raises():
+    schedule = KeySchedule(P8, (Z,) * 4, (FieldCubicSubkey(0x100), Z, Z, Z))
+    inst = CipherInstance(P8, 4, schedule, (RandomFunctionOracle(8, 3),))
+    for call in (inst.encrypt_block, inst.encrypt_many, inst.encrypt_block):
+        with pytest.raises(DomainError):
+            call([1, 2, 3, 4] if call == inst.encrypt_many else 1, 0)
+
+
+def test_query_many_equals_the_query_loop():
+    rng = random.Random(5)
+    for n in (4, 8, 16):
+        batch, scalar = RandomFunctionOracle(n, 77), RandomFunctionOracle(n, 77)
+        for _ in range(5):
+            xs = [rng.randrange(1 << n) for _ in range(rng.randrange(0, 60))]
+            assert batch.query_many(xs) == [scalar.query(x) for x in xs]
+            assert (batch.query_count, batch.table) == (scalar.query_count, scalar.table)
+        assert all(y == stream64(77, x) & ((1 << n) - 1) for x, y in batch.table.items())
+
+
+@pytest.mark.parametrize("bad", [-1, 256])
+def test_query_many_rejects_out_of_domain_inputs_like_query(bad):
+    batch, scalar = RandomFunctionOracle(8, 1), RandomFunctionOracle(8, 1)
+    xs = [3, 4, 3, bad, 5]
+
+    def loop():
+        return [scalar.query(x) for x in xs]
+
+    assert _error(lambda: batch.query_many(xs)) == _error(loop)
+    assert (batch.query_count, batch.table) == (scalar.query_count, scalar.table)
+
+
+def test_query_many_with_a_transcript_records_the_scalar_order():
+    logs = ([], [])
+    batch, scalar = (RandomFunctionOracle(8, 2, log) for log in logs)
+    assert not order_free([batch]) and order_free([RandomFunctionOracle(8, 2)])
+    xs = [9, 1, 9, 200]
+    assert batch.query_many(xs) == [scalar.query(x) for x in xs]
+    assert logs[0] == logs[1] and len(logs[0]) == 4
+
+
+def test_ideal_cipher_seeds_and_encrypt_many():
+    ic, twin = IdealCipherOracle(8, 1234), IdealCipherOracle(8, 1234)
+    keys = [5, 0, 255, 17]
+    assert ic.encrypt_many(keys, 77) == [twin.encrypt_block(k, 77) for k in keys]
+    for k in keys:
+        assert ic.perms[k].seed == derive_seed(1234, "ic", k)
+    with pytest.raises(DomainError):
+        ic.encrypt_many([3, 256], 0)
+
+
+@pytest.mark.parametrize("limit", [None, 0, 3, 6, 7, 100])
+def test_spend_many_equals_the_spend_loop(limit):
+    rng = random.Random(limit)
+    keys = [(rng.randrange(2), "forward", rng.randrange(6)) for _ in range(12)]
+    batch, scalar = FunctionBudget(limit), FunctionBudget(limit)
+    if limit != 0:
+        batch.spend((0, "forward", 0))
+        scalar.spend((0, "forward", 0))
+
+    def loop():
+        for key in keys:
+            scalar.spend(key)
+
+    try:
+        loop()
+        want = None
+    except QueryBudgetExceeded as e:
+        want = str(e)
+    try:
+        batch.spend_many(keys)
+        got = None
+    except QueryBudgetExceeded as e:
+        got = str(e)
+    assert got == want and batch.count == scalar.count
+
+
+# --- RelatedKeyOracle.encrypt_many bookkeeping ------------------------------
+
+
+def _rk_pair(world, limit):
+    def one():
+        if world == "ideal":
+            backend = IdealCipherOracle(8, 5)
+        else:
+            backend = CipherInstance(P8, 4, builtin("minimal4", P8), (RandomFunctionOracle(8, 6),))
+        return RelatedKeyOracle(0x2B, backend, 8, limit=limit)
+
+    return one(), one()
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except KafwError as e:
+        return None, (type(e).__name__, str(e))
+
+
+@pytest.mark.parametrize("world", ["real", "ideal"])
+@pytest.mark.parametrize(
+    "offsets, block, limit",
+    [
+        ([1, 2, 3, 4, 5], 7, None),
+        ([1, 2, 1, 4, 5], 7, None),  # a repeat inside the batch
+        ([1, 2, 9, 4, 5], 7, None),  # a repeat of the earlier scalar query
+        ([1, 2, 3, 4, 5], 7, 3),  # budget runs out at the third
+        ([1, 2, 3, 4, 5], 7, 6),  # exactly enough
+        ([1, 256, 3, 4], 7, None),  # offset out of range after one count
+        ([-1, 2, 3, 4], 7, None),
+        ([1, 2, 3, 4], 1 << 16, None),  # block out of range, before any count
+        ([1, 2, 3, 4], -1, 0),  # the block check comes before the budget's
+        ([300, 2, 3, 4], 1 << 16, None),  # ... and after the offset's
+        ([], 1 << 16, None),  # nothing asked, nothing checked
+    ],
+)
+def test_rk_encrypt_many_books_queries_like_the_scalar_loop(world, offsets, block, limit):
+    batch, scalar = _rk_pair(world, limit)
+    if limit != 0:
+        assert batch.encrypt(9, 7) == scalar.encrypt(9, 7)
+    got = _outcome(lambda: batch.encrypt_many(offsets, block))
+    want = _outcome(lambda: [scalar.encrypt(off, block) for off in offsets])
+    assert got == want
+    assert batch.query_count == scalar.query_count
+
+
+def test_rk_encrypt_many_with_a_transcript_is_the_scalar_loop():
+    logs = ([], [])
+    batch, scalar = (RelatedKeyOracle(3, IdealCipherOracle(4, 1), 4, transcript=log) for log in logs)
+    offsets = [0, 5, 9, 15, 2]
+    assert batch.encrypt_many(offsets, 0x21) == [scalar.encrypt(off, 0x21) for off in offsets]
+    assert logs[0] == logs[1] and len(logs[0]) == 5
+
+
+# --- the chunked birthday attack against the forced scalar loop -------------
+
+
+def _force_scalar(monkeypatch):
+    monkeypatch.setattr(attacks, "_uncounted", lambda fs: None)
+
+
+def _trials(spec, q_e, q_g, world, trials, base):
+    d = game.birthday_distinguisher(q_e, q_g, spec.rounds)
+    w = game.WorldSpec(world, spec)
+    return [
+        (o.bit, o.q_e_used, o.q_f_used)
+        for o in (game.run_trial_detailed(d, w, derive_seed(base, i)) for i in range(trials))
+    ]
+
+
+BIRTHDAY_SPECS = {
+    "minimal4": game.ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True),
+    "per-round-f": game.ConstructionSpec(P8, 4, builtin("tweakem4", P8), "kafw", "function", False),
+    "kafv": game.ConstructionSpec(
+        P8, 4, lambda rng: _schedule("kafv", P8, 4, rng), "kafv", "function", True
+    ),
+}
+
+
+@pytest.mark.parametrize("world", [game.REAL, game.IDEAL])
+def test_birthday_batched_replays_the_scalar_trials(world, monkeypatch):
+    budgets = [(0, 16), (16, 0), (256, 8), (64, 48), (16, 256), (256, 256), (3, 5)]
+    batched, runs = [], []
+    for s, spec in enumerate(BIRTHDAY_SPECS.values()):
+        for q_e, q_g in budgets:
+            batched += _trials(spec, q_e, q_g, world, 10, derive_seed(s, q_e, q_g))
+            runs.append((spec, q_e, q_g, derive_seed(s, q_e, q_g)))
+    _force_scalar(monkeypatch)
+    scalar = [t for spec, q_e, q_g, base in runs for t in _trials(spec, q_e, q_g, world, 10, base)]
+    assert len(batched) >= 200
+    assert batched == scalar
+    if world == game.REAL:
+        assert {bit for bit, _, _ in batched} == {0, 1}
+
+
+def _attack(world, n, q_e, offsets, guesses, limit=None, seed=3, key=0x5C):
+    """(bit or the exception, rk.query_count, q_f spent) of one birthday attack."""
+    p = DomainParams.for_width(n)
+    s = builtin("minimal4", p)
+    oracle = RandomFunctionOracle(n, seed)
+    budget = FunctionBudget(limit)
+    fs = [CountedFunction(oracle, budget, 0)]
+    backend = CipherInstance(p, 4, s, (oracle,)) if world == "real" else IdealCipherOracle(n, seed + 1)
+    rk = RelatedKeyOracle(key & p.mask, backend, n)
+    try:
+        bit = birthday_collision_attack(
+            rk, fs, p, 4, s, q_e, len(guesses), random.Random(0), offsets=offsets, guesses=guesses
+        )
+    except (QueryBudgetExceeded, DomainError) as e:
+        bit = f"{type(e).__name__}: {e}"
+    return bit, rk.query_count, budget.count
+
+
+def _both_paths(monkeypatch, *args, **kwargs):
+    batched = _attack(*args, **kwargs)
+    with monkeypatch.context() as m:
+        _force_scalar(m)
+        scalar = _attack(*args, **kwargs)
+    assert batched == scalar
+    return batched
+
+
+def test_birthday_hits_at_the_edges_of_a_chunk(monkeypatch):
+    # q_e = 64 at n = 8: chunks of ceil(256 / 64) = 4 guesses.
+    key, delta = 0x5C, 0x21
+    offsets = [delta] + [o for o in range(1, 256) if o != delta][:63]
+    others = [g for g in range(256) if g ^ key not in offsets]  # guesses that cannot hit
+    rng = random.Random(1)
+    batches = []
+    query_many = RandomFunctionOracle.query_many
+    monkeypatch.setattr(RandomFunctionOracle, "query_many", lambda f, xs: batches.append(xs) or query_many(f, xs))
+    for position in (0, 3, 4, 7, 11):
+        guesses = rng.sample(others, 11)
+        guesses.insert(position, key ^ delta)
+        bit, q_e, q_f = _both_paths(monkeypatch, "real", 8, 64, offsets, guesses, key=key)
+        assert bit == 1 and q_e >= 65
+        assert 4 in map(len, batches)  # an offline chunk of 4 guesses (the probes make 64)
+        batches.clear()
+    for q_e, offsets_ in ((0, []), (256, list(range(256)))):
+        for world in ("real", "ideal"):
+            _both_paths(monkeypatch, world, 8, q_e, offsets_, rng.sample(range(256), 40), key=key)
+    # A guess outside [0, N) in the hit's chunk, after or before it: the
+    # scalar loop returns at the hit or raises gf_mul's error at the bad guess.
+    hit = key ^ delta
+    for bad in (-1, 256):
+        for guesses, want in (([hit, bad, *others[:2]], 1), ([others[0], bad, hit, others[1]], "DomainError")):
+            bit, q_e, q_f = _both_paths(monkeypatch, "real", 8, 64, offsets, guesses, key=key)
+            assert str(bit).startswith(str(want))
+
+
+def test_birthday_repeated_confirmation_offsets(monkeypatch):
+    # At n = 4 every seen ciphertext is one of 256 blocks, so false
+    # candidates are common; repeating them makes the confirmation cache
+    # answer a second time for the same offset.
+    repeats = 0
+    for seed in range(40):
+        # The world _attack builds: key 0x5C & 0xF, ideal cipher seed + 1.
+        rk_oracle = RelatedKeyOracle(0xC, IdealCipherOracle(4, seed + 1), 4)
+        seen = {rk_oracle.encrypt(off, 0): off for off in range(16)}
+        probe = CipherInstance(P4, 4, builtin("minimal4", P4), (RandomFunctionOracle(4, seed),))
+        candidates = [g for g in range(16) if probe.encrypt_block(g, 0) in seen]
+        if not candidates:
+            continue
+        c = candidates[0]
+        guesses = [c, 7, c] + [g for g in range(16) if g not in (c, 7)][:13]  # q_g <= N
+        bit, q_e, q_f = _both_paths(monkeypatch, "ideal", 4, 16, list(range(16)), guesses, seed=seed)
+        repeats += 1
+    assert repeats >= 10
+
+
+@pytest.mark.parametrize("world", ["real", "ideal"])
+def test_birthday_tight_budgets_run_out_at_the_same_spend(world, monkeypatch):
+    rng = random.Random(world)
+    offsets = rng.sample(range(256), 64)
+    guesses = rng.sample(range(256), 96)
+    full = _both_paths(monkeypatch, world, 8, 64, offsets, guesses)
+    ran_out = 0
+    for limit in sorted({0, 1, 3, 4, 5, full[2] - 1, full[2], full[2] + 1} | set(range(0, full[2], 37))):
+        bit, q_e, q_f = _both_paths(monkeypatch, world, 8, 64, offsets, guesses, limit=max(limit, 0))
+        ran_out += isinstance(bit, str)
+    assert ran_out >= 3
