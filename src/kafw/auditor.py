@@ -56,11 +56,14 @@ def _table(phi: Callable[[int], int], n: int) -> np.ndarray:
     return np.fromiter((phi(k) for k in range(N)), dtype=np.int64, count=N)
 
 
+def _max_preimage(tab: np.ndarray) -> int:
+    return int(np.bincount(tab, minlength=len(tab)).max())
+
+
 def measure_uniformity(phi: Callable[[int], int], n: int) -> int:
     """Largest preimage size max_y |{k : phi(k) = y}|."""
     _check_width(n)
-    tab = _table(phi, n)
-    return int(np.bincount(tab, minlength=1 << n).max())
+    return _max_preimage(_table(phi, n))
 
 
 def _worst_shifted_count(t1: np.ndarray, t2: np.ndarray, offsets: range) -> int:
@@ -103,10 +106,13 @@ def _delta_report(check, s, threshold, outer) -> AuditReport:
     """Definition 1 counts for the two maps `outer(s)` of a 4-round KAFw schedule."""
     _require(s, 4, KeySchedule)
     n = s.params.n
-    f1, f4 = (s.bind(m) for m in outer(s))
-    d1 = max(measure_uniformity(f1, n), measure_uniformity(f4, n))
-    d2 = max(measure_axu(f1, n), measure_axu(f4, n))
-    d3 = measure_cross_uniformity(f1, f4, n)
+    _check_width(n)
+    # Each map is evaluated once per key; the three counts share the tables.
+    t1, t4 = (_table(s.bind(m), n) for m in outer(s))
+    nonzero = range(1, 1 << n)
+    d1 = max(_max_preimage(t1), _max_preimage(t4))
+    d2 = max(_worst_shifted_count(t1, t1, nonzero), _worst_shifted_count(t4, t4, nonzero))
+    d3 = _worst_shifted_count(t1, t4, range(1 << n))
     good = d1 <= threshold and d2 <= threshold and d3 <= threshold
     return AuditReport(check, n, good, delta1_times_n=d1, delta2_times_n=d2,
                        delta3_times_n=d3, good_like=good, threshold=threshold)

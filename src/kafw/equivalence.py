@@ -7,12 +7,19 @@ oracle seeds and randomized schedules:
   conversion, for the same round function;
 - a t-round Lucifer chain equals keyless first/last rounds wrapped around
   the stripped (t-2)-round KAFv core.
+
+Round functions are numpy tables, so each side of an identity is one call
+of the reference chain per key over numpy columns holding the plaintexts,
+CHUNK of them at a time.  Counts and the first mismatch are those of the
+case-by-case loop in (seed, key, plaintext) order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, DomainTooLarge, TooFewRounds
 from .feistel import (
@@ -64,9 +71,46 @@ def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
 
 
 def _function_table(n: int, seed: int):
+    """The random function with this seed as a lookup that takes int columns."""
     oracle = RandomFunctionOracle(n, seed)
-    table = [oracle.query(x) for x in range(1 << n)]
+    table = np.array([oracle.query(x) for x in range(1 << n)], dtype=np.int64)
     return table.__getitem__
+
+
+# Plaintexts per column: bounds a sweep's memory at any n <= MAX_EXHAUSTIVE_N.
+CHUNK = 1 << 16
+
+
+def _plaintexts(n: int):
+    """(first word, Block of columns) over all 2n-bit words, CHUNK at a time."""
+    total = 1 << (2 * n)
+    for start in range(0, total, CHUNK):
+        words = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        yield start, Block(words >> n, words & ((1 << n) - 1))
+
+
+def _row(columns: Block, i: int) -> Block:
+    return Block(int(columns.left[i]), int(columns.right[i]))
+
+
+class _Tally:
+    """Cases, mismatches and the first mismatch, in the scalar loop's order."""
+
+    def __init__(self):
+        self.cases = self.mismatches = 0
+        self.first = None
+
+    def add(self, seed, key: int, start: int, a: Block, b: Block) -> None:
+        bad = (a.left != b.left) | (a.right != b.right)
+        count = int(np.count_nonzero(bad))
+        self.cases += len(bad)
+        self.mismatches += count
+        if count and self.first is None:
+            i = int(bad.argmax())
+            self.first = (seed, key, start + i, _row(a, i), _row(b, i))
+
+    def result(self, description: str) -> SweepResult:
+        return SweepResult(description, self.cases, self.mismatches, self.first)
 
 
 def _check_sweep(n: int, seeds) -> DomainParams:
@@ -80,8 +124,7 @@ def _check_sweep(n: int, seeds) -> DomainParams:
 def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Converted-schedule KAFw vs the original KAFv, exhaustively per seed."""
     p = _check_sweep(n, seeds)
-    cases = mismatches = 0
-    first = None
+    tally = _Tally()
     for seed in seeds:
         rng = random.Random(derive_seed(seed, "kafv-schedule"))
         star = KafvSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t + 2)))
@@ -90,16 +133,11 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         kafv_inst = CipherInstance(p, t, star, (f,), "kafv")
         kafw_inst = CipherInstance(p, t, converted, (f,), "kafw")
         for key in range(p.N):
-            for word in range(p.N * p.N):
-                pt = Block(word >> n, word & (p.N - 1))
+            for start, pt in _plaintexts(n):
                 a = kafv_encrypt(kafv_inst, key, pt)
                 b = kafw_encrypt(kafw_inst, key, pt)
-                cases += 1
-                if a != b:
-                    mismatches += 1
-                    if first is None:
-                        first = (seed, key, word, a, b)
-    return SweepResult(f"kafv-kafw n={n} t={t}", cases, mismatches, first)
+                tally.add(seed, key, start, a, b)
+    return tally.result(f"kafv-kafw n={n} t={t}")
 
 
 def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
@@ -107,8 +145,7 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     p = _check_sweep(n, seeds)
     if t < 3:
         raise TooFewRounds("the sandwich needs t >= 3")
-    cases = mismatches = 0
-    first = None
+    tally = _Tally()
     for seed in seeds:
         rng = random.Random(derive_seed(seed, "lucifer-schedule"))
         key_maps = LuciferSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t)))
@@ -124,15 +161,10 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
             core_inst = CipherInstance(
                 p, t - 2, KafvSchedule(p, const_maps), parts.core_functions, "kafv"
             )
-            for word in range(p.N * p.N):
-                pt = Block(word >> n, word & (p.N - 1))
+            for start, pt in _plaintexts(n):
                 direct = lucifer_encrypt(lucifer_inst, keys, pt)
                 mid = psi_tilde_round(pt, 0, parts.outer_first)
                 mid = kafv_encrypt(core_inst, 0, mid)
                 sandwich = psi_tilde_round(mid, 0, parts.outer_last)
-                cases += 1
-                if direct != sandwich:
-                    mismatches += 1
-                    if first is None:
-                        first = (seed, key, word, direct, sandwich)
-    return SweepResult(f"lucifer-sandwich n={n} t={t}", cases, mismatches, first)
+                tally.add(seed, key, start, direct, sandwich)
+    return tally.result(f"lucifer-sandwich n={n} t={t}")

@@ -78,18 +78,22 @@ class TraceRecord:
 
 
 def _chain(fs, layout: tuple, left: int, right: int, inverse=False, trace=None):
-    """w_out ^ round_t o ... o round_1 (w_in ^ (left, right)) on plain ints.
+    """w_out ^ round_t o ... o round_1 (w_in ^ (left, right)).
 
     layout is (w_in, round keys, w_out, whether the keys go into f or after
     it).  The inverse runs the reversed rounds and swapped whitening between
     two half swaps; `trace` collects (x_i, y_i, state after round i).
+
+    The halves are plain ints, or numpy integer columns of many blocks when
+    every f maps a column to a column (a table lookup does).  The chain
+    only uses ^ and f, and never writes into its operands: callers may pass
+    one plaintext column to several chains.
     """
     w_in, keys, w_out, key_into_f = layout
     if inverse:
         fs, keys, w_in, w_out = fs[::-1], keys[::-1], w_out[::-1], w_in[::-1]
         left, right = right, left
-    left ^= w_in[0]
-    right ^= w_in[1]
+    left, right = left ^ w_in[0], right ^ w_in[1]
     into, after = (keys, repeat(0)) if key_into_f else (repeat(0), keys)
     for f, k_in, k_out in zip(fs, into, after):
         x = k_in ^ right
@@ -97,8 +101,7 @@ def _chain(fs, layout: tuple, left: int, right: int, inverse=False, trace=None):
         left, right = right, left ^ y ^ k_out
         if trace is not None:
             trace.append((x, y, Block(left, right)))
-    left ^= w_out[0]
-    right ^= w_out[1]
+    left, right = left ^ w_out[0], right ^ w_out[1]
     return (right, left) if inverse else (left, right)
 
 

@@ -167,6 +167,41 @@ def test_check_corollary1_nl_minimal4():
     assert rep.good_like
 
 
+@pytest.mark.parametrize("check, outer", [
+    (check_definition1, lambda s: (s.phi1_map(), s.phi_last_map())),
+    (check_corollary1_nl, lambda s: (s.round_keys[0], s.round_keys[3])),
+])
+def test_delta_audits_evaluate_each_map_once_per_key(monkeypatch, check, outer):
+    rng = random.Random(f"bind-{check.__name__}")
+    bind = KeySchedule.bind
+    for _ in range(3):
+        whitening = (Z,) * 4 if check is check_corollary1_nl else tuple(random_affine_map(P6, rng) for _ in range(4))
+        s = KeySchedule(P6, whitening, (FieldCubicSubkey(rng.randrange(1, 64)), Z, Z, random_affine_map(P6, rng)))
+        evals = []
+
+        def counted(schedule, m):
+            phi, i = bind(schedule, m), len(evals)
+            evals.append(0)
+
+            def value(k):
+                evals[i] += 1
+                return phi(k)
+
+            return value
+
+        monkeypatch.setattr(KeySchedule, "bind", counted)
+        rep = check(s)
+        monkeypatch.setattr(KeySchedule, "bind", bind)
+        assert evals == [P6.N, P6.N]
+        # The shared tables give what the public measures give map by map.
+        f1, f4 = (s.bind(m) for m in outer(s))
+        assert (rep.delta1_times_n, rep.delta2_times_n, rep.delta3_times_n) == (
+            max(measure_uniformity(f1, 6), measure_uniformity(f4, 6)),
+            max(measure_axu(f1, 6), measure_axu(f4, 6)),
+            measure_cross_uniformity(f1, f4, 6),
+        )
+
+
 def test_check_definition1_zero_schedule_fails():
     s = KeySchedule(P6, (Z, Z, Z, Z), (Z, Z, Z, Z))
     rep = check_definition1(s)

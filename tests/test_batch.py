@@ -8,6 +8,7 @@ the exception (with the counts at which it is raised).
 
 import random
 
+import numpy as np
 import pytest
 
 from kafw import attacks, game
@@ -99,6 +100,31 @@ def test_encrypt_many_matches_the_scalar_chain(construction, n):
         keys = [rng.randrange(p.N) for _ in range(rng.randrange(BATCH_MIN, 80))]  # repeats too
         block = rng.randrange(p.N * p.N)
         _check_against_the_scalar_chain(p, t, _schedule(construction, p, t, rng), construction, seeds, keys, block)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_chain_over_columns_matches_the_int_chain(construction, n):
+    """_chain over numpy columns of every block, as the equivalence sweeps run
+    it, against the chain on plain ints block by block, both directions."""
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"columns-{construction}-{n}")
+    words = np.arange(p.N * p.N, dtype=np.int64)
+    left, right = words >> n, words & p.mask
+    for case in range(4):
+        t = rng.randrange(2, 6)
+        tables = [[rng.randrange(p.N) for _ in range(p.N)] for _ in range(1 if case % 2 else t)]
+        schedule = _schedule(construction, p, t, rng)
+        ints = CipherInstance(p, t, schedule, tuple(tab.__getitem__ for tab in tables), construction)
+        columns = CipherInstance(
+            p, t, schedule, tuple(np.array(tab, dtype=np.int64).__getitem__ for tab in tables), construction
+        )
+        for key in (rng.randrange(p.N), rng.randrange(p.N)):
+            layout = _LAYOUTS[CONSTRUCTIONS[construction]](ints, key)
+            for inverse in (False, True):
+                got = _chain(columns.round_functions, layout, left, right, inverse)
+                want = [_chain(ints.round_functions, layout, w >> n, w & p.mask, inverse) for w in range(p.N * p.N)]
+                assert list(zip(got[0].tolist(), got[1].tolist())) == want
 
 
 @pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])

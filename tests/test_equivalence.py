@@ -1,9 +1,18 @@
-"""Exhaustive structural identity sweeps at n = 4."""
+"""Exhaustive structural identity sweeps at n = 4, n = 8, and against the
+case-by-case loop they replace."""
+
+import dataclasses
+import random
 
 import pytest
 
+from kafw import equivalence
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, DomainTooLarge, TooFewRounds
+from kafw.feistel import Block, CipherInstance, kafv_encrypt, kafw_encrypt, lucifer_encrypt, psi_tilde_round
+from kafw.gf2 import BinMatrix, DomainParams
+from kafw.oracles import RandomFunctionOracle, derive_seed
+from kafw.schedules import AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -24,6 +33,13 @@ def test_lucifer_sandwich_three_rounds():
     assert result.passed
 
 
+@pytest.mark.parametrize("sweep", (kafv_vs_kafw_sweep, lucifer_sandwich_sweep))
+def test_sweeps_are_exhaustive_at_n8(sweep):
+    result = sweep(8, 4, seeds=(derive_seed(0, "sweep", 0),))
+    assert result.cases == 1 << 24
+    assert result.mismatches == 0, result.first_mismatch
+
+
 def test_sweep_guards():
     with pytest.raises(DomainTooLarge):
         kafv_vs_kafw_sweep(17, 4)
@@ -35,3 +51,119 @@ def test_sweep_guards():
 def test_sweeps_reject_an_empty_seed_list(sweep):
     with pytest.raises(DomainError):
         sweep(4, 4, seeds=())
+
+
+# The case-by-case loops the column sweeps replace, on int tables.  They look
+# the conversion and the strip up in `equivalence`, so a test that breaks
+# either breaks both sides.
+
+
+def _int_table(n, seed):
+    oracle = RandomFunctionOracle(n, seed)
+    return [oracle.query(x) for x in range(1 << n)].__getitem__
+
+
+def _scalar_kafv_vs_kafw(n, t, seeds):
+    p = DomainParams.for_width(n)
+    cases = mismatches = 0
+    first = None
+    for seed in seeds:
+        rng = random.Random(derive_seed(seed, "kafv-schedule"))
+        star = KafvSchedule(p, tuple(equivalence.random_subkey_map(p, rng) for _ in range(t + 2)))
+        f = _int_table(n, derive_seed(seed, "f"))
+        kafv_inst = CipherInstance(p, t, star, (f,), "kafv")
+        kafw_inst = CipherInstance(p, t, equivalence.kafv_to_kafw(star), (f,), "kafw")
+        for key in range(p.N):
+            for word in range(p.N * p.N):
+                pt = Block(word >> n, word & (p.N - 1))
+                a, b = kafv_encrypt(kafv_inst, key, pt), kafw_encrypt(kafw_inst, key, pt)
+                cases += 1
+                if a != b:
+                    mismatches += 1
+                    first = first or (seed, key, word, a, b)
+    return cases, mismatches, first
+
+
+def _scalar_lucifer_sandwich(n, t, seeds):
+    p = DomainParams.for_width(n)
+    cases = mismatches = 0
+    first = None
+    for seed in seeds:
+        rng = random.Random(derive_seed(seed, "lucifer-schedule"))
+        key_maps = LuciferSchedule(p, tuple(equivalence.random_subkey_map(p, rng) for _ in range(t)))
+        fs = [_int_table(n, derive_seed(seed, "f", i)) for i in range(t)]
+        lucifer_inst = CipherInstance(p, t, key_maps, tuple(fs), "lucifer")
+        for key in range(p.N):
+            keys = [key_maps.round_key(i, key) for i in range(1, t + 1)]
+            parts = equivalence.lucifer_strip(fs, keys)
+            const_maps = tuple(AffineSubkey(BinMatrix.zero(n), c) for c in parts.core_subkeys)
+            core_inst = CipherInstance(p, t - 2, KafvSchedule(p, const_maps), parts.core_functions, "kafv")
+            for word in range(p.N * p.N):
+                pt = Block(word >> n, word & (p.N - 1))
+                direct = lucifer_encrypt(lucifer_inst, keys, pt)
+                mid = kafv_encrypt(core_inst, 0, psi_tilde_round(pt, 0, parts.outer_first))
+                sandwich = psi_tilde_round(mid, 0, parts.outer_last)
+                cases += 1
+                if direct != sandwich:
+                    mismatches += 1
+                    first = first or (seed, key, word, direct, sandwich)
+    return cases, mismatches, first
+
+
+def _break_conversion(monkeypatch):
+    """gamma_1 and gamma_2 swapped: wrong on some plaintexts of most keys."""
+    convert = equivalence.kafv_to_kafw
+
+    def broken(star):
+        s = convert(star)
+        g = s.round_keys
+        return KeySchedule(s.params, s.whitening, (g[1], g[0], *g[2:]))
+
+    monkeypatch.setattr(equivalence, "kafv_to_kafw", broken)
+
+
+def _break_strip(monkeypatch):
+    """The last outer function wrong at one input: only some plaintexts fail."""
+    strip = equivalence.lucifer_strip
+
+    def broken(functions, keys):
+        parts = strip(functions, keys)
+        last = parts.outer_last
+        return dataclasses.replace(parts, outer_last=lambda x: last(x) ^ (x == 1))
+
+    monkeypatch.setattr(equivalence, "lucifer_strip", broken)
+
+
+def _assert_plain_ints(first):
+    seed, key, word, a, b = first
+    assert all(type(v) is int for v in (seed, key, word, *a, *b))
+    assert type(a) is Block and type(b) is Block
+
+
+CHUNK = 4
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize(
+    "sweep, scalar, breaker, telling",
+    [
+        # Swapped round keys fail on most plaintexts: some sweep first fails past key 0.
+        (kafv_vs_kafw_sweep, _scalar_kafv_vs_kafw, _break_conversion, lambda first: first[1] > 0),
+        # A one-point fault fails on few: some sweep first fails past the first column.
+        (lucifer_sandwich_sweep, _scalar_lucifer_sandwich, _break_strip, lambda first: first[2] >= CHUNK),
+    ],
+)
+def test_column_sweeps_equal_the_case_by_case_loop(monkeypatch, sweep, scalar, breaker, telling, broken):
+    monkeypatch.setattr(equivalence, "CHUNK", CHUNK)
+    if broken:
+        breaker(monkeypatch)
+    seeds = [derive_seed(1, "sweep", i) for i in range(3)]
+    firsts = []
+    for n, t in ((3, 3), (3, 4), (4, 5)):
+        result = sweep(n, t, seeds)
+        assert (result.cases, result.mismatches, result.first_mismatch) == scalar(n, t, seeds)
+        assert result.passed is not broken
+        if broken:
+            _assert_plain_ints(result.first_mismatch)
+            firsts.append(result.first_mismatch)
+    assert not broken or any(map(telling, firsts))

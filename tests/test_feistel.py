@@ -4,6 +4,7 @@ import hashlib
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kafw import equivalence
@@ -497,3 +498,29 @@ def test_sweep_with_a_broken_conversion_still_mismatches(monkeypatch):
     result = equivalence.kafv_vs_kafw_sweep(n, 2, seeds=(0,))
     N = 1 << n
     assert result.mismatches == (N - 1) * N * N
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+def test_chains_leave_column_operands_alone(t):
+    # A sweep passes one plaintext column to two chains: neither may whiten
+    # or round it in place.
+    f = np.array([table_f(4, 70)(x) for x in range(16)], dtype=np.int64).__getitem__
+    words = np.arange(256, dtype=np.int64)
+    block = Block(words >> 4, words & 15)
+    saved = (block.left.copy(), block.right.copy())
+    consts = lambda first, count: tuple(const_map(4, first + i) for i in range(count))  # noqa: E731
+    kafw_inst = CipherInstance(P4, t, KeySchedule(P4, consts(3, 4), consts(7, t)), (f,), "kafw")
+    kafv_inst = CipherInstance(P4, t, KafvSchedule(P4, consts(5, t + 2)), (f,), "kafv")
+    ops = [(kafw_encrypt, kafw_decrypt, kafw_inst, 9), (kafv_encrypt, kafv_decrypt, kafv_inst, 9)]
+    if t >= 2:
+        lucifer_inst = CipherInstance(P4, t, None, (f,), "lucifer")
+        ops.append((lucifer_encrypt, lucifer_decrypt, lucifer_inst, [11 + i for i in range(t)]))
+    for encrypt, decrypt, inst, key in ops:
+        for op in (encrypt, decrypt):
+            out = op(inst, key, block)
+            assert np.array_equal(block.left, saved[0]) and np.array_equal(block.right, saved[1])
+            back = (decrypt if op is encrypt else encrypt)(inst, key, out)
+            assert np.array_equal(back.left, saved[0]) and np.array_equal(back.right, saved[1])
+            assert [op(inst, key, Block(int(l), int(r))) for l, r in zip(*saved)] == [
+                Block(l, r) for l, r in zip(out.left.tolist(), out.right.tolist())
+            ]
