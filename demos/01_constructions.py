@@ -9,14 +9,7 @@ identities (KAFv-to-KAFw conversion, Lucifer sandwich) at a glance.
 import random
 
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
-from kafw.feistel import (
-    Block,
-    CipherInstance,
-    kafw_decrypt,
-    kafw_encrypt,
-    kafw_encrypt_traced,
-    tweakable_encrypt,
-)
+from kafw.feistel import CipherInstance
 from kafw.gf2 import DomainParams
 from kafw.oracles import RandomFunctionOracle
 from kafw.schedules import builtin, random_affine
@@ -27,22 +20,23 @@ print("== KAFw with a random affine schedule ==")
 schedule = random_affine(P8, 4, random.Random(0))
 f = RandomFunctionOracle(8, seed=42)
 inst = CipherInstance(P8, 4, schedule, (f,))
-key, pt = 0x3C, Block(0x12, 0x34)
-ct = kafw_encrypt(inst, key, pt)
-print(f"key={key:02x}  plaintext={pt.left:02x}{pt.right:02x}  ciphertext={ct.left:02x}{ct.right:02x}")
-assert kafw_decrypt(inst, key, ct) == pt
+key, pt = 0x3C, 0x1234
+ct = inst.encrypt_block(key, pt)
+print(f"key={key:02x}  plaintext={pt:04x}  ciphertext={ct:04x}")
+assert inst.decrypt_block(key, ct) == pt
 print("decrypt(encrypt(w)) == w  ok")
 
 print("\n== Execution trace (x_i = function input, y_i = output) ==")
-trace = kafw_encrypt_traced(inst, key, pt)
-for i, (x, y, state) in enumerate(trace.rounds, start=1):
-    print(f"round {i}: x={x:02x} y={y:02x} state={state.left:02x}{state.right:02x}")
+trace = []
+inst.encrypt_block(key, pt, trace)
+for i, (x, y, (left, right)) in enumerate(trace, start=1):
+    print(f"round {i}: x={x:02x} y={y:02x} state={left:02x}{right:02x}")
 
 print("\n== Tweakable wrapper: tweak XORed into the key ==")
 tweak_inst = CipherInstance(P8, 4, builtin("tweakem4", P8), (RandomFunctionOracle(8, 7),))
 for tweak in (0x00, 0x01, 0xFF):
-    c = tweakable_encrypt(tweak_inst, key, tweak, pt)
-    print(f"tweak={tweak:02x} -> {c.left:02x}{c.right:02x}")
+    c = tweak_inst.encrypt_block(key ^ tweak, pt)
+    print(f"tweak={tweak:02x} -> {c:04x}")
 
 print("\n== Structural identities at n=4, exhaustive ==")
 for t in (2, 4, 6):

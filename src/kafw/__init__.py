@@ -7,7 +7,7 @@ Subpackage map:
                related-key oracles
 - schedules:   sub-key map kinds, builtin schedules, structural transforms
 - schedfile:   the schedule spec file format
-- feistel:     KAFw / KAF / KAFv / Lucifer encryption and the tweak wrapper
+- feistel:     KAFw / KAF / KAFv / Lucifer encryption on words or word columns
 - auditor:     exhaustive key-schedule goodness measurements
 - attacks:     boomerang, complementation, and birthday distinguishers
 - game:        the real-vs-ideal distinguishing game and advantage bounds
@@ -16,7 +16,7 @@ Subpackage map:
 """
 
 from .gf2 import BinMatrix, DomainParams, gf_cube, gf_mul, is_orthomorphism, mat_is_invertible, mat_kernel_basis, mat_vec
-from .feistel import Block, CipherInstance, kafw_encrypt, kafw_decrypt
+from .feistel import CipherInstance
 from .schedules import KafvSchedule, KeySchedule, LuciferSchedule, builtin, kafv_to_kafw, lucifer_strip
 from .oracles import (
     IdealCipherOracle,
@@ -28,7 +28,6 @@ from .game import ConstructionSpec, WorldSpec, bound_formula, estimate_advantage
 
 __all__ = [
     "BinMatrix",
-    "Block",
     "CipherInstance",
     "ConstructionSpec",
     "DomainParams",
@@ -47,8 +46,6 @@ __all__ = [
     "gf_mul",
     "is_orthomorphism",
     "kafv_to_kafw",
-    "kafw_decrypt",
-    "kafw_encrypt",
     "lucifer_strip",
     "mat_is_invertible",
     "mat_kernel_basis",

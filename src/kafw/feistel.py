@@ -1,4 +1,4 @@
-"""Feistel constructions: KAFw and its KAF/KAFv/Lucifer shufflings, plus a tweak wrapper.
+"""Feistel constructions: KAFw and its KAF/KAFv/Lucifer shufflings.
 
 State is a pair of n-bit halves.  One KAFw round is
 
@@ -17,6 +17,12 @@ Decryption is the reversed chain between two half swaps (round^-1 = swap o
 round o swap): round functions are only ever evaluated forward, so
 non-invertible ones still give permutations of the full 2n-bit block.
 
+`CipherInstance.encrypt_block`/`decrypt_block(key, block)` are the one
+block interface.  A block is a 2n-bit word, left half high: a plain int,
+or a numpy int64 column of many words when every round function maps a
+column to a column (a table lookup does).  A tweak is folded into the key:
+encrypt_block(key ^ tweak, block).
+
 `CipherInstance.encrypt_many` encrypts one block under many keys.  Over
 order-free random functions it runs the chain round-major, one batched f
 query per round, on a compiled sub-key layout; otherwise it is the loop
@@ -28,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import xor
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
-from .errors import DomainError, ScheduleArityMismatch, TooFewRounds
+from .errors import DomainError, ScheduleArityMismatch
 from .gf2 import DomainParams
 from .oracles import order_free
 from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
@@ -42,39 +48,19 @@ from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
 BATCH_MIN = 4
 
 
-class Block(NamedTuple):
-    left: int
-    right: int
-
-
-def block_to_int(b: Block, n: int) -> int:
-    return (b.left << n) | b.right
-
-
-def block_from_int(w: int, n: int) -> Block:
-    return Block(w >> n, w & ((1 << n) - 1))
-
-
 RoundFunction = Callable[[int], int]
 
 
-def psi_round(state: Block, round_key: int, f: RoundFunction) -> Block:
-    """KAFw round map (reference for one round of the chain)."""
-    return Block(state.right, state.left ^ f(round_key ^ state.right))
+def psi_round(state: tuple[int, int], round_key: int, f: RoundFunction) -> tuple[int, int]:
+    """KAFw round map on (left, right) (reference for one round of the chain)."""
+    left, right = state
+    return right, left ^ f(round_key ^ right)
 
 
-def psi_tilde_round(state: Block, round_key: int, f: RoundFunction) -> Block:
+def psi_tilde_round(state: tuple[int, int], round_key: int, f: RoundFunction) -> tuple[int, int]:
     """KAFv/Lucifer round map (key XORed after the round function)."""
-    return Block(state.right, state.left ^ f(state.right) ^ round_key)
-
-
-@dataclass
-class TraceRecord:
-    """Round-function inputs/outputs and states of one encryption."""
-
-    pre_whitened: Block
-    rounds: list[tuple[int, int, Block]]  # (x_i, y_i, state after round i)
-    ciphertext: Block
+    left, right = state
+    return right, left ^ f(right) ^ round_key
 
 
 def _chain(fs, layout: tuple, left: int, right: int, inverse=False, trace=None):
@@ -82,7 +68,7 @@ def _chain(fs, layout: tuple, left: int, right: int, inverse=False, trace=None):
 
     layout is (w_in, round keys, w_out, whether the keys go into f or after
     it).  The inverse runs the reversed rounds and swapped whitening between
-    two half swaps; `trace` collects (x_i, y_i, state after round i).
+    two half swaps; `trace` collects (x_i, y_i, (left, right) after round i).
 
     The halves are plain ints, or numpy integer columns of many blocks when
     every f maps a column to a column (a table lookup does).  The chain
@@ -100,7 +86,7 @@ def _chain(fs, layout: tuple, left: int, right: int, inverse=False, trace=None):
         y = f(x)
         left, right = right, left ^ y ^ k_out
         if trace is not None:
-            trace.append((x, y, Block(left, right)))
+            trace.append((x, y, (left, right)))
     left, right = left ^ w_out[0], right ^ w_out[1]
     return (right, left) if inverse else (left, right)
 
@@ -116,11 +102,9 @@ class CipherInstance:
 
     params: DomainParams
     rounds: int
-    schedule: KeySchedule | KafvSchedule | LuciferSchedule | None
+    schedule: KeySchedule | KafvSchedule | LuciferSchedule
     round_functions: Sequence[RoundFunction]
     construction: str = "kafw"
-    # (layout function, key, layout) of the last Block-level free-function call.
-    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # ((c, key) -> layout, (c, keys) -> layout columns), from encrypt_many's first batch.
     _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -135,19 +119,22 @@ class CipherInstance:
             )
         check_construction(self.construction, self.schedule, self.rounds)
 
-    # Block-level entry points so oracles can treat any instance as E_k.
-    def encrypt_block(self, key: int, block: int) -> int:
-        return self._block_op(key, block, False)
+    # The block interface, so oracles can treat any instance as E_k.
+    def encrypt_block(self, key: int, block, trace: list | None = None):
+        """E_key(block); `trace` collects (x_i, y_i, (left, right)) per round."""
+        return self._block_op(key, block, False, trace)
 
-    def decrypt_block(self, key: int, block: int) -> int:
+    def decrypt_block(self, key: int, block):
         return self._block_op(key, block, True)
 
-    def _block_op(self, key: int, block: int, inverse: bool) -> int:
+    def _block_op(self, key: int, block, inverse: bool, trace=None):
+        """block is an int or a numpy int64 column of words: only >>, &, <<
+        and | touch it, and the column is never written into."""
         n = self.params.n
         # Compiling costs a few reference layouts, and most game instances
         # see only two to four keys: only encrypt_many compiles.
         layout = (self._compiled[0] if self._compiled else _LAYOUTS[CONSTRUCTIONS[self.construction]])(self, key)
-        left, right = _chain(self.round_functions, layout, block >> n, block & self.params.mask, inverse)
+        left, right = _chain(self.round_functions, layout, block >> n, block & self.params.mask, inverse, trace)
         return (left << n) | right
 
     def batches(self, count: int) -> bool:
@@ -163,7 +150,8 @@ class CipherInstance:
         `batches(len(keys))`; then `_chain_many` runs the rounds over all
         keys at once, one query_many per round, with the same results.
         `inputs` (batched only) receives one list per round of that round's
-        f inputs across the keys.
+        f inputs across the keys; the birthday attack charges its f budget
+        from them.
         """
         if not self.batches(len(keys)):
             if inputs is not None:
@@ -184,15 +172,14 @@ def _compile(c: CipherInstance) -> tuple:
     halves) gets its map's `compiled` form: zero maps drop out, field-cubic
     maps at n <= MAX_EXHAUSTIVE_N become table lookups.  A key outside
     [0, N) goes through the construction's reference layout instead, which
-    raises (or not) exactly as it always has.  A schedule that does not fit
-    the instance raises here as in the reference layouts, so it is never
-    compiled.  The functions take c as an argument rather than closing over
-    it, so an instance and its compiled layout form no reference cycle and
-    are freed as soon as a trial drops them.
+    raises (or not) exactly as it always has.  The functions take c as an
+    argument rather than closing over it, so an instance and its compiled
+    layout form no reference cycle and are freed as soon as a trial drops
+    them.
     """
     kind = CONSTRUCTIONS[c.construction]
     reference = _LAYOUTS[kind]
-    s = _schedule(c, kind)
+    s = c.schedule
     if kind is KeySchedule:
         maps, key_into_f = (*s.whitening[:2], *s.round_keys, *s.whitening[2:]), True
     elif kind is KafvSchedule:
@@ -251,19 +238,13 @@ def _chain_many(fs, columns: list, key_into_f: bool, count: int, left: int, righ
     return lefts, rights
 
 
-def _schedule(c: CipherInstance, kind: type):
-    """c's schedule, checked to be a `kind` with one round key per round."""
-    s = c.schedule
-    if not isinstance(s, kind):
-        raise ScheduleArityMismatch(f"this evaluation needs a {kind.__name__}")
-    if s.t != c.rounds:
-        raise ScheduleArityMismatch(f"schedule arity {s.t} != rounds {c.rounds}")
-    return s
+# The layouts read c.schedule unchecked: CipherInstance.__post_init__ has
+# checked its class and arity against the construction.
 
 
 def _kafw_layout(c: CipherInstance, key: int) -> tuple:
     """wf0||wf1, gamma_1..gamma_t into f, wf2||wf3."""
-    s = _schedule(c, KeySchedule)
+    s = c.schedule
     w_in = (s.whitening_key(0, key), s.whitening_key(1, key))
     # tuple() of a list: a generator expression costs encrypt_block 0.3 us more.
     keys = tuple([s.round_key(i, key) for i in range(1, c.rounds + 1)])
@@ -272,103 +253,21 @@ def _kafw_layout(c: CipherInstance, key: int) -> tuple:
 
 def _kafv_layout(c: CipherInstance, key: int) -> tuple:
     """0||g*_0, g*_1..g*_t after f, g*_{t+1}||0."""
-    s = _schedule(c, KafvSchedule)
+    s = c.schedule
     keys = tuple([s.subkey(i, key) for i in range(1, c.rounds + 1)])
     return (0, s.subkey(0, key)), keys, (s.subkey(c.rounds + 1, key), 0), False
 
 
-def _lucifer_layout(c: CipherInstance, keys: Sequence[int]) -> tuple:
-    """No whitening, explicit round keys k1..kt after f."""
-    if len(keys) < 2:
-        raise TooFewRounds("lucifer needs t >= 2")
-    if len(keys) != c.rounds:
-        raise ScheduleArityMismatch("one key per round required")
-    return (0, 0), tuple(keys), (0, 0), False
-
-
-def _lucifer_schedule_layout(c: CipherInstance, key: int) -> tuple:
-    s = _schedule(c, LuciferSchedule)
-    return _lucifer_layout(c, [s.round_key(i, key) for i in range(1, c.rounds + 1)])
+def _lucifer_layout(c: CipherInstance, key: int) -> tuple:
+    """No whitening, k_1..k_t after f."""
+    s = c.schedule
+    keys = tuple([s.round_key(i, key) for i in range(1, c.rounds + 1)])
+    return (0, 0), keys, (0, 0), False
 
 
 # Schedule class -> the sub-key layout of its construction under one key.
 _LAYOUTS = {
     KeySchedule: _kafw_layout,
     KafvSchedule: _kafv_layout,
-    LuciferSchedule: _lucifer_schedule_layout,
+    LuciferSchedule: _lucifer_layout,
 }
-
-
-def _kept_layout(c: CipherInstance, layout, key: int) -> tuple:
-    """layout(c, key), reused from c's last call with the same layout and key.
-
-    Keying on the layout function too means a kafw call on a KAFv instance
-    still reaches `_schedule` and raises ScheduleArityMismatch.
-    """
-    kept = c._kept
-    if kept is None or kept[0] is not layout or kept[1] != key:
-        kept = c._kept = (layout, key, layout(c, key))
-    return kept[2]
-
-
-def kafw_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
-    """wk_out ^ (round t) o ... o (round 1) (wk_in ^ plaintext).
-
-    Like every Block-level free function taking a master key, it reuses the
-    sub-key layout that `c` keeps from the previous call while the key (and
-    the construction) repeats, so a sweep over all blocks under one key
-    evaluates the schedule once.  `CipherInstance.encrypt_block` keeps none:
-    the games ask for a new key on nearly every call.
-    """
-    return Block(*_chain(c.round_functions, _kept_layout(c, _kafw_layout, key), *plaintext))
-
-
-def kafw_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    return Block(*_chain(c.round_functions, _kept_layout(c, _kafw_layout, key), *ciphertext, True))
-
-
-def kafw_encrypt_traced(c: CipherInstance, key: int, plaintext: Block) -> TraceRecord:
-    layout = _kept_layout(c, _kafw_layout, key)
-    w_in = layout[0]
-    trace = TraceRecord(Block(plaintext.left ^ w_in[0], plaintext.right ^ w_in[1]), [], plaintext)
-    trace.ciphertext = Block(*_chain(c.round_functions, layout, *plaintext, False, trace.rounds))
-    return trace
-
-
-def replay_trace(c: CipherInstance, key: int, plaintext: Block, trace: TraceRecord) -> Block:
-    """Recompute the ciphertext from recorded y values, without round functions."""
-    recorded = iter(trace.rounds)
-
-    def recorded_y(x: int) -> int:
-        x_i, y_i, _after = next(recorded)
-        assert x == x_i, "trace inconsistent with schedule"
-        return y_i
-
-    return Block(*_chain(repeat(recorded_y), _kept_layout(c, _kafw_layout, key), *plaintext))
-
-
-def kafv_encrypt(c: CipherInstance, key: int, plaintext: Block) -> Block:
-    """(g*_{t+1}||0) ^ rounds(... (0||g*_0) ^ plaintext)."""
-    return Block(*_chain(c.round_functions, _kept_layout(c, _kafv_layout, key), *plaintext))
-
-
-def kafv_decrypt(c: CipherInstance, key: int, ciphertext: Block) -> Block:
-    return Block(*_chain(c.round_functions, _kept_layout(c, _kafv_layout, key), *ciphertext, True))
-
-
-def lucifer_encrypt(c: CipherInstance, keys: Sequence[int], plaintext: Block) -> Block:
-    """Chain of key-after-function rounds under explicit round keys k1..kt."""
-    return Block(*_chain(c.round_functions, _lucifer_layout(c, keys), *plaintext))
-
-
-def lucifer_decrypt(c: CipherInstance, keys: Sequence[int], ciphertext: Block) -> Block:
-    return Block(*_chain(c.round_functions, _lucifer_layout(c, keys), *ciphertext, True))
-
-
-def tweakable_encrypt(c: CipherInstance, key: int, tweak: int, plaintext: Block) -> Block:
-    """Tweak folded into the key: E_{key ^ tweak}(plaintext)."""
-    return kafw_encrypt(c, key ^ tweak, plaintext)
-
-
-def tweakable_decrypt(c: CipherInstance, key: int, tweak: int, ciphertext: Block) -> Block:
-    return kafw_decrypt(c, key ^ tweak, ciphertext)

@@ -313,15 +313,12 @@ CONSTRUCTIONS = {
 def check_construction(construction: str, schedule, rounds: int) -> None:
     """The one check of a (construction, schedule, rounds) triple, for every world.
 
-    The construction must be known; a schedule (None stands for explicit
-    round keys) must be of the class it reads, have `rounds` round keys,
-    and for KAF have zero whitening.
+    The construction must be known; the schedule must be of the class it
+    reads, have `rounds` round keys, and for KAF have zero whitening.
     """
     kind = CONSTRUCTIONS.get(construction)
     if kind is None:
         raise DomainError(f"unknown construction {construction!r}")
-    if schedule is None:
-        return
     if not isinstance(schedule, kind):
         raise ScheduleArityMismatch(f"construction {construction!r} needs a {kind.__name__}")
     if schedule.t != rounds:

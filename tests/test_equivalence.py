@@ -3,13 +3,14 @@ case-by-case loop they replace."""
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from kafw import equivalence
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, DomainTooLarge, TooFewRounds
-from kafw.feistel import Block, CipherInstance, kafv_encrypt, kafw_encrypt, lucifer_encrypt, psi_tilde_round
+from kafw.feistel import CipherInstance, psi_tilde_round
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import RandomFunctionOracle, derive_seed
 from kafw.schedules import AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule
@@ -75,8 +76,7 @@ def _scalar_kafv_vs_kafw(n, t, seeds):
         kafw_inst = CipherInstance(p, t, equivalence.kafv_to_kafw(star), (f,), "kafw")
         for key in range(p.N):
             for word in range(p.N * p.N):
-                pt = Block(word >> n, word & (p.N - 1))
-                a, b = kafv_encrypt(kafv_inst, key, pt), kafw_encrypt(kafw_inst, key, pt)
+                a, b = kafv_inst.encrypt_block(key, word), kafw_inst.encrypt_block(key, word)
                 cases += 1
                 if a != b:
                     mismatches += 1
@@ -99,10 +99,11 @@ def _scalar_lucifer_sandwich(n, t, seeds):
             const_maps = tuple(AffineSubkey(BinMatrix.zero(n), c) for c in parts.core_subkeys)
             core_inst = CipherInstance(p, t - 2, KafvSchedule(p, const_maps), parts.core_functions, "kafv")
             for word in range(p.N * p.N):
-                pt = Block(word >> n, word & (p.N - 1))
-                direct = lucifer_encrypt(lucifer_inst, keys, pt)
-                mid = kafv_encrypt(core_inst, 0, psi_tilde_round(pt, 0, parts.outer_first))
-                sandwich = psi_tilde_round(mid, 0, parts.outer_last)
+                direct = lucifer_inst.encrypt_block(key, word)
+                left, right = psi_tilde_round((word >> n, word & p.mask), 0, parts.outer_first)
+                mid = core_inst.encrypt_block(0, (left << n) | right)
+                left, right = psi_tilde_round((mid >> n, mid & p.mask), 0, parts.outer_last)
+                sandwich = (left << n) | right
                 cases += 1
                 if direct != sandwich:
                     mismatches += 1
@@ -135,9 +136,8 @@ def _break_strip(monkeypatch):
 
 
 def _assert_plain_ints(first):
-    seed, key, word, a, b = first
-    assert all(type(v) is int for v in (seed, key, word, *a, *b))
-    assert type(a) is Block and type(b) is Block
+    seed, key, word, ct_a, ct_b = first
+    assert all(type(v) is int for v in (seed, key, word, ct_a, ct_b))
 
 
 CHUNK = 4
@@ -167,3 +167,32 @@ def test_column_sweeps_equal_the_case_by_case_loop(monkeypatch, sweep, scalar, b
             _assert_plain_ints(result.first_mismatch)
             firsts.append(result.first_mismatch)
     assert not broken or any(map(telling, firsts))
+
+
+def test_sweeps_call_the_traced_names_once_per_seed_key_and_side(monkeypatch):
+    """The benchmark's tracer counts sweep encryptions through these three
+    names: each sweep calls them once per (seed, key, side) on one chunk."""
+    n, t, seeds = 3, 4, (0, 1)
+    N = 1 << n
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(equivalence, name)
+        assert original is CipherInstance.encrypt_block
+
+        def counted(inst, key, words):
+            assert len(words) == N * N
+            calls[name] += 1
+            return original(inst, key, words)
+
+        monkeypatch.setattr(equivalence, name, counted)
+
+    for name in ("kafw_encrypt", "kafv_encrypt", "lucifer_encrypt"):
+        spy(name)
+    for sweep, sides in (
+        (kafv_vs_kafw_sweep, ("kafv_encrypt", "kafw_encrypt")),
+        (lucifer_sandwich_sweep, ("lucifer_encrypt", "kafv_encrypt")),
+    ):
+        calls.clear()
+        assert sweep(n, t, seeds).passed
+        assert calls == {name: len(seeds) * N for name in sides}

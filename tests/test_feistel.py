@@ -10,24 +10,7 @@ import pytest
 from kafw import equivalence
 from kafw.equivalence import random_subkey_map
 from kafw.errors import DomainError, ScheduleArityMismatch, TooFewRounds
-from kafw.feistel import (
-    Block,
-    CipherInstance,
-    block_from_int,
-    block_to_int,
-    kafv_decrypt,
-    kafv_encrypt,
-    kafw_decrypt,
-    kafw_encrypt,
-    kafw_encrypt_traced,
-    lucifer_decrypt,
-    lucifer_encrypt,
-    psi_round,
-    psi_tilde_round,
-    replay_trace,
-    tweakable_decrypt,
-    tweakable_encrypt,
-)
+from kafw.feistel import CipherInstance, psi_round, psi_tilde_round
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import RandomFunctionOracle, RandomPermutationOracle
 from kafw.schedules import (
@@ -61,18 +44,27 @@ def table_f(n, seed):
 
 
 def swap(state):
-    return Block(state.right, state.left)
+    return state[1], state[0]
+
+
+def split(word, n):
+    """(left, right) halves of a 2n-bit word."""
+    return word >> n, word & ((1 << n) - 1)
+
+
+def join(state, n):
+    return (state[0] << n) | state[1]
 
 
 def test_psi_round_examples():
     ident = lambda x: x
-    assert psi_round(Block(0b1010, 0b0110), 0, ident) == Block(0b0110, 0b1100)
+    assert psi_round((0b1010, 0b0110), 0, ident) == (0b0110, 0b1100)
     zero_f = lambda x: 0
-    assert psi_round(Block(3, 9), 5, zero_f) == Block(9, 3)
+    assert psi_round((3, 9), 5, zero_f) == (9, 3)
     rng = random.Random(0)
     f = table_f(4, 1)
     for _ in range(50):
-        state = Block(rng.randrange(16), rng.randrange(16))
+        state = (rng.randrange(16), rng.randrange(16))
         k = rng.randrange(16)
         # The inverse round is the same round between two half swaps.
         assert swap(psi_round(swap(psi_round(state, k, f)), k, f)) == state
@@ -82,10 +74,10 @@ def test_psi_tilde_examples():
     f = table_f(4, 2)
     for l in range(16):
         for r in range(16):
-            state = Block(l, r)
+            state = (l, r)
             assert psi_tilde_round(state, 0, f) == psi_round(state, 0, f)
             zero_f = lambda x: 0
-            assert psi_tilde_round(state, 0xC, zero_f) == Block(r, l ^ 0xC)
+            assert psi_tilde_round(state, 0xC, zero_f) == (r, l ^ 0xC)
             # Key-after-function equals key-folded-into-function with key 0.
             folded = lambda x: f(x) ^ 0x7
             assert psi_tilde_round(state, 0x7, f) == psi_round(state, 0, folded)
@@ -97,19 +89,17 @@ def test_degenerate_all_zero_four_rounds_is_four_swaps():
     zero_f = lambda x: 0
     inst = CipherInstance(P4, 4, zero_schedule(P4, 4), (zero_f,), "kafw")
     for word in range(256):
-        pt = block_from_int(word, 4)
-        expected = pt
+        expected = split(word, 4)
         for _ in range(4):
-            expected = Block(expected.right, expected.left)
-        assert kafw_encrypt(inst, 0, pt) == expected == pt
+            expected = swap(expected)
+        assert inst.encrypt_block(0, word) == join(expected, 4) == word
 
 
 def test_kafw_roundtrip_exhaustive_n4():
     inst = CipherInstance(P4, 4, random_affine(P4, 4, random.Random(3)), (table_f(4, 9),))
     for key in range(16):
         for word in range(256):
-            pt = block_from_int(word, 4)
-            assert kafw_decrypt(inst, key, kafw_encrypt(inst, key, pt)) == pt
+            assert inst.decrypt_block(key, inst.encrypt_block(key, word)) == word
 
 
 def test_four_and_six_round_pipelines_match_itemized_steps():
@@ -129,7 +119,7 @@ def test_four_and_six_round_pipelines_match_itemized_steps():
         x4 = g[4] ^ wf[2] ^ S
         y4 = f(x4)
         T = Y ^ y4 ^ wf[3]
-        return Block(S, T), [x1, x2, x3, x4]
+        return (S << 8) | T, [x1, x2, x3, x4]
 
     def six_steps(s, f, k, L, R):
         wf = [s.whitening_key(j, k) for j in range(4)]
@@ -152,7 +142,7 @@ def test_four_and_six_round_pipelines_match_itemized_steps():
         x6 = g[6] ^ wf[2] ^ S
         y6 = f(x6)
         T = A ^ y6 ^ wf[3]
-        return Block(S, T), [x1, x2, x3, x4, x5, x6]
+        return (S << 8) | T, [x1, x2, x3, x4, x5, x6]
 
     rng = random.Random(10)
     for t, stepper in ((4, four_steps), (6, six_steps)):
@@ -162,9 +152,9 @@ def test_four_and_six_round_pipelines_match_itemized_steps():
         for _ in range(60):
             k, l, r = rng.randrange(256), rng.randrange(256), rng.randrange(256)
             want, xs = stepper(s, f, k, l, r)
-            trace = kafw_encrypt_traced(inst, k, Block(l, r))
-            assert trace.ciphertext == want
-            assert [x for x, _, _ in trace.rounds] == xs
+            trace = []
+            assert inst.encrypt_block(k, (l << 8) | r, trace) == want
+            assert [x for x, _, _ in trace] == xs
 
 
 def test_trace_replay_reproduces_ciphertext():
@@ -173,9 +163,19 @@ def test_trace_replay_reproduces_ciphertext():
     inst = CipherInstance(P8, 6, s, (table_f(8, 6),))
     for _ in range(30):
         k = rng.randrange(256)
-        pt = Block(rng.randrange(256), rng.randrange(256))
-        trace = kafw_encrypt_traced(inst, k, pt)
-        assert replay_trace(inst, k, pt, trace) == trace.ciphertext
+        pt = rng.randrange(1 << 16)
+        trace = []
+        ct = inst.encrypt_block(k, pt, trace)
+        recorded = iter(trace)
+
+        def recorded_y(x):
+            """Round function replaying the recorded y values, without f."""
+            x_i, y_i, _after = next(recorded)
+            assert x == x_i, "trace inconsistent with schedule"
+            return y_i
+
+        assert CipherInstance(P8, 6, s, (recorded_y,)).encrypt_block(k, pt) == ct
+        assert next(recorded, None) is None
 
 
 def test_helper_style_backward_recomputation_agrees():
@@ -187,8 +187,8 @@ def test_helper_style_backward_recomputation_agrees():
     inst = CipherInstance(P8, 4, s, (f,))
     for _ in range(80):
         k, l, r = rng.randrange(256), rng.randrange(256), rng.randrange(256)
-        trace = kafw_encrypt_traced(inst, k, Block(l, r))
-        S, T = trace.ciphertext
+        trace = []
+        S, T = split(inst.encrypt_block(k, (l << 8) | r, trace), 8)
         wf = [s.whitening_key(j, k) for j in range(4)]
         g = [None] + [s.round_key(i, k) for i in range(1, 5)]
         x1 = (wf[1] ^ g[1]) ^ r
@@ -201,7 +201,7 @@ def test_helper_style_backward_recomputation_agrees():
         y3 = S ^ wf[2] ^ X
         assert f(g[2] ^ X) == y2
         assert f(g[3] ^ Y) == y3
-        assert trace.rounds[0][0] == x1 and trace.rounds[3][0] == x4
+        assert trace[0][0] == x1 and trace[3][0] == x4
 
 
 def test_identical_round_keys_collapse_to_single_whitened_keyless_feistel():
@@ -213,19 +213,19 @@ def test_identical_round_keys_collapse_to_single_whitened_keyless_feistel():
         sched = KeySchedule(P4, (Z, Z, Z, Z), (const_map(4, kprime),) * 4)
         inst = CipherInstance(P4, 4, sched, fs)
         for word in range(256):
-            pt = block_from_int(word, 4)
-            state = Block(pt.left ^ kprime, pt.right ^ kprime)
+            left, right = split(word, 4)
+            state = (left ^ kprime, right ^ kprime)
             for f in fs:
                 state = psi_round(state, 0, f)
-            expected = Block(state.left ^ kprime, state.right ^ kprime)
-            assert kafw_encrypt(inst, 0, pt) == expected
+            expected = join((state[0] ^ kprime, state[1] ^ kprime), 4)
+            assert inst.encrypt_block(0, word) == expected
 
 
 def test_encryption_with_noninvertible_function_is_bijection():
     f = table_f(4, 13)  # random function: almost surely non-injective
     assert len(set(f(x) for x in range(16))) < 16
     inst = CipherInstance(P4, 4, zero_schedule(P4, 4), (f,))
-    images = {block_to_int(kafw_encrypt(inst, 0, block_from_int(w, 4)), 4) for w in range(256)}
+    images = {inst.encrypt_block(0, w) for w in range(256)}
     assert len(images) == 256
 
 
@@ -238,12 +238,12 @@ def test_kaf_requires_zero_whitening():
 
 def test_kaf_equals_kafw_with_zero_whitening():
     inst = CipherInstance(P8, 4, builtin("minimal4", P8), (table_f(8, 2),), "kaf")
+    kafw = CipherInstance(P8, 4, builtin("minimal4", P8), (table_f(8, 2),), "kafw")
     rng = random.Random(1)
     for _ in range(50):
         k = rng.randrange(256)
-        pt = Block(rng.randrange(256), rng.randrange(256))
-        want = block_to_int(kafw_encrypt(inst, k, pt), 8)
-        assert inst.encrypt_block(k, block_to_int(pt, 8)) == want
+        pt = rng.randrange(1 << 16)
+        assert inst.encrypt_block(k, pt) == kafw.encrypt_block(k, pt)
 
 
 def test_kafv_zero_schedule_is_keyless_chain():
@@ -251,57 +251,56 @@ def test_kafv_zero_schedule_is_keyless_chain():
     sched = KafvSchedule(P4, (Z,) * 6)
     inst = CipherInstance(P4, 4, sched, (f,), "kafv")
     for word in range(256):
-        pt = block_from_int(word, 4)
-        state = pt
+        state = split(word, 4)
         for _ in range(4):
             state = psi_tilde_round(state, 0, f)
-        assert kafv_encrypt(inst, 7, pt) == state
-        assert kafv_decrypt(inst, 7, kafv_encrypt(inst, 7, pt)) == pt
+        assert inst.encrypt_block(7, word) == join(state, 4)
+        assert inst.decrypt_block(7, inst.encrypt_block(7, word)) == word
+
+
+def explicit_lucifer(keys, fs):
+    """Lucifer under explicit round keys: a schedule of constant maps."""
+    sched = LuciferSchedule(P4, tuple(const_map(4, k) for k in keys))
+    return CipherInstance(P4, len(keys), sched, fs, "lucifer")
 
 
 def test_lucifer_smallest_and_zero_cases():
     f1, f2 = table_f(4, 40), table_f(4, 41)
-    inst = CipherInstance(P4, 2, None, (f1, f2), "lucifer")
+    k1, k2 = 0b0101, 0b1100
+    inst, zero = explicit_lucifer((k1, k2), (f1, f2)), explicit_lucifer((0, 0), (f1, f2))
     for word in range(256):
-        pt = block_from_int(word, 4)
-        k1, k2 = 0b0101, 0b1100
-        direct = lucifer_encrypt(inst, [k1, k2], pt)
+        pt = split(word, 4)
+        direct = inst.encrypt_block(0, word)
         # t=2 sandwich: outer keyless rounds around whitening only.
         mid = psi_tilde_round(pt, 0, f1)
-        mid = Block(mid.left, mid.right ^ k1)
-        mid = Block(mid.left ^ k2, mid.right)
-        assert direct == psi_tilde_round(mid, 0, f2)
+        mid = (mid[0], mid[1] ^ k1)
+        mid = (mid[0] ^ k2, mid[1])
+        assert direct == join(psi_tilde_round(mid, 0, f2), 4)
         chain = psi_tilde_round(psi_tilde_round(pt, 0, f1), 0, f2)
-        assert lucifer_encrypt(inst, [0, 0], pt) == chain
-        assert lucifer_decrypt(inst, [k1, k2], direct) == pt
+        assert zero.encrypt_block(0, word) == join(chain, 4)
+        assert inst.decrypt_block(0, direct) == word
 
 
 def test_lucifer_needs_two_rounds():
-    inst = CipherInstance(P4, 1, None, (table_f(4, 1),), "lucifer")
     with pytest.raises(TooFewRounds):
-        lucifer_encrypt(inst, [3], Block(0, 0))
+        explicit_lucifer((3,), (table_f(4, 1),))
 
 
-def test_tweakable_wrapper():
+def test_tweak_folded_into_the_key_round_trips():
     inst = CipherInstance(P8, 4, builtin("tweakem4", P8), (table_f(8, 50),))
     rng = random.Random(2)
     for _ in range(40):
         k = rng.randrange(256)
         tw = rng.randrange(256)
-        pt = Block(rng.randrange(256), rng.randrange(256))
-        ct = tweakable_encrypt(inst, k, tw, pt)
-        assert tweakable_decrypt(inst, k, tw, ct) == pt
-        assert tweakable_encrypt(inst, k, 0, pt) == kafw_encrypt(inst, k, pt)
-        assert ct == kafw_encrypt(inst, k ^ tw, pt)
+        pt = rng.randrange(1 << 16)
+        ct = inst.encrypt_block(k ^ tw, pt)
+        assert inst.decrypt_block(k ^ tw, ct) == pt
 
 
 def test_tweakem4_per_tweak_bijection():
     inst = CipherInstance(P4, 4, builtin("tweakem4", P4, m1=2, m4=3), (table_f(4, 51),))
     for tw in (0, 5, 11):
-        images = {
-            block_to_int(tweakable_encrypt(inst, 6, tw, block_from_int(w, 4)), 4)
-            for w in range(256)
-        }
+        images = {inst.encrypt_block(6 ^ tw, w) for w in range(256)}
         assert len(images) == 256
 
 
@@ -324,12 +323,9 @@ def test_lucifer_schedule_instance_roundtrip():
             assert inst.decrypt_block(key, inst.encrypt_block(key, word)) == word
 
 
-def test_schedule_less_lucifer_instance_needs_a_schedule_for_block_ops():
-    inst = CipherInstance(P4, 2, None, (table_f(4, 1), table_f(4, 2)), "lucifer")
+def test_lucifer_instance_needs_a_schedule():
     with pytest.raises(ScheduleArityMismatch):
-        inst.encrypt_block(3, 0x12)
-    with pytest.raises(ScheduleArityMismatch):
-        inst.decrypt_block(3, 0x12)
+        CipherInstance(P4, 2, None, (table_f(4, 1), table_f(4, 2)), "lucifer")
 
 
 def _random_maps(rng, p, count):
@@ -340,6 +336,17 @@ def _random_maps(rng, p, count):
         if not isinstance(m, ZeroMap):
             maps.append(m)
     return tuple(maps)
+
+
+def _schedule(construction, p, t, rng):
+    """A seeded schedule of non-zero maps for `construction`."""
+    if construction == "kafw":
+        return KeySchedule(p, _random_maps(rng, p, 4), _random_maps(rng, p, t))
+    if construction == "kaf":
+        return KeySchedule(p, (Z,) * 4, _random_maps(rng, p, t))
+    if construction == "kafv":
+        return KafvSchedule(p, _random_maps(rng, p, t + 2))
+    return LuciferSchedule(p, _random_maps(rng, p, t))
 
 
 def _kat_instance(construction):
@@ -377,23 +384,24 @@ def test_known_answer_digest_exhaustive_n4(construction):
     assert h.hexdigest() == KNOWN_ANSWERS[construction]
 
 
-def _reference_encrypt(inst, key, pt):
+def _reference_encrypt(inst, key, word):
     """Whitening around a composition of the one-round reference maps."""
-    s, fs, t = inst.schedule, inst.round_functions, inst.rounds
+    s, fs, t, n = inst.schedule, inst.round_functions, inst.rounds, inst.params.n
+    left, right = split(word, n)
     if isinstance(s, KeySchedule):
-        state = Block(pt.left ^ s.whitening_key(0, key), pt.right ^ s.whitening_key(1, key))
+        state = (left ^ s.whitening_key(0, key), right ^ s.whitening_key(1, key))
         for i in range(1, t + 1):
             state = psi_round(state, s.round_key(i, key), fs[i - 1])
-        return Block(state.left ^ s.whitening_key(2, key), state.right ^ s.whitening_key(3, key))
+        return join((state[0] ^ s.whitening_key(2, key), state[1] ^ s.whitening_key(3, key)), n)
     if isinstance(s, KafvSchedule):
-        state = Block(pt.left, pt.right ^ s.subkey(0, key))
+        state = (left, right ^ s.subkey(0, key))
         for i in range(1, t + 1):
             state = psi_tilde_round(state, s.subkey(i, key), fs[i - 1])
-        return Block(state.left ^ s.subkey(t + 1, key), state.right)
-    state = pt
+        return join((state[0] ^ s.subkey(t + 1, key), state[1]), n)
+    state = (left, right)
     for i in range(1, t + 1):
         state = psi_tilde_round(state, s.round_key(i, key), fs[i - 1])
-    return state
+    return join(state, n)
 
 
 @pytest.mark.parametrize("construction", ("kafw", "kaf", "kafv", "lucifer"))
@@ -403,61 +411,29 @@ def test_every_construction_is_whitening_around_reference_rounds(construction):
         for _ in range(6):
             t = rng.randrange(2, 7)
             fs = tuple(table_f(p.n, rng.randrange(1 << 30)) for _ in range(t))
-            if construction == "kafw":
-                sched = KeySchedule(p, _random_maps(rng, p, 4), _random_maps(rng, p, t))
-            elif construction == "kaf":
-                sched = KeySchedule(p, (Z,) * 4, _random_maps(rng, p, t))
-            elif construction == "kafv":
-                sched = KafvSchedule(p, _random_maps(rng, p, t + 2))
-            else:
-                sched = LuciferSchedule(p, _random_maps(rng, p, t))
-            inst = CipherInstance(p, t, sched, fs, construction)
+            inst = CipherInstance(p, t, _schedule(construction, p, t, rng), fs, construction)
             for _ in range(40):
                 key, word = rng.randrange(p.N), rng.randrange(p.N * p.N)
-                want = block_to_int(_reference_encrypt(inst, key, block_from_int(word, p.n)), p.n)
+                want = _reference_encrypt(inst, key, word)
                 assert inst.encrypt_block(key, word) == want
                 assert inst.decrypt_block(key, want) == word
 
 
-def _random_schedules(p, t, rng):
-    kafw = KeySchedule(p, _random_maps(rng, p, 4), _random_maps(rng, p, t))
-    return kafw, KafvSchedule(p, _random_maps(rng, p, t + 2))
-
-
-def test_kept_layout_matches_a_fresh_instance_per_call():
+def test_block_ops_match_a_fresh_instance_per_call():
     rng = random.Random(60)
-    sched, star = _random_schedules(P4, 4, rng)
+    sched, star = _schedule("kafw", P4, 4, rng), _schedule("kafv", P4, 4, rng)
     f = table_f(4, 61)
     kafw_inst = CipherInstance(P4, 4, sched, (f,), "kafw")
     kafv_inst = CipherInstance(P4, 4, star, (f,), "kafv")
-    ops = (
-        (kafw_inst, kafw_encrypt),
-        (kafw_inst, kafw_decrypt),
-        (kafv_inst, kafv_encrypt),
-        (kafv_inst, kafv_decrypt),
-    )
+    ops = ("encrypt_block", "decrypt_block")
     key = 0
     for _ in range(2000):
         if rng.random() < 0.3:
             key = rng.randrange(16)
-        inst, op = rng.choice(ops)
-        block = Block(rng.randrange(16), rng.randrange(16))
+        inst, op = rng.choice((kafw_inst, kafv_inst)), rng.choice(ops)
+        block = rng.randrange(256)
         fresh = CipherInstance(P4, 4, inst.schedule, (f,), inst.construction)
-        assert op(inst, key, block) == op(fresh, key, block), (op.__name__, key, block)
-
-
-def test_kept_layout_still_checks_the_construction():
-    rng = random.Random(62)
-    sched, star = _random_schedules(P4, 4, rng)
-    f = table_f(4, 63)
-    kafv_inst = CipherInstance(P4, 4, star, (f,), "kafv")
-    kafw_inst = CipherInstance(P4, 4, sched, (f,), "kafw")
-    kafv_encrypt(kafv_inst, 5, Block(1, 2))
-    kafw_encrypt(kafw_inst, 5, Block(1, 2))
-    for op, inst in ((kafw_encrypt, kafv_inst), (kafw_decrypt, kafv_inst),
-                     (kafv_encrypt, kafw_inst), (kafv_decrypt, kafw_inst)):
-        with pytest.raises(ScheduleArityMismatch):
-            op(inst, 5, Block(1, 2))
+        assert getattr(inst, op)(key, block) == getattr(fresh, op)(key, block), (op, key, block)
 
 
 def test_sweep_evaluates_each_subkey_map_once_per_key(monkeypatch):
@@ -500,27 +476,23 @@ def test_sweep_with_a_broken_conversion_still_mismatches(monkeypatch):
     assert result.mismatches == (N - 1) * N * N
 
 
-@pytest.mark.parametrize("t", [1, 2, 4])
-def test_chains_leave_column_operands_alone(t):
-    # A sweep passes one plaintext column to two chains: neither may whiten
-    # or round it in place.
-    f = np.array([table_f(4, 70)(x) for x in range(16)], dtype=np.int64).__getitem__
-    words = np.arange(256, dtype=np.int64)
-    block = Block(words >> 4, words & 15)
-    saved = (block.left.copy(), block.right.copy())
-    consts = lambda first, count: tuple(const_map(4, first + i) for i in range(count))  # noqa: E731
-    kafw_inst = CipherInstance(P4, t, KeySchedule(P4, consts(3, 4), consts(7, t)), (f,), "kafw")
-    kafv_inst = CipherInstance(P4, t, KafvSchedule(P4, consts(5, t + 2)), (f,), "kafv")
-    ops = [(kafw_encrypt, kafw_decrypt, kafw_inst, 9), (kafv_encrypt, kafv_decrypt, kafv_inst, 9)]
-    if t >= 2:
-        lucifer_inst = CipherInstance(P4, t, None, (f,), "lucifer")
-        ops.append((lucifer_encrypt, lucifer_decrypt, lucifer_inst, [11 + i for i in range(t)]))
-    for encrypt, decrypt, inst, key in ops:
-        for op in (encrypt, decrypt):
-            out = op(inst, key, block)
-            assert np.array_equal(block.left, saved[0]) and np.array_equal(block.right, saved[1])
-            back = (decrypt if op is encrypt else encrypt)(inst, key, out)
-            assert np.array_equal(back.left, saved[0]) and np.array_equal(back.right, saved[1])
-            assert [op(inst, key, Block(int(l), int(r))) for l, r in zip(*saved)] == [
-                Block(l, r) for l, r in zip(out.left.tolist(), out.right.tolist())
-            ]
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_block_ops_take_word_columns(construction, n):
+    # A sweep passes one word column to two instances: neither may whiten or
+    # round it in place.
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"word-columns-{construction}-{n}")
+    table = [rng.randrange(p.N) for _ in range(p.N)]
+    words = np.arange(p.N * p.N, dtype=np.int64)
+    saved = words.copy()
+    for t in (2, 4) if construction == "lucifer" else (1, 2, 4):
+        sched = _schedule(construction, p, t, rng)
+        ints = CipherInstance(p, t, sched, (table.__getitem__,), construction)
+        columns = CipherInstance(p, t, sched, (np.array(table, dtype=np.int64).__getitem__,), construction)
+        key = rng.randrange(p.N)
+        for op, back in (("encrypt_block", "decrypt_block"), ("decrypt_block", "encrypt_block")):
+            out = getattr(columns, op)(key, words)
+            assert np.array_equal(words, saved)
+            assert out.tolist() == [getattr(ints, op)(key, w) for w in range(p.N * p.N)]
+            assert np.array_equal(getattr(columns, back)(key, out), saved)
