@@ -53,7 +53,6 @@ class AttackOutcome:
     bit: int
     q_e_used: int
     q_f_used: int
-    transcript: list | None = None
 
 
 def _affine_forms(s: KeySchedule):

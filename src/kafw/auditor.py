@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArityMismatch, DomainTooLarge, NotAffine, ScheduleArityMismatch
-from .gf2 import MAX_EXHAUSTIVE_N, BinMatrix, mat_is_invertible, mat_kernel_basis, mat_vec
+from .gf2 import MAX_EXHAUSTIVE_N, mat_is_invertible, mat_kernel_basis
+from .gf2 import mat_vec  # noqa: F401  (bench/tracing.py wraps auditor.mat_vec)
 from .schedules import KafvSchedule, KeySchedule
 
 
@@ -182,8 +183,3 @@ def check_corollary2(s: KafvSchedule) -> AuditReport:
         lambda s: (("gamma*0", s.star_matrix(0)), ("gamma*7", s.star_matrix(7))),
         lambda s: (("M*2", s.star_matrix(2)), ("M*5", s.star_matrix(5))),
     )
-
-
-def validate_kernel_witness(m: BinMatrix, witness: int) -> bool:
-    """A reported witness must be nonzero and in the kernel."""
-    return witness != 0 and mat_vec(m, witness) == 0

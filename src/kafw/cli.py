@@ -440,13 +440,14 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    out = sys.stdout
     opened = None
-    if getattr(args, "out", None):
-        opened = open(args.out, "w")
-        out = opened
     try:
-        return args.run(args, out)
+        if getattr(args, "out", None):
+            try:
+                opened = open(args.out, "w")
+            except OSError as exc:
+                raise KafwError(f"cannot open output file {args.out!r}: {exc}") from None
+        return args.run(args, opened or sys.stdout)
     except KafwError as exc:
         _emit({"command": args.cmd, "error": type(exc).__name__, "message": str(exc)}, sys.stdout)
         return 2 if isinstance(exc, _PRECONDITION_ERRORS) else 1

@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import DomainError, DomainTooLarge, TooFewRounds
 from .feistel import CipherInstance, psi_tilde_round
-from .gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams
+from .gf2 import MAX_EXHAUSTIVE_N, DomainParams
 from .oracles import RandomFunctionOracle, derive_seed
 from .schedules import (
-    AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
     LuciferSchedule,
@@ -142,20 +141,16 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         key_maps = LuciferSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t)))
         fs = [_function_table(n, derive_seed(seed, "f", i)) for i in range(t)]
         lucifer_inst = CipherInstance(p, t, key_maps, tuple(fs), "lucifer")
+        # The Lucifer's round-key maps are the KAFv core's sub-key maps.
+        parts = lucifer_strip(fs, key_maps.maps)
+        core_inst = CipherInstance(
+            p, t - 2, KafvSchedule(p, parts.core_subkeys), parts.core_functions, "kafv"
+        )
         for key in range(p.N):
-            keys = [key_maps.round_key(i, key) for i in range(1, t + 1)]
-            parts = lucifer_strip(fs, keys)
-            # KAFv core with the stripped sub-keys as constant maps.
-            const_maps = tuple(
-                AffineSubkey(BinMatrix.zero(n), c) for c in parts.core_subkeys
-            )
-            core_inst = CipherInstance(
-                p, t - 2, KafvSchedule(p, const_maps), parts.core_functions, "kafv"
-            )
             for words in _plaintexts(n):
                 direct = lucifer_encrypt(lucifer_inst, key, words)
                 left, right = psi_tilde_round((words >> n, words & p.mask), 0, parts.outer_first)
-                mid = kafv_encrypt(core_inst, 0, (left << n) | right)
+                mid = kafv_encrypt(core_inst, key, (left << n) | right)
                 left, right = psi_tilde_round((mid >> n, mid & p.mask), 0, parts.outer_last)
                 tally.add(seed, key, words, direct, (left << n) | right)
     return tally.result(f"lucifer-sandwich n={n} t={t}")

@@ -103,34 +103,29 @@ class AdvantageEstimate:
     mean_q_f: float
 
 
-def round_oracles(spec: ConstructionSpec, seed: int, transcript=None) -> list:
+def round_oracles(spec: ConstructionSpec, seed: int) -> list:
     """The round-function oracles of one instance: one shared, or one per round."""
     count = 1 if spec.single_f else spec.rounds
     out = []
     for i in range(count):
         child = derive_seed(seed, "f", i)
         if spec.function_kind == "permutation":
-            out.append(RandomPermutationOracle(spec.params.n, child, transcript))
+            out.append(RandomPermutationOracle(spec.params.n, child))
         elif spec.function_kind == "function":
-            out.append(RandomFunctionOracle(spec.params.n, child, transcript))
+            out.append(RandomFunctionOracle(spec.params.n, child))
         else:
             raise DomainError(f"unknown function kind {spec.function_kind!r}")
     return out
 
 
-def run_trial_detailed(
-    d: Distinguisher, w: WorldSpec, seed: int, record_transcript: bool = False
-) -> AttackOutcome:
+def run_trial_detailed(d: Distinguisher, w: WorldSpec, seed: int) -> AttackOutcome:
     spec = w.construction
     params = spec.params
     rng = random.Random(derive_seed(seed, "choices"))
     key = derive_seed(seed, "key") & (params.N - 1)
     schedule = spec.schedule(rng) if callable(spec.schedule) else spec.schedule
     check_construction(spec.construction, schedule, spec.rounds)
-    # Note: with a transcript attached in the real world, cipher-internal
-    # function queries show up too; the oracle set is shared by design.
-    entries = [] if record_transcript else None
-    oracles = round_oracles(spec, seed, entries)
+    oracles = round_oracles(spec, seed)
     if w.kind == REAL:
         instance = CipherInstance(
             params, spec.rounds, schedule, tuple(oracles), spec.construction
@@ -140,14 +135,12 @@ def run_trial_detailed(
         backend = IdealCipherOracle(params.n, derive_seed(seed, "ic"))
     else:
         raise DomainError(f"unknown world {w.kind!r}")
-    rk = RelatedKeyOracle(key, backend, params.n, limit=d.q_e, transcript=entries)
+    rk = RelatedKeyOracle(key, backend, params.n, limit=d.q_e)
     budget = FunctionBudget(limit=d.q_f)
     fs = [CountedFunction(o, budget, i) for i, o in enumerate(oracles)]
     ctx = GameContext(params, spec.rounds, spec.construction, schedule, rk, fs, rng)
     bit = d.run(ctx)
-    return AttackOutcome(
-        bit=bit, q_e_used=rk.query_count, q_f_used=budget.count, transcript=entries
-    )
+    return AttackOutcome(bit=bit, q_e_used=rk.query_count, q_f_used=budget.count)
 
 
 def run_trial(d: Distinguisher, w: WorldSpec, seed: int) -> int:
@@ -269,10 +262,6 @@ def bound_formula(
     else:
         raise DomainError("theorem must be one of 1, 2, 5, 6")
     return BoundResult(theorem=theorem, value=value, precondition_ok=pre, vacuous=value > 1)
-
-
-def constant_distinguisher(bit: int) -> Distinguisher:
-    return Distinguisher(f"const{bit}", lambda ctx: bit, q_e=0, q_f=0)
 
 
 # Game-ready strategies around the attack procedures.  Each draws its free

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadMatrix, DomainError, DomainTooLarge
+from .errors import DomainError, DomainTooLarge
 
 # Lowest-lexicographic irreducible polynomial of each degree, as the mask of
 # the coefficients below x^n.  Verified irreducible by the gcd-based test
@@ -235,17 +235,9 @@ class BinMatrix:
         return cls((0,) * n)
 
     @classmethod
-    def from_bit_permutation(cls, source_bits: Sequence[int]) -> "BinMatrix":
-        """Matrix sending input bit source_bits[i] to output bit i."""
-        n = len(source_bits)
-        if sorted(source_bits) != list(range(n)):
-            raise ValueError("not a permutation of bit positions")
-        return cls(tuple(1 << s for s in source_bits))
-
-    @classmethod
     def rotation(cls, n: int, r: int) -> "BinMatrix":
         """Left bit-rotation by r: output bit i = input bit (i - r) mod n."""
-        return cls.from_bit_permutation([(i - r) % n for i in range(n)])
+        return cls(tuple(1 << ((i - r) % n) for i in range(n)))
 
 
 def mat_vec(m: BinMatrix, v: int) -> int:
@@ -290,10 +282,6 @@ def mat_kernel_basis(m: BinMatrix) -> tuple[int, ...]:
     return _kernel_basis_of_rows(m.rows, m.n)
 
 
-def mat_rank(m: BinMatrix) -> int:
-    return m.n - len(mat_kernel_basis(m))
-
-
 def mat_is_invertible(m: BinMatrix) -> bool:
     return not mat_kernel_basis(m)
 
@@ -329,16 +317,3 @@ def is_orthomorphism(perm: Callable[[int], int] | Sequence[int], n: int) -> bool
         images.add(y)
         xored.add(x ^ y)
     return len(images) == N and len(xored) == N
-
-
-def matrix_to_text(m: BinMatrix) -> str:
-    """One hex word per row, row 0 first (the matrix text format)."""
-    width = (m.n + 3) // 4
-    return "\n".join(f"{row:0{width}x}" for row in m.rows)
-
-
-def matrix_from_text(text: str, n: int) -> BinMatrix:
-    rows = [int(line, 16) for line in text.split()]
-    if len(rows) != n or any(not 0 <= r < (1 << n) for r in rows):
-        raise BadMatrix(f"expected {n} rows below 2^{n}")
-    return BinMatrix(tuple(rows))

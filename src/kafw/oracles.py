@@ -7,7 +7,7 @@ oracle RK[E_k](offset, block) = E_{k ^ offset}(block).
 All randomness comes from one documented counter-based stream: the
 64-bit output of BLAKE2b keyed by the oracle seed over the little-endian
 packing of the query coordinates.  The same seed and the same query
-sequence always reproduce the same transcript.  Nothing here is a
+sequence always reproduce the same answers.  Nothing here is a
 cryptographically strong randomness source; determinism is the point.
 """
 
@@ -48,27 +48,6 @@ def derive_seed(seed: int, *parts) -> int:
     return _digest(_keyed(seed), parts)
 
 
-@dataclass
-class TranscriptEntry:
-    kind: str  # "f" or "rk"
-    direction: str
-    offset: int | None
-    value_in: int
-    value_out: int
-
-
-def format_transcript(entries: list[TranscriptEntry], n: int) -> str:
-    """One text line per query, in arrival order."""
-    w = max(1, (n + 3) // 4)
-    lines = []
-    for e in entries:
-        head = f"{e.kind} {e.direction}"
-        if e.offset is not None:
-            head += f" delta={e.offset:0{w}x}"
-        lines.append(f"{head} in={e.value_in:x} out={e.value_out:x}")
-    return "\n".join(lines)
-
-
 class RandomFunctionOracle:
     """Lazily-sampled random function over n-bit words.
 
@@ -76,12 +55,11 @@ class RandomFunctionOracle:
     first-time inputs.
     """
 
-    def __init__(self, n: int, seed: int, transcript: list | None = None):
+    def __init__(self, n: int, seed: int):
         self.n = n
         self.seed = seed
         self.table: dict[int, int] = {}
         self.query_count = 0
-        self._transcript = transcript
         self._state = None  # BLAKE2b keyed by the seed, built on the first draw
 
     def _draw(self, x: int) -> int:
@@ -97,15 +75,13 @@ class RandomFunctionOracle:
         if y is None:
             y = self.table[x] = self._draw(x)
             self.query_count += 1
-        if self._transcript is not None:
-            self._transcript.append(TranscriptEntry("f", FORWARD, None, x, y))
         return y
 
     __call__ = query
 
     def query_many(self, xs: list[int]) -> list[int]:
-        """[self.query(x) for x in xs], which it is with a transcript attached
-        or an input out of the domain.
+        """[self.query(x) for x in xs], which it is with an input out of the
+        domain.
 
         Otherwise each fresh input is drawn once, with `_draw`'s value
         written out for an int in [0, 2^n): calling `_draw` per input made
@@ -114,7 +90,7 @@ class RandomFunctionOracle:
         """
         table, size = self.table, 1 << self.n
         fresh = [x for x in dict.fromkeys(xs) if x not in table]
-        if self._transcript is not None or (fresh and (min(fresh) < 0 or max(fresh) >= size)):
+        if fresh and (min(fresh) < 0 or max(fresh) >= size):
             return [self.query(x) for x in xs]
         if fresh:
             if self._state is None:
@@ -129,11 +105,10 @@ class RandomFunctionOracle:
 
 
 def order_free(fs) -> bool:
-    """Whether every f is a RandomFunctionOracle without a transcript, so
-    its queries may be answered in any order unobserved: each value is
-    stream64(seed, x), whatever came before, and only a transcript records
-    the order."""
-    return all(isinstance(f, RandomFunctionOracle) and f._transcript is None for f in fs)
+    """Whether every f is a RandomFunctionOracle, so its queries may be
+    answered in any order unobserved: each value is stream64(seed, x),
+    whatever came before."""
+    return all(isinstance(f, RandomFunctionOracle) for f in fs)
 
 
 class RandomPermutationOracle:
@@ -154,13 +129,12 @@ class RandomPermutationOracle:
     backward maps stay mutually inverse.
     """
 
-    def __init__(self, bits: int, seed: int, transcript: list | None = None):
+    def __init__(self, bits: int, seed: int):
         self.bits = bits
         self.seed = seed
         self.forward_map: dict[int, int] = {}
         self.backward_map: dict[int, int] = {}
         self.query_count = 0
-        self._transcript = transcript
         self._free: dict[int, list[int]] = {}  # tag -> sorted values unused in its direction
         self._size = 1 << bits
 
@@ -178,7 +152,7 @@ class RandomPermutationOracle:
             free = self._free[tag] = [w for w in range(self._size) if w not in used]
         return free[stream64(self.seed, tag, v, 0) % len(free)]
 
-    def _lookup(self, v: int, tag: int, own: dict, other: dict, direction: str) -> int:
+    def _lookup(self, v: int, tag: int, own: dict, other: dict) -> int:
         """One query in either direction: `own` maps v to its image, `other` back."""
         if not 0 <= v < self._size:
             raise DomainError(f"input {v:#x} out of domain")
@@ -194,15 +168,13 @@ class RandomPermutationOracle:
                     if free is not None:
                         del free[bisect_left(free, w)]
             self.query_count += 1
-        if self._transcript is not None:
-            self._transcript.append(TranscriptEntry("f", direction, None, v, out))
         return out
 
     def forward(self, x: int) -> int:
-        return self._lookup(x, 0, self.forward_map, self.backward_map, FORWARD)
+        return self._lookup(x, 0, self.forward_map, self.backward_map)
 
     def backward(self, y: int) -> int:
-        return self._lookup(y, 1, self.backward_map, self.forward_map, BACKWARD)
+        return self._lookup(y, 1, self.backward_map, self.forward_map)
 
     __call__ = forward
 
@@ -244,21 +216,13 @@ class RelatedKeyOracle:
     reachable through the query interface.
     """
 
-    def __init__(
-        self,
-        key: int,
-        backend,
-        n: int,
-        limit: int | None = None,
-        transcript: list | None = None,
-    ):
+    def __init__(self, key: int, backend, n: int, limit: int | None = None):
         self._key = key
         self._backend = backend
         self.n = n
         self.limit = limit
         self.query_count = 0
         self._seen: set[tuple[int, str, int]] = set()
-        self._transcript = transcript
 
     def _admit(self, offset: int, direction: str, block: int) -> None:
         """Check one query and count it; a bad one raises before it counts."""
@@ -282,10 +246,7 @@ class RelatedKeyOracle:
         else:
             raise DomainError(f"unknown direction {direction!r}")
         self._admit(offset, direction, block)
-        out = op(self._key ^ offset, block)
-        if self._transcript is not None:
-            self._transcript.append(TranscriptEntry("rk", direction, offset, block, out))
-        return out
+        return op(self._key ^ offset, block)
 
     def encrypt(self, offset: int, block: int) -> int:
         return self.query(offset, FORWARD, block)
@@ -295,11 +256,8 @@ class RelatedKeyOracle:
 
         Every query is admitted in order first, so a bad offset or block, a
         repeat or an exhausted budget raises at the same query with the same
-        count; then the backend's `encrypt_many` answers them all.  With a
-        transcript attached it is that loop.
+        count; then the backend's `encrypt_many` answers them all.
         """
-        if self._transcript is not None:
-            return [self.encrypt(off, block) for off in offsets]
         for off in offsets:
             self._admit(off, FORWARD, block)
         return self._backend.encrypt_many([self._key ^ off for off in offsets], block)
@@ -351,15 +309,7 @@ class CountedFunction:
 
     def query(self, x: int) -> int:
         self.budget.spend((self._index, FORWARD, x))
-        if isinstance(self.oracle, RandomPermutationOracle):
-            return self.oracle.forward(x)
-        return self.oracle.query(x)
-
-    def query_backward(self, y: int) -> int:
-        if not isinstance(self.oracle, RandomPermutationOracle):
-            raise DomainError("backward queries need a permutation oracle")
-        self.budget.spend((self._index, BACKWARD, y))
-        return self.oracle.backward(y)
+        return self.oracle(x)
 
     __call__ = query
 

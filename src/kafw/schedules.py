@@ -358,11 +358,14 @@ class LuciferDecomposition:
     outer_first: object  # round function f1, keyless
     outer_last: object  # round function ft, keyless
     core_functions: tuple  # f2 .. f_{t-1}
-    core_subkeys: tuple[int, ...]  # k1 .. kt, reused as the KAFv's t sub-keys
+    core_subkeys: tuple  # k1 .. kt (sub-keys or sub-key maps), the KAFv's t sub-keys
 
 
-def lucifer_strip(functions: Sequence, keys: Sequence[int]) -> LuciferDecomposition:
-    """Split a t-round Lucifer into keyless first/last rounds and a KAFv core."""
+def lucifer_strip(functions: Sequence, keys: Sequence) -> LuciferDecomposition:
+    """Split a t-round Lucifer into keyless first/last rounds and a KAFv core.
+
+    `keys` are the t round keys under one master key, or the t sub-key maps,
+    which then become the core's KafvSchedule maps for every master key."""
     t = len(keys)
     if len(functions) != t:
         raise ArityMismatch("need one round function per round key")

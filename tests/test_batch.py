@@ -2,8 +2,8 @@
 
 `CipherInstance.encrypt_many`, `RandomFunctionOracle.query_many`,
 `RelatedKeyOracle.encrypt_many` and the chunked birthday attack must give
-exactly what their scalar loops give: outputs, counters, transcripts and
-the exception (with the counts at which it is raised).
+exactly what their scalar loops give: outputs, counters and the exception
+(with the counts at which it is raised).
 """
 
 import random
@@ -25,7 +25,6 @@ from kafw.oracles import (
     RandomPermutationOracle,
     RelatedKeyOracle,
     derive_seed,
-    order_free,
     stream64,
 )
 from kafw.schedules import (
@@ -67,11 +66,11 @@ def _reference(inst, key, block):
     return (left << n) | right, [x for x, _y, _after in trace]
 
 
-def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle, transcripts=(None, None)):
+def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle):
     """Two instances over equal, separate round-function oracles."""
     return tuple(
-        CipherInstance(p, t, schedule, tuple(make(p.n, s, tr) for s in seeds), construction)
-        for tr in transcripts
+        CipherInstance(p, t, schedule, tuple(make(p.n, s) for s in seeds), construction)
+        for _ in range(2)
     )
 
 
@@ -164,22 +163,15 @@ def test_compiled_maps_drop_zeros_and_keep_the_values():
     assert FieldCubicSubkey(3).compiled(wide)(12345) == FieldCubicSubkey(3).value(12345, wide)
 
 
-@pytest.mark.parametrize("fallback", ["permutation", "transcript"])
-def test_encrypt_many_falls_back_to_the_scalar_loop(fallback):
-    rng = random.Random(f"fallback-{fallback}")
+def test_encrypt_many_falls_back_to_the_scalar_loop():
+    rng = random.Random("fallback-permutation")
     for construction in ("kafw", "kafv", "lucifer"):
         schedule = _schedule(construction, P8, 4, rng)
         seeds = [rng.randrange(1 << 40) for _ in range(4)]
-        if fallback == "permutation":
-            batch, scalar = _twins(P8, 4, schedule, construction, seeds, RandomPermutationOracle)
-            logs = (None, None)
-        else:
-            logs = ([], [])
-            batch, scalar = _twins(P8, 4, schedule, construction, seeds, transcripts=logs)
+        batch, scalar = _twins(P8, 4, schedule, construction, seeds, RandomPermutationOracle)
         keys = [rng.randrange(P8.N) for _ in range(30)]
         assert not batch.batches(len(keys))
         assert batch.encrypt_many(keys, 0x1234) == [scalar.encrypt_block(k, 0x1234) for k in keys]
-        assert logs[0] == logs[1]
         assert [f.query_count for f in batch.round_functions] == [f.query_count for f in scalar.round_functions]
         with pytest.raises(DomainError):
             batch.encrypt_many(keys, 0, inputs=[])
@@ -255,15 +247,6 @@ def test_query_many_rejects_out_of_domain_inputs_like_query(bad):
 
     assert _error(lambda: batch.query_many(xs)) == _error(loop)
     assert (batch.query_count, batch.table) == (scalar.query_count, scalar.table)
-
-
-def test_query_many_with_a_transcript_records_the_scalar_order():
-    logs = ([], [])
-    batch, scalar = (RandomFunctionOracle(8, 2, log) for log in logs)
-    assert not order_free([batch]) and order_free([RandomFunctionOracle(8, 2)])
-    xs = [9, 1, 9, 200]
-    assert batch.query_many(xs) == [scalar.query(x) for x in xs]
-    assert logs[0] == logs[1] and len(logs[0]) == 4
 
 
 def test_ideal_cipher_seeds_and_encrypt_many():
@@ -348,14 +331,6 @@ def test_rk_encrypt_many_books_queries_like_the_scalar_loop(world, offsets, bloc
     want = _outcome(lambda: [scalar.encrypt(off, block) for off in offsets])
     assert got == want
     assert batch.query_count == scalar.query_count
-
-
-def test_rk_encrypt_many_with_a_transcript_is_the_scalar_loop():
-    logs = ([], [])
-    batch, scalar = (RelatedKeyOracle(3, IdealCipherOracle(4, 1), 4, transcript=log) for log in logs)
-    offsets = [0, 5, 9, 15, 2]
-    assert batch.encrypt_many(offsets, 0x21) == [scalar.encrypt(off, 0x21) for off in offsets]
-    assert logs[0] == logs[1] and len(logs[0]) == 5
 
 
 # --- the chunked birthday attack against the forced scalar loop -------------

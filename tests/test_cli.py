@@ -107,6 +107,18 @@ def test_advantage_summary_and_out_file(capsys, tmp_path):
     assert len(trials) == 100  # both worlds
 
 
+def test_unopenable_out_file_is_one_error_record(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "records.ndjson"
+    code, recs = run_cli(capsys, "advantage", "--attack", "thm3",
+                         "--schedule", "minimal4", "--n", "4", "--trials", "2",
+                         "--out", str(missing))
+    assert code == 1
+    assert [r["error"] for r in recs] == ["KafwError"]
+    assert recs[0]["command"] == "advantage"
+    assert recs[0]["message"].startswith(f"cannot open output file {str(missing)!r}")
+    assert not missing.parent.exists()
+
+
 def test_equivalence_exit_codes(capsys):
     code, recs = run_cli(capsys, "equivalence", "--pair", "kafv-kafw",
                          "--n", "4", "--rounds", "3", "--seeds", "1")

@@ -13,7 +13,6 @@ from kafw.game import (
     bound_formula,
     boomerang4_distinguisher,
     comp_any_distinguisher,
-    constant_distinguisher,
     estimate_advantage,
     quartet_probe_distinguisher,
     run_trial,
@@ -24,6 +23,11 @@ from kafw.oracles import derive_seed
 from kafw.schedules import builtin, random_affine
 
 P8 = DomainParams.for_width(8)
+
+
+def constant_distinguisher(bit):
+    """Outputs `bit` without a query: advantage 0 in any pair of worlds."""
+    return Distinguisher(f"const{bit}", lambda ctx: bit, q_e=0, q_f=0)
 
 
 def affine4_spec(function_kind="permutation", single_f=False):

@@ -15,8 +15,6 @@ from kafw.oracles import (
     RandomFunctionOracle,
     RandomPermutationOracle,
     RelatedKeyOracle,
-    TranscriptEntry,
-    format_transcript,
     derive_seed,
     stream64,
 )
@@ -85,7 +83,7 @@ def test_rp_exhaustion_mixed_directions():
     assert sorted(o2.backward_map.values()) == list(range(8))
 
 
-def test_rp_transcript_determinism():
+def test_rp_determinism():
     seq = [(FORWARD, 3), (BACKWARD, 5), (FORWARD, 3), (FORWARD, 9), (BACKWARD, 1)]
     runs = []
     for _ in range(2):
@@ -193,30 +191,6 @@ def test_function_budget_counts_fresh_only():
         f.query(4)
 
 
-def test_counted_function_backward_needs_permutation():
-    budget = FunctionBudget()
-    fp = CountedFunction(RandomPermutationOracle(6, 5), budget)
-    assert fp.query_backward(fp.query(9)) == 9
-    ff = CountedFunction(RandomFunctionOracle(6, 5), budget)
-    with pytest.raises(DomainError):
-        ff.query_backward(0)
-
-
-def test_transcript_recording_and_format():
-    entries = []
-    ic = IdealCipherOracle(4, 4)
-    rk = RelatedKeyOracle(1, ic, 4, transcript=entries)
-    f = RandomFunctionOracle(4, 4, transcript=entries)
-    ct = rk.encrypt(2, 0x31)
-    y = f.query(0xA)
-    rk.decrypt(2, ct)
-    text = format_transcript(entries, 4)
-    lines = text.splitlines()
-    assert lines[0] == f"rk forward delta=2 in=31 out={ct:x}"
-    assert lines[1] == f"f forward in=a out={y:x}"
-    assert lines[2].startswith("rk backward delta=2")
-
-
 def fresh_stream64(seed, *parts):
     """stream64 written out: BLAKE2b-64 keyed by the masked seed over the masked parts."""
     mask = (1 << 64) - 1
@@ -302,25 +276,27 @@ def test_permutation_golden_digests():
         assert _values_digest([forward.forward(x) for x in range(size)]) == fwd, (n, seed)
         assert _values_digest([backward.backward(y) for y in range(size)]) == bwd, (n, seed)
     # One seeded interleaving of both directions that fills the whole domain.
-    entries = []
-    o = RandomPermutationOracle(8, 5, entries)
+    o = RandomPermutationOracle(8, 5)
     rng = random.Random(6)
-    outs = [(o.forward if rng.random() < 0.5 else o.backward)(rng.randrange(256))
-            for _ in range(1500)]
+    queries = []
+    for _ in range(1500):
+        direction = FORWARD if rng.random() < 0.5 else BACKWARD
+        queries.append((direction, rng.randrange(256)))
+    outs = [(o.forward if d == FORWARD else o.backward)(v) for d, v in queries]
     assert o.query_count == 256
     assert _values_digest(outs) == "5f8febc3207621ae"
-    assert _digest(format_transcript(entries, 8)) == "fb2c432790e3d8c8"
+    lines = [f"f {d} in={v:x} out={y:x}" for (d, v), y in zip(queries, outs)]
+    assert _digest("\n".join(lines)) == "fb2c432790e3d8c8"
 
 
 class _PerSampleFreeListRule:
     """The fill rule as first written, kept as the reference for the free lists:
     rejection below half load, then a free list rebuilt on every fresh sample."""
 
-    def __init__(self, bits, seed, transcript):
+    def __init__(self, bits, seed):
         self.size, self.seed = 1 << bits, seed
         self.forward_map, self.backward_map = {}, {}
         self.query_count = 0
-        self.transcript = transcript
 
     def _sample(self, tag, v, used):
         if 2 * len(used) < self.size:
@@ -342,7 +318,6 @@ class _PerSampleFreeListRule:
             out = own[v] = self._sample(tag, v, other)
             other[out] = v
             self.query_count += 1
-        self.transcript.append(TranscriptEntry("f", (FORWARD, BACKWARD)[tag], None, v, out))
         return out
 
 
@@ -356,9 +331,8 @@ def test_rp_free_lists_match_the_per_sample_rule(first):
         n = 2 + trial % 8
         size = 1 << n
         seed = rng.getrandbits(64)
-        entries, ref_entries = [], []
-        o = RandomPermutationOracle(n, seed, entries)
-        ref = _PerSampleFreeListRule(n, seed, ref_entries)
+        o = RandomPermutationOracle(n, seed)
+        ref = _PerSampleFreeListRule(n, seed)
         forced = False
         while o.query_count < size:
             tag, v = rng.randrange(2), rng.randrange(size)
@@ -371,8 +345,6 @@ def test_rp_free_lists_match_the_per_sample_rule(first):
             assert o.forward_map == ref.forward_map
             assert o.backward_map == ref.backward_map
             assert o.query_count == ref.query_count
-            assert len(entries) == len(ref_entries) and entries[-1] == ref_entries[-1]
-        assert entries == ref_entries
         assert next(iter(o._free)) == first
         both_built += len(o._free) == 2
     assert both_built > 50
@@ -393,17 +365,21 @@ def test_rp_below_half_load_builds_no_free_list():
     assert perm.query_count == 2000 and perm._free == {}
 
 
-@pytest.mark.parametrize("direction, values, transcript", [
+@pytest.mark.parametrize("direction, values, lines_digest", [
     ("encrypt", "c5c20f0988de3fd4", "a724fb207ad9204a"),
     ("decrypt", "902acb724136eac5", "5dd292c4785841dd"),
 ], ids=["encrypt", "decrypt"])
-def test_ideal_cipher_golden_digests(direction, values, transcript):
-    # Every offset and block through the related-key oracle, one direction each.
-    entries = []
-    rk = RelatedKeyOracle(0xB, IdealCipherOracle(4, 3), 4, transcript=entries)
+def test_ideal_cipher_golden_digests(direction, values, lines_digest):
+    # Every offset and block through the related-key oracle, one direction
+    # each, then one line per query: "rk <direction> delta=<d> in=<b> out=<y>".
+    rk = RelatedKeyOracle(0xB, IdealCipherOracle(4, 3), 4)
     op = getattr(rk, direction)
-    assert _values_digest([op(d, b) for d in range(16) for b in range(256)]) == values
-    assert _digest(format_transcript(entries, 4)) == transcript
+    queries = [(d, b) for d in range(16) for b in range(256)]
+    outs = [op(d, b) for d, b in queries]
+    assert _values_digest(outs) == values
+    word = FORWARD if direction == "encrypt" else BACKWARD
+    lines = [f"rk {word} delta={d:x} in={b:x} out={y:x}" for (d, b), y in zip(queries, outs)]
+    assert _digest("\n".join(lines)) == lines_digest
 
 
 def test_rk_unknown_direction_is_not_counted():
