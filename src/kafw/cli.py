@@ -439,21 +439,48 @@ def main(argv=None) -> int:
         return 1
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise KafwError(f"cannot open output file {path!r}: {exc}") from None
+
+
+class _OutFile:
+    """The --out file, opened (and so emptied) on the first record written.
+
+    A run that fails before writing a record leaves an existing file as it
+    was.  The path is still checked up front by opening it for append, which
+    writes nothing, so an unwritable path fails before the command runs.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file = None
+        _open_out(path, "a").close()
+
+    def write(self, text: str) -> None:
+        if self.file is None:
+            self.file = _open_out(self.path, "w")
+        self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
 def _run(args) -> int:
-    opened = None
+    out = None
     try:
         if getattr(args, "out", None):
-            try:
-                opened = open(args.out, "w")
-            except OSError as exc:
-                raise KafwError(f"cannot open output file {args.out!r}: {exc}") from None
-        return args.run(args, opened or sys.stdout)
+            out = _OutFile(args.out)
+        return args.run(args, out or sys.stdout)
     except KafwError as exc:
         _emit({"command": args.cmd, "error": type(exc).__name__, "message": str(exc)}, sys.stdout)
         return 2 if isinstance(exc, _PRECONDITION_ERRORS) else 1
     finally:
-        if opened:
-            opened.close()
+        if out:
+            out.close()
 
 
 if __name__ == "__main__":

@@ -180,30 +180,78 @@ class RandomPermutationOracle:
 
 
 class IdealCipherOracle:
-    """Family of independent random permutations over 2n-bit blocks, one per n-bit key."""
+    """Family of independent random permutations over 2n-bit blocks, one per n-bit key.
+
+    Key k's permutation is RandomPermutationOracle(2n, derive_seed(seed,
+    "ic", k)), but it is built only on k's second query.  The first query,
+    in either direction, meets an empty permutation, whose rejection
+    sampling accepts attempt 0: its answer is stream64(key seed, tag, v, 0)
+    cut to 2n bits, and (key seed, tag, v) is kept.  The second query
+    builds the permutation, replays the first query through it, and
+    answers through it.  So every answer and query count is the
+    permutation's, in any order of queries, while the birthday attack's
+    probes, each on a fresh key, build no permutation at all.
+    """
 
     def __init__(self, n: int, seed: int):
         self.n = n
         self.seed = seed
         self.perms: dict[int, RandomPermutationOracle] = {}
+        self._first: dict[int, tuple[int, int, int]] = {}  # key -> (key seed, tag, v) of its first query
+        self._ic = _keyed(seed)
+        self._ic.update(b"ic")  # derive_seed(seed, "ic", k) is a copy that absorbs k
 
-    def _perm(self, key: int) -> RandomPermutationOracle:
+    def _query(self, key: int, tag: int, v: int) -> int:
         perm = self.perms.get(key)
         if perm is None:
             if not 0 <= key < (1 << self.n):
                 raise DomainError("key out of range")
-            perm = RandomPermutationOracle(2 * self.n, derive_seed(self.seed, "ic", key))
-            self.perms[key] = perm
-        return perm
+            first = self._first.pop(key, None)
+            if first is None:
+                mask = (1 << (2 * self.n)) - 1
+                if not 0 <= v <= mask:
+                    raise DomainError(f"input {v:#x} out of domain")
+                key_seed = derive_seed(self.seed, "ic", key)
+                self._first[key] = (key_seed, tag, v)
+                return stream64(key_seed, tag, v, 0) & mask
+            key_seed, tag0, v0 = first
+            perm = self.perms[key] = RandomPermutationOracle(2 * self.n, key_seed)
+            (perm.backward if tag0 else perm.forward)(v0)  # replays the first query
+        return perm.backward(v) if tag else perm.forward(v)
 
     def encrypt_block(self, key: int, block: int) -> int:
-        return self._perm(key).forward(block)
+        return self._query(key, 0, block)
 
     def decrypt_block(self, key: int, block: int) -> int:
-        return self._perm(key).backward(block)
+        return self._query(key, 1, block)
 
     def encrypt_many(self, keys: list[int], block: int) -> list[int]:
-        return [self._perm(key).forward(block) for key in keys]
+        """[self.encrypt_block(k, block) for k in keys], which it is with the
+        block or a key out of range.
+
+        Otherwise each key's first draw is written out in the loop: the key
+        seed from a copy of the state keyed by `seed` that has absorbed "ic",
+        the answer from BLAKE2b keyed by that seed over the (tag 0, block,
+        attempt 0) bytes, packed once.  Keys queried before go through
+        `encrypt_block`.  Calling `_query` per key made birthday-n16 trials
+        about 1.12x slower.  The tests pin these values to the reference.
+        """
+        bits = 2 * self.n
+        if not 0 <= block < (1 << bits) or (keys and (min(keys) < 0 or max(keys) >= (1 << self.n))):
+            return [self.encrypt_block(k, block) for k in keys]
+        perms, first, copy, from_bytes = self.perms, self._first, self._ic.copy, int.from_bytes
+        coords, mask = bytes(8) + block.to_bytes(8, "little") + bytes(8), (1 << bits) - 1
+        outs = []
+        for key in keys:
+            if key in perms or key in first:
+                outs.append(self.encrypt_block(key, block))
+                continue
+            h = copy()
+            h.update(key.to_bytes(8, "little"))
+            key_seed = h.digest()
+            first[key] = (from_bytes(key_seed, "little"), 0, block)
+            outs.append(from_bytes(blake2b(coords, digest_size=8, key=key_seed).digest(), "little") & mask)
+        return outs
 
 
 class RelatedKeyOracle:

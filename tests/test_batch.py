@@ -252,8 +252,13 @@ def test_query_many_rejects_out_of_domain_inputs_like_query(bad):
 def test_ideal_cipher_seeds_and_encrypt_many():
     ic, twin = IdealCipherOracle(8, 1234), IdealCipherOracle(8, 1234)
     keys = [5, 0, 255, 17]
-    assert ic.encrypt_many(keys, 77) == [twin.encrypt_block(k, 77) for k in keys]
-    for k in keys:
+    outs = ic.encrypt_many(keys, 77)
+    assert outs == [twin.encrypt_block(k, 77) for k in keys]
+    # A key's first draw builds no permutation; its second query builds
+    # the one seeded derive_seed(seed, "ic", k), holding the first pair.
+    assert ic.perms == {}
+    for k, y in zip(keys, outs):
+        assert ic.decrypt_block(k, y) == 77
         assert ic.perms[k].seed == derive_seed(1234, "ic", k)
     with pytest.raises(DomainError):
         ic.encrypt_many([3, 256], 0)

@@ -119,6 +119,19 @@ def test_unopenable_out_file_is_one_error_record(capsys, tmp_path):
     assert not missing.parent.exists()
 
 
+def test_failed_run_leaves_existing_out_file_untouched(capsys, tmp_path):
+    out = tmp_path / "keep.ndjson"
+    out.write_bytes(b'{"command": "advantage", "p_real": 1.0}\n')
+    before = out.read_bytes()
+    code, recs = run_cli(capsys, "advantage", "--attack", "thm3",
+                         "--schedule", "minimal4", "--n", "4", "--trials", "0",
+                         "--out", str(out))
+    assert code == 1
+    assert [r["error"] for r in recs] == ["DomainError"]
+    assert recs[0]["command"] == "advantage"
+    assert out.read_bytes() == before
+
+
 def test_equivalence_exit_codes(capsys):
     code, recs = run_cli(capsys, "equivalence", "--pair", "kafv-kafw",
                          "--n", "4", "--rounds", "3", "--seeds", "1")
