@@ -246,9 +246,14 @@ class KeySchedule:
         return XorSubkey((self.whitening[2], self.round_keys[-1]))
 
     def bind(self, m: SubkeyMap):
-        """Plain int -> int callable for enumeration code."""
-        p = self.params
-        return lambda k: m.value(k, p)
+        """Plain int -> int callable for enumeration code.
+
+        Keys in [0, N) read m's compiled form (0 for a zero map); any other
+        key goes through m.value, so a negative key never indexes a table.
+        """
+        p, size, value = self.params, self.params.N, m.value
+        fast = m.compiled(p) or (lambda k: 0)
+        return lambda k: fast(k) if 0 <= k < size else value(k, p)
 
 
 @dataclass(frozen=True)

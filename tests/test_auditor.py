@@ -2,10 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from kafw.errors import ArityMismatch, DomainTooLarge, NotAffine, ScheduleArityMismatch
+from kafw.errors import ArityMismatch, DomainError, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from kafw.auditor import (
+    _worst_self_count,
+    _worst_shifted_count,
     check_corollary1_affine,
     check_corollary1_nl,
     check_corollary2,
@@ -22,6 +25,7 @@ from kafw.schedules import (
     KafvSchedule,
     KeySchedule,
     LuciferSchedule,
+    XorSubkey,
     ZeroMap,
     builtin,
     identity_map,
@@ -116,6 +120,124 @@ def test_reductions_agree_with_direct_enumeration(seed):
     assert measure_uniformity(phi1, n) == direct_uniformity(phi1, n)
     assert measure_axu(phi1, n) == direct_axu(phi1, n)
     assert measure_cross_uniformity(phi1, phi4, n) == direct_cross(phi1, phi4, n)
+
+
+def _sample_tables(n, rng):
+    """Seeded random, constant, affine, bijective and 2-to-1 tables of width n."""
+    N = 1 << n
+    m = BinMatrix(tuple(rng.randrange(N) for _ in range(n)))
+    c = rng.randrange(N)
+    perm = rng.sample(range(N), N)
+    halves = [rng.randrange(N) for _ in range(max(N // 2, 1))]
+    pairing = rng.sample(range(N), N)  # keys pairing[2i], pairing[2i + 1] share a value
+    two_to_one = [0] * N
+    for i, k in enumerate(pairing):
+        two_to_one[k] = halves[i // 2]
+    return {
+        "random": [rng.randrange(N) for _ in range(N)],
+        "constant": [c] * N,
+        "affine": [mat_vec(m, k) ^ c for k in range(N)],
+        "bijective": perm,
+        "2-to-1": two_to_one,
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_self_count_matches_the_full_offset_loop(n):
+    rng = random.Random(f"self-count-{n}")
+    for seed in range(3):
+        for kind, tab in _sample_tables(n, rng).items():
+            t = np.array(tab, dtype=np.int64)
+            assert _worst_self_count(t) == _worst_shifted_count(t, t, range(1, 1 << n)), (seed, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_axu_matches_direct_enumeration_at_small_n(n):
+    rng = random.Random(f"axu-{n}")
+    for kind, tab in _sample_tables(n, rng).items():
+        assert measure_axu(tab.__getitem__, n) == direct_axu(tab.__getitem__, n), kind
+
+
+def _outcome(f, k):
+    try:
+        return f(k)
+    except DomainError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bind_agrees_with_value_on_and_off_the_key_range(n):
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"bind-{n}")
+    s = KeySchedule(p, (Z,) * 4, (Z,))
+    cubic = FieldCubicSubkey(rng.randrange(p.N))
+    affine = random_affine_map(p, rng)
+    maps = [
+        Z,
+        AffineSubkey(BinMatrix.zero(n)),
+        affine,
+        AffineSubkey(affine.m, p.N - 1),
+        cubic,
+        FieldCubicSubkey(0),
+        XorSubkey((affine, cubic)),
+        XorSubkey((Z, cubic)),
+        XorSubkey((Z, AffineSubkey(BinMatrix.zero(n)))),
+        XorSubkey(()),
+    ]
+    for m in maps:
+        f = s.bind(m)
+        for k in range(-3, p.N + 3):
+            assert _outcome(f, k) == _outcome(lambda k: m.value(k, p), k), (m, k)
+    # A multiplier outside the field raises as value() does, at the latest
+    # on the first evaluation.
+    for bad in (FieldCubicSubkey(p.N), XorSubkey((affine, FieldCubicSubkey(-1)))):
+        with pytest.raises(DomainError):
+            bad.value(1, p)
+        with pytest.raises(DomainError):
+            s.bind(bad)(1)
+
+
+@pytest.mark.parametrize("name", ["minimal4", "tweakem4"])
+def test_definition1_counts_at_n12(name):
+    # The invariant every exhaustive benchmark audit checks.
+    rep = check_definition1(builtin(name, DomainParams.for_width(12)))
+    assert (rep.delta1_times_n, rep.delta2_times_n, rep.delta3_times_n) == (3, 2, 2)
+
+
+_IDENT = lambda k: k
+MEASURES = {
+    "uniformity": measure_uniformity,
+    "axu": measure_axu,
+    "cross-first": lambda phi, n: measure_cross_uniformity(phi, _IDENT, n),
+    "cross-second": lambda phi, n: measure_cross_uniformity(_IDENT, phi, n),
+}
+
+
+@pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+@pytest.mark.parametrize("n", [-1, 0])
+def test_measures_reject_widths_below_one(measure, n):
+    with pytest.raises(DomainError):
+        measure(_IDENT, n)
+
+
+@pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+def test_measures_reject_negative_values(measure):
+    with pytest.raises(DomainError):
+        measure(lambda k: -1 if k == 3 else k, 4)
+
+
+@pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+@pytest.mark.parametrize("big", [1 << 63, 1 << 64])
+def test_measures_reject_values_beyond_int64(measure, big):
+    with pytest.raises(DomainError):
+        measure(lambda k: big if k == 3 else k, 4)
+
+
+@pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+@pytest.mark.parametrize("value", [16, 17, 255])
+def test_measures_reject_values_of_n_bits_or_more(measure, value):
+    with pytest.raises(DomainError):
+        measure(lambda k: value if k == 3 else k, 4)
 
 
 def test_uniformity_reduction_at_n8():
