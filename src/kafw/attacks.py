@@ -15,6 +15,12 @@ round at once, which needs all odd-round matrices to agree on the offset
 (and likewise the even ones); two queries then suffice.  The birthday
 attack is schedule-agnostic: it trades q_e related-key queries against
 q_g offline key guesses and wins once some guess hits k ^ offset.
+
+The constants an attack derives from its schedule alone (the affine
+forms, the weak offset, the block shifts of an offset) are kept in the
+schedule's `memo`, so repeated trials over one schedule compute them once;
+every trial still makes all of its queries.  A precondition that fails
+keeps nothing, and raises again on the next call.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
 from .feistel import CipherInstance
 from .gf2 import BinMatrix, joint_kernel_basis, mat_vec
 from .oracles import CountedFunction, RelatedKeyOracle, order_free
-from .schedules import KeySchedule
+from .schedules import MEMO_MAX_N, KeySchedule
 
 
 def _pack(left: int, right: int, n: int) -> int:
@@ -56,10 +62,13 @@ class AttackOutcome:
 
 
 def _affine_forms(s: KeySchedule):
-    """(wf matrices, gamma matrices 1-indexed) or NotAffine."""
-    wf = tuple(s.wf_matrix(j) for j in range(4))
-    gammas = tuple(s.gamma_matrix(i) for i in range(1, s.t + 1))
-    return wf, gammas
+    """(wf matrices, gamma matrices 1-indexed) or NotAffine; kept in s.memo."""
+    forms = s.memo.get("affine forms")
+    if forms is None:
+        wf = tuple(s.wf_matrix(j) for j in range(4))
+        gammas = tuple(s.gamma_matrix(i) for i in range(1, s.t + 1))
+        forms = s.memo["affine forms"] = wf, gammas
+    return forms
 
 
 def weak_delta(matrices: Sequence[BinMatrix]) -> int:
@@ -70,22 +79,38 @@ def weak_delta(matrices: Sequence[BinMatrix]) -> int:
     return min(basis)
 
 
-def _quartet_params(wf, g, delta: int, left: int, right: int) -> BoomerangParams:
+def _weak_offset(s: KeySchedule, name, constraints: Callable[[], list[BinMatrix]]) -> int:
+    """weak_delta(constraints()), kept in s.memo under `name`; NoWeakDelta keeps nothing."""
+    delta = s.memo.get(name)
+    if delta is None:
+        delta = s.memo[name] = weak_delta(constraints())
+    return delta
+
+
+def _per_offset_memo(s: KeySchedule) -> dict:
+    """Where per-offset constants go: s.memo for n <= MEMO_MAX_N, else a
+    throwaway dict, so a long run of random offsets cannot grow s.memo
+    past about N entries per attack."""
+    return s.memo if s.params.n <= MEMO_MAX_N else {}
+
+
+def _quartet_params(s: KeySchedule, wf, g, delta: int, left: int, right: int) -> BoomerangParams:
     """Shifts of a quartet over t = len(g) rounds, t = 4 or 5.
 
     (nabla1, nabla2) starts the probability-1 trail down rounds 1-2, and
     nabla3 = (gamma_t ^ wf2).d, nabla4 = (gamma_{t-1} ^ wf3).d start the one
-    up rounds t, t-1.
+    up rounds t, t-1.  The four shifts are kept per offset.
     """
-    return BoomerangParams(
-        delta=delta,
-        nabla1=mat_vec(wf[0] ^ g[1], delta),
-        nabla2=mat_vec(wf[1] ^ g[0], delta),
-        nabla3=mat_vec(g[-1] ^ wf[2], delta),
-        nabla4=mat_vec(g[-2] ^ wf[3], delta),
-        base_left=left,
-        base_right=right,
-    )
+    memo = _per_offset_memo(s)
+    shifts = memo.get(("nablas", delta))
+    if shifts is None:
+        shifts = memo[("nablas", delta)] = (
+            mat_vec(wf[0] ^ g[1], delta),
+            mat_vec(wf[1] ^ g[0], delta),
+            mat_vec(g[-1] ^ wf[2], delta),
+            mat_vec(g[-2] ^ wf[3], delta),
+        )
+    return BoomerangParams(delta, *shifts, left, right)
 
 
 def quartet_params_4round(
@@ -95,7 +120,7 @@ def quartet_params_4round(
     wf, g = _affine_forms(s)
     if s.t != 4:
         raise ArityMismatch("the 4-round boomerang needs t = 4")
-    return _quartet_params(wf, g, delta, left, right)
+    return _quartet_params(s, wf, g, delta, left, right)
 
 
 def run_quartet(rk: RelatedKeyOracle, n: int, bp: BoomerangParams) -> int:
@@ -130,12 +155,11 @@ def _five_round_boomerang(
     wf, g = _affine_forms(s)
     if s.t != 5:
         raise ArityMismatch(f"{_FIVE_ROUND_NAMES[partner]} needs t = 5")
-    condition = g[0] ^ g[partner - 1]
     if delta is None:
-        delta = weak_delta([condition])
-    elif delta == 0 or mat_vec(condition, delta) != 0:
+        delta = _weak_offset(s, ("weak", partner), lambda: [g[0] ^ g[partner - 1]])
+    elif delta == 0 or mat_vec(g[0] ^ g[partner - 1], delta) != 0:
         raise NoWeakDelta(f"offset does not satisfy M1.d = M{partner}.d")
-    return run_quartet(rk, s.params.n, _quartet_params(wf, g, delta, left, right))
+    return run_quartet(rk, s.params.n, _quartet_params(s, wf, g, delta, left, right))
 
 
 def five_round_boomerang_switch(
@@ -193,25 +217,31 @@ def any_round_differential(
     if t < 2:
         raise TooFewRounds("the differential needs t >= 2")
     wf, g = _affine_forms(s)
-    constraints = [g[0] ^ g[j] for j in range(2, t, 2)]  # M1 vs M3, M5, ...
-    constraints += [g[1] ^ g[j] for j in range(3, t, 2)]  # M2 vs M4, M6, ...
-    if delta is None:
-        if not constraints:  # t = 2: every nonzero offset works
-            delta = 1
-        else:
-            delta = weak_delta(constraints)
-    elif delta == 0 or any(mat_vec(c, delta) != 0 for c in constraints):
-        raise NoWeakDelta("offset does not satisfy the common-difference conditions")
     n = s.params.n
-    d1 = mat_vec(g[0], delta)
-    d2 = mat_vec(g[1], delta)
-    nabla1 = mat_vec(wf[0] ^ g[1], delta)
-    nabla2 = mat_vec(wf[1] ^ g[0], delta)
+
+    def constraints():  # M1 vs M3, M5, ..., then M2 vs M4, M6, ...
+        return [g[0] ^ g[j] for j in range(2, t, 2)] + [g[1] ^ g[j] for j in range(3, t, 2)]
+
+    if delta is None:
+        # t = 2 has no constraint: every nonzero offset works.
+        delta = _weak_offset(s, ("weak", "any-round"), constraints) if t > 2 else 1
+    elif delta == 0 or any(mat_vec(c, delta) != 0 for c in constraints()):
+        raise NoWeakDelta("offset does not satisfy the common-difference conditions")
+    memo = _per_offset_memo(s)
+    shifts = memo.get(("any-round", delta))
+    if shifts is None:
+        d1 = mat_vec(g[0], delta)
+        d2 = mat_vec(g[1], delta)
+        # State difference after round i alternates (d1, d2), (d2, d1), ...
+        sl, sr = (d2, d1) if t % 2 == 0 else (d1, d2)
+        shifts = memo[("any-round", delta)] = (
+            mat_vec(wf[0] ^ g[1], delta),
+            mat_vec(wf[1] ^ g[0], delta),
+            _pack(sl ^ mat_vec(wf[2], delta), sr ^ mat_vec(wf[3], delta), n),
+        )
+    nabla1, nabla2, expect = shifts
     out0 = rk.encrypt(0, _pack(left, right, n))
     out1 = rk.encrypt(delta, _pack(left ^ nabla1, right ^ nabla2, n))
-    # State difference after round i alternates (d1, d2), (d2, d1), ...
-    sl, sr = (d2, d1) if t % 2 == 0 else (d1, d2)
-    expect = _pack(sl ^ mat_vec(wf[2], delta), sr ^ mat_vec(wf[3], delta), n)
     return 1 if out0 ^ out1 == expect else 0
 
 

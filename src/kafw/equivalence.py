@@ -114,6 +114,8 @@ def _check_sweep(n: int, seeds) -> DomainParams:
 def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Converted-schedule KAFw vs the original KAFv, exhaustively per seed."""
     p = _check_sweep(n, seeds)
+    if t < 2:
+        raise TooFewRounds("conversion needs t >= 2")
     tally = _Tally()
     for seed in seeds:
         rng = random.Random(derive_seed(seed, "kafv-schedule"))

@@ -23,6 +23,10 @@ or a numpy int64 column of many words when every round function maps a
 column to a column (a table lookup does).  A tweak is folded into the key:
 encrypt_block(key ^ tweak, block).
 
+For n <= MEMO_MAX_N, a key's sub-key layout is computed once per schedule
+object and kept in the schedule's `memo`, so every instance over that
+schedule (KAFw and KAF share one layout rule) reads it from then on.
+
 `CipherInstance.encrypt_many` encrypts one block under many keys.  Over
 order-free random functions it runs the chain round-major, one batched f
 query per round, on a compiled sub-key layout; otherwise it is the loop
@@ -39,7 +43,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, ScheduleArityMismatch
 from .gf2 import DomainParams
 from .oracles import order_free
-from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
+from .schedules import CONSTRUCTIONS, MEMO_MAX_N, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
 
 
 # encrypt_many runs the scalar loop below this many keys: the fixed costs of
@@ -105,8 +109,8 @@ class CipherInstance:
     schedule: KeySchedule | KafvSchedule | LuciferSchedule
     round_functions: Sequence[RoundFunction]
     construction: str = "kafw"
-    # ((c, key) -> layout, (c, keys) -> layout columns), from encrypt_many's first batch.
-    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (c, keys) -> layout columns, from encrypt_many's first batch.
+    _compiled: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(self.round_functions)
@@ -130,12 +134,25 @@ class CipherInstance:
     def _block_op(self, key: int, block, inverse: bool, trace=None):
         """block is an int or a numpy int64 column of words: only >>, &, <<
         and | touch it, and the column is never written into."""
-        n = self.params.n
-        # Compiling costs a few reference layouts, and most game instances
-        # see only two to four keys: only encrypt_many compiles.
-        layout = (self._compiled[0] if self._compiled else _LAYOUTS[CONSTRUCTIONS[self.construction]])(self, key)
+        n, layout = self.params.n, self._layout(key)
         left, right = _chain(self.round_functions, layout, block >> n, block & self.params.mask, inverse, trace)
         return (left << n) | right
+
+    def _layout(self, key: int) -> tuple:
+        """The construction's reference layout under key, kept in the
+        schedule's memo for n <= MEMO_MAX_N and keys in [0, N).  Any other
+        key is computed afresh each time, so it raises (or not) exactly as
+        the reference does, and a failing layout is never kept."""
+        s = self.schedule
+        if s.params.n > MEMO_MAX_N:
+            return _LAYOUTS[CONSTRUCTIONS[self.construction]](self, key)
+        memo = s.memo
+        layout = memo.get(key)
+        if layout is None:
+            layout = _LAYOUTS[CONSTRUCTIONS[self.construction]](self, key)
+            if 0 <= key < s.params.N:
+                memo[key] = layout
+        return layout
 
     def batches(self, count: int) -> bool:
         """Whether encrypt_many runs round-major on `count` keys: at least
@@ -158,21 +175,21 @@ class CipherInstance:
                 raise DomainError("round inputs are recorded on the batched path only")
             return [self.encrypt_block(key, block) for key in keys]
         n = self.params.n
-        columns, key_into_f = (self._compiled or _compile(self))[1](self, keys)
+        columns, key_into_f = (self._compiled or _compile(self))(self, keys)
         left, right = _chain_many(
             self.round_functions, columns, key_into_f, len(keys), block >> n, block & self.params.mask, inputs
         )
         return [(l << n) | r for l, r in zip(left, right)]
 
 
-def _compile(c: CipherInstance) -> tuple:
-    """c's schedule as ((c, key) -> layout, (c, keys) -> (layout columns, key into f)).
+def _compile(c: CipherInstance) -> Callable:
+    """c's schedule as (c, keys) -> (layout columns, key into f).
 
     Each layout slot (input whitening halves, round keys, output whitening
     halves) gets its map's `compiled` form: zero maps drop out, field-cubic
-    maps at n <= MAX_EXHAUSTIVE_N become table lookups.  A key outside
-    [0, N) goes through the construction's reference layout instead, which
-    raises (or not) exactly as it always has.  The functions take c as an
+    maps at n <= MAX_EXHAUSTIVE_N become table lookups.  Keys outside
+    [0, N) go through the construction's reference layout instead, which
+    raises (or not) exactly as it always has.  The function takes c as an
     argument rather than closing over it, so an instance and its compiled
     layout form no reference cycle and are freed as soon as a trial drops
     them.
@@ -186,30 +203,18 @@ def _compile(c: CipherInstance) -> tuple:
         maps, key_into_f = (None, *s.maps, None), False
     else:
         maps, key_into_f = (None, None, *s.maps, None, None), False
-    t, size = c.rounds, c.params.N
+    size = c.params.N
     slots = [None if m is None else m.compiled(c.params) for m in maps]
-    live = [(i, f) for i, f in enumerate(slots) if f is not None]
-
-    def layout(c: CipherInstance, key: int) -> tuple:
-        if not 0 <= key < size:
-            return reference(c, key)
-        v = [0] * (t + 4)
-        for i, f in live:
-            v[i] = f(key)
-        return (v[0], v[1]), tuple(v[2 : t + 2]), (v[t + 2], v[t + 3]), key_into_f
 
     def columns(c: CipherInstance, keys: list[int]) -> tuple:
         if min(keys) < 0 or max(keys) >= size:
             # Key by key, so the first bad key raises as in the scalar loop.
             rows = [(*w_in, *ks, *w_out) for w_in, ks, w_out, _ in (reference(c, k) for k in keys)]
             return [list(col) for col in zip(*rows)], key_into_f
-        cols = [None] * (t + 4)
-        for i, f in live:
-            cols[i] = list(map(f, keys))
-        return cols, key_into_f
+        return [None if f is None else list(map(f, keys)) for f in slots], key_into_f
 
-    c._compiled = layout, columns
-    return c._compiled
+    c._compiled = columns
+    return columns
 
 
 def _chain_many(fs, columns: list, key_into_f: bool, count: int, left: int, right: int, inputs=None):

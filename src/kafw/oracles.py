@@ -118,7 +118,8 @@ class RandomPermutationOracle:
     already-used range: candidate stream64(seed, tag, v, attempt) for
     attempt = 0, 1, ... (tag 0 forward, 1 backward).  From half load on,
     it is free[stream64(seed, tag, v, 0) % len(free)], the k-th smallest
-    unused value.  Each direction keeps its sorted free list (`forward`
+    unused value.  Both draw from a copy of the keyed state the oracle
+    keeps, as RandomFunctionOracle does.  Each direction keeps its sorted free list (`forward`
     the free outputs, `backward` the free inputs), built in O(N) the first
     time that direction samples at half load or more.  Every new pair
     then deletes its output from the forward list and its input from the
@@ -137,20 +138,23 @@ class RandomPermutationOracle:
         self.query_count = 0
         self._free: dict[int, list[int]] = {}  # tag -> sorted values unused in its direction
         self._size = 1 << bits
+        self._state = None  # BLAKE2b keyed by the seed, built on the first sample
 
     def _sample(self, tag: int, v: int, used: dict[int, int]) -> int:
-        mask = self._size - 1
+        if self._state is None:
+            self._state = _keyed(self.seed)
+        state, mask = self._state, self._size - 1
         if 2 * len(used) < self._size:
             attempt = 0
             while True:
-                cand = stream64(self.seed, tag, v, attempt) & mask
+                cand = _digest(state.copy(), (tag, v, attempt)) & mask
                 if cand not in used:
                     return cand
                 attempt += 1
         free = self._free.get(tag)
         if free is None:
             free = self._free[tag] = [w for w in range(self._size) if w not in used]
-        return free[stream64(self.seed, tag, v, 0) % len(free)]
+        return free[_digest(state.copy(), (tag, v, 0)) % len(free)]
 
     def _lookup(self, v: int, tag: int, own: dict, other: dict) -> int:
         """One query in either direction: `own` maps v to its image, `other` back."""

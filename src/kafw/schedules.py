@@ -13,7 +13,7 @@ import random
 import re
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import (
@@ -199,8 +199,29 @@ def ortho_map(n: int) -> AffineSubkey:
     return AffineSubkey(BinMatrix(tuple(rows)))
 
 
+# Per-key and per-offset entries go into a schedule's memo only up to this
+# n: at most 2^12 of each kind, each a few small ints and tuples.
+MEMO_MAX_N = 12
+
+
+class _Memo:
+    """`memo`: a dict of values derived from the schedule alone.
+
+    Int keys hold one master key's sub-key layout (feistel), other keys
+    attack constants (attacks); nothing derived from an oracle goes in.
+    It is made on first use and freed with the schedule: cached_property
+    writes it straight to the instance's __dict__, past the frozen
+    dataclass's __setattr__, and no field, comparison or hash sees it.
+    An equal copy (dataclasses.replace) starts with an empty one.
+    """
+
+    @cached_property
+    def memo(self) -> dict:
+        return {}
+
+
 @dataclass(frozen=True)
-class KeySchedule:
+class KeySchedule(_Memo):
     """Whitening maps wf0..wf3 plus round-key maps gamma_1..gamma_t."""
 
     params: DomainParams
@@ -257,7 +278,7 @@ class KeySchedule:
 
 
 @dataclass(frozen=True)
-class KafvSchedule:
+class KafvSchedule(_Memo):
     """Sub-key maps gamma*_0 .. gamma*_{t+1} for a t-round KAFv.
 
     maps[0] and maps[t+1] become the whitening halves; t = 0 (whitening
@@ -287,7 +308,7 @@ class KafvSchedule:
 
 
 @dataclass(frozen=True)
-class LuciferSchedule:
+class LuciferSchedule(_Memo):
     """One sub-key map per round for the Lucifer-style chain (no whitening slots)."""
 
     params: DomainParams

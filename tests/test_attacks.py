@@ -1,5 +1,6 @@
 """Distinguisher behavior: probability-1 wins, query budgets, precondition errors."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from kafw.errors import ArityMismatch, DomainError, NoWeakDelta, NotAffine, TooF
 from kafw.feistel import CipherInstance
 from kafw.game import ConstructionSpec, WorldSpec
 from kafw.gf2 import BinMatrix, DomainParams, gf_mul, mat_vec
-from kafw.oracles import RandomFunctionOracle, RelatedKeyOracle, derive_seed
+from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RelatedKeyOracle, derive_seed
 from kafw.schedules import (
     AffineSubkey,
     KeySchedule,
@@ -270,3 +271,93 @@ def test_ideal_world_rates_are_near_zero():
         for i in range(3000)
     )
     assert hits <= 2  # expected rate 1/(N^2 - 1) ~ 1.5e-5
+
+
+def _rotations(*amounts):
+    return KeySchedule(P8, (Z, Z, Z, Z), tuple(AffineSubkey(BinMatrix.rotation(8, r)) for r in amounts))
+
+
+@pytest.mark.parametrize("world", ["real", "ideal"])
+def test_kept_attack_constants_answer_as_a_fresh_copy(world):
+    """Repeated calls on one schedule, whose memo fills, give the bit and the
+    queries of the same call on a fresh equal copy, whose memo is empty."""
+    rng = random.Random(f"kept-constants-{world}")
+    whitening = tuple(AffineSubkey(BinMatrix(tuple(rng.randrange(256) for _ in range(8))), 7) for _ in range(4))
+    bitperm, rotations = builtin("bitperm_bad5", P8), _rotations(1, 2, 1, 3, 4)
+    # (attack, schedule, the weak offset it finds by itself)
+    cases = [
+        (four_round_boomerang, random_affine(P8, 4, rng), None),
+        (five_round_boomerang_switch, bitperm, weak_delta([bitperm.gamma_matrix(1) ^ bitperm.gamma_matrix(5)])),
+        (five_round_complementation_boomerang, rotations,
+         weak_delta([rotations.gamma_matrix(1) ^ rotations.gamma_matrix(3)])),
+        (any_round_differential, builtin("identity_bad(8)", P8), 1),
+        (any_round_differential, KeySchedule(P8, whitening, (identity_map(8),) * 5), 1),
+    ]
+    for attack, s, weak in cases:
+        for call in range(200):
+            key, seed = rng.randrange(256), rng.randrange(1 << 40)
+            # Few offsets, so most calls reuse kept shifts; every other call
+            # of a weak-offset attack names its offset.
+            if weak is None:
+                delta = rng.randrange(1, 12)
+            else:
+                delta = weak if call % 2 else None
+            left, right = rng.randrange(256), rng.randrange(256)
+            answers = []
+            for schedule in (s, dataclasses.replace(s)):
+                if world == "real":
+                    rk, _ = real_oracle(schedule, schedule.t, key, seed)
+                else:
+                    rk = RelatedKeyOracle(key, IdealCipherOracle(8, seed), 8)
+                answers.append((attack(rk, schedule, delta, left, right), rk.query_count, sorted(rk._seen)))
+            assert answers[0] == answers[1], (attack.__name__, call)
+            assert answers[0][1] == (2 if attack is any_round_differential else 4)
+        assert len(s.memo) > 1
+
+
+def test_failed_preconditions_raise_on_every_call():
+    """A failed precondition raises again on every call, also on a schedule
+    whose constants are already kept.  The first call may keep what it
+    derived before failing (the affine forms); no later one keeps more."""
+    mini, filled = builtin("minimal4", P8), builtin("filled6", P8)
+    s4 = random_affine(P8, 4, random.Random(4))
+    bitperm = builtin("bitperm_bad5", P8)
+    ident = builtin("identity_bad(8)", P8)
+    invertible5 = KeySchedule(P8, (Z, Z, Z, Z), (identity_map(8), Z, Z, Z, AffineSubkey(mul_matrix(P8, 2))))
+    warm = [
+        lambda rk: four_round_boomerang(rk, s4, 5),
+        lambda rk: five_round_boomerang_switch(rk, bitperm),
+        lambda rk: any_round_differential(rk, ident),
+    ]
+    failing = [
+        (NotAffine, mini, lambda rk: four_round_boomerang(rk, mini, 1)),
+        (NotAffine, mini, lambda rk: any_round_differential(rk, mini)),
+        (DomainError, s4, lambda rk: four_round_boomerang(rk, s4, 0)),
+        (ArityMismatch, s4, lambda rk: five_round_complementation_boomerang(rk, s4)),
+        (ArityMismatch, bitperm, lambda rk: quartet_params_4round(bitperm, 1)),
+        (NoWeakDelta, invertible5, lambda rk: five_round_boomerang_switch(rk, invertible5)),
+        (NoWeakDelta, bitperm, lambda rk: five_round_boomerang_switch(rk, bitperm, delta=0)),
+        (NoWeakDelta, bitperm, lambda rk: five_round_boomerang_switch(rk, bitperm, delta=0x01)),
+        (NoWeakDelta, bitperm, lambda rk: five_round_complementation_boomerang(rk, bitperm, delta=0x01)),
+        (NoWeakDelta, ident, lambda rk: any_round_differential(rk, ident, delta=0)),
+        (NoWeakDelta, filled, lambda rk: any_round_differential(rk, filled)),
+    ]
+    for call in warm:
+        assert call(RelatedKeyOracle(3, IdealCipherOracle(8, 1), 8)) in (0, 1)
+    after_first = {}
+    for _ in range(3):
+        for i, (error, s, call) in enumerate(failing):
+            rk = RelatedKeyOracle(3, IdealCipherOracle(8, 1), 8)
+            with pytest.raises(error):
+                call(rk)
+            assert rk.query_count == 0
+            assert after_first.setdefault(i, dict(s.memo)) == s.memo
+
+
+def test_per_offset_constants_are_kept_up_to_n12_only():
+    """A long run of random offsets cannot grow a wide schedule's memo."""
+    for n, kept in ((12, True), (13, False)):
+        s = random_affine(DomainParams.for_width(n), 4, random.Random(n))
+        for delta in (1, 2, 3, 2):
+            four_round_boomerang(RelatedKeyOracle(3, IdealCipherOracle(n, 1), n), s, delta)
+        assert len(s.memo) == (4 if kept else 1)  # the affine forms, and one entry per offset

@@ -192,7 +192,8 @@ def _error(call):
 
 @pytest.mark.parametrize("key", [-1, -256, 256, 1 << 20])
 def test_out_of_range_keys_fail_as_the_reference_layout(key):
-    """No table lookup ever sees such a key: -1 would silently read entry N - 1."""
+    """No table lookup or kept layout ever serves such a key: -1 would
+    silently read entry N - 1."""
     for schedule in (builtin("minimal4", P8), builtin("tweakem4", P8)):
         inst = CipherInstance(P8, 4, schedule, (RandomFunctionOracle(8, 3),))
         want = _error(lambda: _LAYOUTS[KeySchedule](inst, key))
@@ -202,9 +203,54 @@ def test_out_of_range_keys_fail_as_the_reference_layout(key):
             assert _error(lambda: inst.encrypt_block(key, 5)) == want
             assert _error(lambda: inst.decrypt_block(key, 5)) == want
             inst.encrypt_many([1, 2, 3, 4], 5)
+        for k in range(P8.N):  # every in-range layout kept, then the bad key again
+            inst.decrypt_block(k, 5)
+        assert sorted(schedule.memo) == list(range(P8.N))
+        assert _error(lambda: inst.encrypt_block(key, 5)) == want
+        assert _error(lambda: inst.decrypt_block(key, 5)) == want
+        assert sorted(schedule.memo) == list(range(P8.N))
         keys = [1, 2, 3, key, 4, 5]
         assert _error(lambda: inst.encrypt_many(keys, 5)) == want
         assert _error(lambda: inst.encrypt_many(keys, 5, [])) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_kept_layouts_match_the_reference_chain(construction, n):
+    """Every key, both directions, cold and warm, against _chain on the
+    reference layout.  Two instances share the schedule but not their round
+    functions, so the schedule's memo may hold sub-keys only."""
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"kept-layouts-{construction}-{n}")
+    t = rng.randrange(2, 6)
+    schedule = _schedule(construction, p, t, rng)
+    reference = _LAYOUTS[CONSTRUCTIONS[construction]]
+    insts = [
+        CipherInstance(p, t, schedule, tuple(RandomFunctionOracle(n, rng.randrange(1 << 40)) for _ in range(t)),
+                       construction)
+        for _ in range(2)
+    ]
+    assert "memo" not in vars(schedule)
+    for warm in (False, True):
+        for key in range(p.N):
+            for inst in insts:  # the first cold on the first pass, the second warm
+                layout = reference(inst, key)
+                block = rng.randrange(p.N * p.N)
+                for op, inverse in ((inst.encrypt_block, False), (inst.decrypt_block, True)):
+                    left, right = _chain(inst.round_functions, layout, block >> n, block & p.mask, inverse)
+                    assert op(key, block) == (left << n) | right, (warm, key, inverse)
+        assert sorted(schedule.memo) == list(range(p.N))
+
+
+def test_layouts_are_kept_up_to_n12_only():
+    for n, kept in ((12, True), (13, False)):
+        p = DomainParams.for_width(n)
+        schedule = _schedule("kafw", p, 4, random.Random(n))
+        inst = CipherInstance(p, 4, schedule, (RandomFunctionOracle(n, 1),))
+        for key in (0, 1, p.N - 1, 1):
+            assert inst.decrypt_block(key, inst.encrypt_block(key, 77)) == 77
+        assert sorted(vars(schedule).get("memo", ())) == ([0, 1, p.N - 1] if kept else [])
+        assert ("memo" in vars(schedule)) == kept
 
 
 def test_out_of_range_keys_of_affine_schedules_still_evaluate():
@@ -216,6 +262,7 @@ def test_out_of_range_keys_of_affine_schedules_still_evaluate():
     assert batch.encrypt_many(keys, 9) == [_reference(scalar, k, 9)[0] for k in keys]
     assert batch._compiled is not None
     assert [batch.encrypt_block(k, 9) for k in keys] == [_reference(scalar, k, 9)[0] for k in keys]
+    assert sorted(schedule.memo) == [0, 255]  # the memo keeps keys in [0, N) only
 
 
 def test_a_multiplier_outside_the_field_still_raises():

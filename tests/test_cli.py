@@ -90,6 +90,17 @@ def test_too_few_sweep_rounds_exit_2(capsys):
         assert [r["error"] for r in recs] == ["TooFewRounds"]
 
 
+def test_sweep_rounds_below_two_fail_before_any_schedule(capsys):
+    """t = -1 once reached the KAFv schedule's arity check (ArityMismatch,
+    exit 1); every t < 2 is TooFewRounds, exit 2."""
+    for rounds in ("-1", "0", "1"):
+        code, recs = run_cli(capsys, "equivalence", "--pair", "kafv-kafw", "--n", "3",
+                             "--rounds", rounds, "--seeds", "1")
+        assert code == 2
+        assert recs == [{"command": "equivalence", "error": "TooFewRounds",
+                         "message": "conversion needs t >= 2"}]
+
+
 def test_advantage_summary_and_out_file(capsys, tmp_path):
     out = tmp_path / "records.ndjson"
     code, _ = run_cli(capsys, "advantage", "--attack", "appbany",

@@ -1,5 +1,8 @@
 """Distinguishing-game harness: determinism, budgets, advantage estimation, bounds."""
 
+import gc
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -182,3 +185,43 @@ def test_single_f_world_shares_one_function_view():
         return ct & 1
 
     run_trial(Distinguisher("probe", probe, None, None), WorldSpec(game.REAL, spec), 11)
+
+
+def test_a_trials_schedule_dies_with_the_trial():
+    """The schedule's memo holds no reference back to the schedule, its
+    instance or its oracles: with the cycle collector off, a fresh
+    random_affine schedule is freed as soon as run_trial returns."""
+    refs = []
+
+    def fresh(rng):
+        s = random_affine(P8, 4, rng)
+        refs.append(weakref.ref(s))
+        return s
+
+    spec = ConstructionSpec(P8, 4, fresh, "kafw", "permutation", False)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kind in (game.REAL, game.IDEAL):
+            for seed in range(20):
+                assert run_trial(boomerang4_distinguisher(), WorldSpec(kind, spec), seed) in (0, 1)
+                assert refs[-1]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(refs) == 40
+
+
+def test_a_fixed_schedules_memo_stays_within_n_layouts():
+    """Thousands of trials over one schedule keep at most N layouts, one per
+    key in [0, N), and at most N per-offset entries per attack."""
+    p = DomainParams.for_width(5)
+    for d, s in ((comp_any_distinguisher(), builtin("identity_bad(6)", p)),
+                 (boomerang4_distinguisher(), random_affine(p, 4, random.Random(3)))):
+        spec = ConstructionSpec(p, s.t, s, "kafw", "permutation", False)
+        for kind in (game.REAL, game.IDEAL):
+            for seed in range(1500):
+                run_trial(d, WorldSpec(kind, spec), seed)
+        layouts = [k for k in s.memo if isinstance(k, int)]
+        assert sorted(layouts) == list(range(p.N))  # every key seen, none outside [0, N)
+        assert len(s.memo) - len(layouts) <= p.N + 2

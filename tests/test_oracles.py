@@ -350,6 +350,22 @@ def test_rp_free_lists_match_the_per_sample_rule(first):
     assert both_built > 50
 
 
+def test_rp_kept_keyed_state_draws_the_stream64_values():
+    """At n = 6: a forward pass past half load (rejections, then the free
+    list), then every output backward (a second free list) and every input
+    forward again, against the rule written with stream64."""
+    for seed in (3, 1 << 70):  # the stream keys by the seed's low 64 bits
+        o, ref = RandomPermutationOracle(6, seed), _PerSampleFreeListRule(6, seed)
+        xs = random.Random(seed).sample(range(64), 44)
+        queries = [(0, x) for x in xs] + [(1, y) for y in range(64)] + [(0, x) for x in range(64)]
+        for tag, v in queries:
+            assert (o.forward, o.backward)[tag](v) == ref.query(tag, v), (seed, tag, v)
+            if o.query_count == 1:
+                state = o._state
+        assert o._state is state and sorted(o._free) == [0, 1]
+        assert (o.forward_map, o.backward_map, o.query_count) == (ref.forward_map, ref.backward_map, 64)
+
+
 def test_rp_below_half_load_builds_no_free_list():
     o = RandomPermutationOracle(32, 9)
     for v in range(1000):
