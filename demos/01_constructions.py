@@ -19,7 +19,7 @@ P8 = DomainParams.for_width(8)
 print("== KAFw with a random affine schedule ==")
 schedule = random_affine(P8, 4, random.Random(0))
 f = RandomFunctionOracle(8, seed=42)
-inst = CipherInstance(P8, 4, schedule, (f,))
+inst = CipherInstance(schedule, (f,))
 key, pt = 0x3C, 0x1234
 ct = inst.encrypt_block(key, pt)
 print(f"key={key:02x}  plaintext={pt:04x}  ciphertext={ct:04x}")
@@ -33,7 +33,7 @@ for i, (x, y, (left, right)) in enumerate(trace, start=1):
     print(f"round {i}: x={x:02x} y={y:02x} state={left:02x}{right:02x}")
 
 print("\n== Tweakable wrapper: tweak XORed into the key ==")
-tweak_inst = CipherInstance(P8, 4, builtin("tweakem4", P8), (RandomFunctionOracle(8, 7),))
+tweak_inst = CipherInstance(builtin("tweakem4", P8), (RandomFunctionOracle(8, 7),))
 for tweak in (0x00, 0x01, 0xFF):
     c = tweak_inst.encrypt_block(key ^ tweak, pt)
     print(f"tweak={tweak:02x} -> {c:04x}")

@@ -260,8 +260,6 @@ def _uncounted(fs):
 def birthday_collision_attack(
     rk: RelatedKeyOracle,
     fs: Sequence[Callable[[int], int]],
-    params,
-    rounds: int,
     schedule,
     q_e: int,
     q_g: int,
@@ -291,10 +289,10 @@ def birthday_collision_attack(
     end of a chunk without a confirmed hit.  So the bit, q_e and q_f (and
     the query at which a budget runs out) are those of the scalar loop.
     """
-    N = params.N
+    N = schedule.params.N
     if not (0 <= q_e <= N and 0 <= q_g <= N):
         raise DomainError(f"q_e = {q_e} and q_g = {q_g} must lie in [0, {N}]")
-    offline = CipherInstance(params, rounds, schedule, tuple(fs), construction)
+    offline = CipherInstance(schedule, tuple(fs), construction)
     w1, w2 = 0, 1
     if offsets is None:
         offsets = rng.sample(range(N), q_e)
@@ -309,7 +307,7 @@ def birthday_collision_attack(
         return confirm_cache[off] == offline.encrypt_block(guess, w2)
 
     view = _uncounted(fs) if guesses and 0 <= min(guesses) and max(guesses) < N else None
-    uncounted = view and CipherInstance(params, rounds, schedule, view[0], construction)
+    uncounted = view and CipherInstance(schedule, view[0], construction)
 
     def charge(inputs: list[list[int]], lo: int, hi: int) -> None:
         """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""

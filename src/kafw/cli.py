@@ -90,15 +90,27 @@ def _hex_arg(text: str, bits: int, what: str) -> int:
     return value
 
 
+def _fraction_arg(text: str) -> Fraction:
+    """Fraction(text); a zero denominator is a usage error like any other bad value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _load_schedule(source: str, n: int | None, rounds: int | None) -> ParsedSchedule:
-    """Builtin name or file path; builtins need --n.  --rounds gives a bare
-    identity_bad its round count and must equal every other schedule's."""
+    """Builtin name or file path; builtins need --n, and a file's width must
+    equal it if given.  --rounds gives a bare identity_bad its round count
+    and must equal every other schedule's."""
     if not is_builtin(source):
         try:
             text = Path(source).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise KafwError(f"cannot read schedule file {source!r}: {exc}") from None
         parsed = parse_schedule_text(text)
+        width = parsed.schedule.params.n
+        if n is not None and n != width:
+            raise DomainError(f"schedule file width {width} != --n {n}")
     elif n is None:
         raise KafwError("builtin schedules need --n")
     else:
@@ -113,8 +125,7 @@ def cmd_encrypt(args, out) -> int:
     seed = _default_seed(args)
     spec = _construction_spec(args, _load_schedule(args.schedule, args.n, args.rounds))
     p = spec.params
-    fs = game.round_oracles(spec, seed)
-    instance = CipherInstance(p, spec.rounds, spec.schedule, fs, spec.construction)
+    instance = CipherInstance(spec.schedule, game.round_oracles(spec, seed), spec.construction)
     key = _hex_arg(args.key, p.n, "key")
     block = _hex_arg(args.block, 2 * p.n, "block")
     ct = instance.encrypt_block(key, block)
@@ -418,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--qf", type=int, required=True)
     sp.add_argument("--qe", type=int, required=True)
-    sp.add_argument("--delta1", type=Fraction, default=Fraction(0))
-    sp.add_argument("--delta2", type=Fraction, default=Fraction(0))
-    sp.add_argument("--delta3", type=Fraction, default=Fraction(0))
+    sp.add_argument("--delta1", type=_fraction_arg, default=Fraction(0))
+    sp.add_argument("--delta2", type=_fraction_arg, default=Fraction(0))
+    sp.add_argument("--delta3", type=_fraction_arg, default=Fraction(0))
     sp.set_defaults(run=cmd_bound)
 
     return parser

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import attacks
 from .attacks import AttackOutcome
-from .errors import DomainError
+from .errors import DomainError, ScheduleArityMismatch
 from .feistel import CipherInstance
 from .gf2 import DomainParams
 from .oracles import (
@@ -50,7 +50,9 @@ class ConstructionSpec:
     `schedule` may be a fixed schedule or a callable taking the trial's
     random stream and returning a fresh one (used to quantify over
     schedules).  `single_f` selects the single-function model; with it off,
-    every round gets an independent oracle.
+    every round gets an independent oracle.  Each trial checks the
+    schedule against `construction`, `rounds` and the width of `params`
+    before it builds any oracle.
     """
 
     params: DomainParams
@@ -71,8 +73,6 @@ class WorldSpec:
 class GameContext:
     """Everything a distinguisher may touch during one trial."""
 
-    params: DomainParams
-    rounds: int
     construction: str
     schedule: KeySchedule | KafvSchedule
     rk: RelatedKeyOracle
@@ -124,13 +124,14 @@ def run_trial_detailed(d: Distinguisher, w: WorldSpec, seed: int) -> AttackOutco
     rng = random.Random(derive_seed(seed, "choices"))
     key = derive_seed(seed, "key") & (params.N - 1)
     schedule = spec.schedule(rng) if callable(spec.schedule) else spec.schedule
-    check_construction(spec.construction, schedule, spec.rounds)
+    check_construction(spec.construction, schedule)
+    if schedule.t != spec.rounds:
+        raise ScheduleArityMismatch(f"schedule arity {schedule.t} != rounds {spec.rounds}")
+    if schedule.params.n != params.n:
+        raise DomainError(f"schedule width {schedule.params.n} != n {params.n}")
     oracles = round_oracles(spec, seed)
     if w.kind == REAL:
-        instance = CipherInstance(
-            params, spec.rounds, schedule, tuple(oracles), spec.construction
-        )
-        backend = instance
+        backend = CipherInstance(schedule, tuple(oracles), spec.construction)
     elif w.kind == IDEAL:
         backend = IdealCipherOracle(params.n, derive_seed(seed, "ic"))
     else:
@@ -138,7 +139,7 @@ def run_trial_detailed(d: Distinguisher, w: WorldSpec, seed: int) -> AttackOutco
     rk = RelatedKeyOracle(key, backend, params.n, limit=d.q_e)
     budget = FunctionBudget(limit=d.q_f)
     fs = [CountedFunction(o, budget, i) for i, o in enumerate(oracles)]
-    ctx = GameContext(params, spec.rounds, spec.construction, schedule, rk, fs, rng)
+    ctx = GameContext(spec.construction, schedule, rk, fs, rng)
     bit = d.run(ctx)
     return AttackOutcome(bit=bit, q_e_used=rk.query_count, q_f_used=budget.count)
 
@@ -277,7 +278,7 @@ def _schedule_distinguisher(name: str, attack: str, q_e: int, draws_delta: bool)
     """
 
     def run(ctx: GameContext) -> int:
-        N = ctx.params.N
+        N = ctx.schedule.params.N
         delta = ctx.rng.randrange(1, N) if draws_delta else None
         left = ctx.rng.randrange(N)
         right = ctx.rng.randrange(N)
@@ -312,8 +313,6 @@ def birthday_distinguisher(q_e: int, q_g: int, rounds: int | None = None) -> Dis
         return attacks.birthday_collision_attack(
             ctx.rk,
             ctx.fs,
-            ctx.params,
-            ctx.rounds,
             ctx.schedule,
             q_e,
             q_g,

@@ -73,6 +73,9 @@ class ZeroMap(SubkeyMap):
         return True
 
 
+_ZERO = ZeroMap()
+
+
 @dataclass(frozen=True)
 class AffineSubkey(SubkeyMap):
     """k -> M.k ^ C over F2."""
@@ -205,25 +208,43 @@ MEMO_MAX_N = 12
 
 
 class _Memo:
-    """`memo`: a dict of values derived from the schedule alone.
+    """Values derived from the schedule alone, made on first use and freed
+    with the schedule.
 
-    Int keys hold one master key's sub-key layout (feistel), other keys
-    attack constants (attacks); nothing derived from an oracle goes in.
-    It is made on first use and freed with the schedule: cached_property
-    writes it straight to the instance's __dict__, past the frozen
-    dataclass's __setattr__, and no field, comparison or hash sees it.
-    An equal copy (dataclasses.replace) starts with an empty one.
+    `memo` is a dict: int keys hold one master key's sub-key layout
+    (feistel), other keys attack constants (attacks).  `compiled_slots`
+    holds each slot's compiled map for every instance's encrypt_many.
+    Nothing derived from an oracle goes in, and nothing refers back to the
+    schedule.  cached_property writes both straight to the instance's
+    __dict__, past the frozen dataclass's __setattr__, so no field,
+    comparison or hash sees them; a compilation that raises keeps nothing.
+    An equal copy (dataclasses.replace) starts afresh.
+
+    Each subclass states once, in `slots`, which map fills each of its
+    construction's t + 4 sub-key slots in chain order (input whitening
+    halves, round keys 1..t, output whitening halves; a ZeroMap where the
+    construction has no key), and in `key_into_f` whether the round keys
+    go into f or after it.
     """
+
+    key_into_f = False
 
     @cached_property
     def memo(self) -> dict:
         return {}
+
+    @cached_property
+    def compiled_slots(self) -> tuple:
+        """Each slot's `compiled` form: a k -> value callable for keys in
+        [0, N), or None for a zero map."""
+        return tuple(m.compiled(self.params) for m in self.slots)
 
 
 @dataclass(frozen=True)
 class KeySchedule(_Memo):
     """Whitening maps wf0..wf3 plus round-key maps gamma_1..gamma_t."""
 
+    key_into_f = True
     params: DomainParams
     whitening: tuple[SubkeyMap, SubkeyMap, SubkeyMap, SubkeyMap]
     round_keys: tuple[SubkeyMap, ...]
@@ -237,6 +258,11 @@ class KeySchedule(_Memo):
     @property
     def t(self) -> int:
         return len(self.round_keys)
+
+    @property
+    def slots(self) -> tuple[SubkeyMap, ...]:
+        """wf0, wf1, gamma_1..gamma_t into f, wf2, wf3."""
+        return (*self.whitening[:2], *self.round_keys, *self.whitening[2:])
 
     def whitening_key(self, j: int, k: int) -> int:
         return self.whitening[j].value(k, self.params)
@@ -296,6 +322,11 @@ class KafvSchedule(_Memo):
     def t(self) -> int:
         return len(self.maps) - 2
 
+    @property
+    def slots(self) -> tuple[SubkeyMap, ...]:
+        """0, g*_0, g*_1..g*_t after f, g*_{t+1}, 0."""
+        return (_ZERO, *self.maps, _ZERO)
+
     def subkey(self, i: int, k: int) -> int:
         return self.maps[i].value(k, self.params)
 
@@ -322,6 +353,11 @@ class LuciferSchedule(_Memo):
     def t(self) -> int:
         return len(self.maps)
 
+    @property
+    def slots(self) -> tuple[SubkeyMap, ...]:
+        """No whitening, k_1..k_t after f."""
+        return (_ZERO, _ZERO, *self.maps, _ZERO, _ZERO)
+
     def round_key(self, i: int, k: int) -> int:
         """1-based round index."""
         return self.maps[i - 1].value(k, self.params)
@@ -336,19 +372,19 @@ CONSTRUCTIONS = {
 }
 
 
-def check_construction(construction: str, schedule, rounds: int) -> None:
-    """The one check of a (construction, schedule, rounds) triple, for every world.
+def check_construction(construction: str, schedule) -> None:
+    """The one check of a (construction, schedule) pair, for every instance
+    and every game world.
 
     The construction must be known; the schedule must be of the class it
-    reads, have `rounds` round keys, and for KAF have zero whitening.
+    reads, and for KAF have zero whitening.  Nothing else of the schedule
+    is read before its class is checked.
     """
     kind = CONSTRUCTIONS.get(construction)
     if kind is None:
         raise DomainError(f"unknown construction {construction!r}")
     if not isinstance(schedule, kind):
         raise ScheduleArityMismatch(f"construction {construction!r} needs a {kind.__name__}")
-    if schedule.t != rounds:
-        raise ScheduleArityMismatch(f"schedule arity {schedule.t} != rounds {rounds}")
     if construction == "kaf" and not schedule.has_zero_whitening():
         raise ScheduleArityMismatch("KAF requires a zero-whitening schedule")
 

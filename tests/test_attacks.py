@@ -35,7 +35,7 @@ Z = ZeroMap()
 
 def real_oracle(spec_schedule, rounds, key, seed, construction="kafw"):
     fs = tuple(RandomFunctionOracle(8, derive_seed(seed, "f", i)) for i in range(rounds))
-    inst = CipherInstance(P8, rounds, spec_schedule, fs, construction)
+    inst = CipherInstance(spec_schedule, fs, construction)
     return RelatedKeyOracle(key, inst, 8), fs
 
 
@@ -143,7 +143,7 @@ def test_comp5_offset_exists_iff_m1_xor_m3_is_singular(n):
         m = s.gamma_matrix(1) ^ s.gamma_matrix(3)
         invertible = all(mat_vec(m, x) for x in range(1, 1 << n))
         fs = (RandomFunctionOracle(n, derive_seed(trial, "f")),)
-        rk = RelatedKeyOracle(rng.randrange(1 << n), CipherInstance(p, 5, s, fs * 5), n)
+        rk = RelatedKeyOracle(rng.randrange(1 << n), CipherInstance(s, fs * 5), n)
         if invertible:
             with pytest.raises(NoWeakDelta):
                 five_round_complementation_boomerang(rk, s)
@@ -220,9 +220,7 @@ def test_birthday_planted_collision():
     rk, fs = real_oracle(s, 4, key, 13)
     delta = 0x21
     rng = random.Random(0)
-    bit = birthday_collision_attack(
-        rk, fs, P8, 4, s, 1, 1, rng, offsets=[delta], guesses=[key ^ delta]
-    )
+    bit = birthday_collision_attack(rk, fs, s, 1, 1, rng, offsets=[delta], guesses=[key ^ delta])
     assert bit == 1
     assert rk.query_count == 2  # one probe + one confirmation
 
@@ -231,9 +229,7 @@ def test_birthday_miss_returns_zero():
     s = builtin("minimal4", P8)
     rk, fs = real_oracle(s, 4, 0x5C, 14)
     rng = random.Random(0)
-    bit = birthday_collision_attack(
-        rk, fs, P8, 4, s, 1, 1, rng, offsets=[0x21], guesses=[0x00]
-    )
+    bit = birthday_collision_attack(rk, fs, s, 1, 1, rng, offsets=[0x21], guesses=[0x00])
     assert bit == 0
 
 
@@ -242,7 +238,7 @@ def test_birthday_rejects_budgets_outside_the_key_space(q_e, q_g):
     s = builtin("minimal4", P8)
     rk, fs = real_oracle(s, 4, 0x5C, 16)
     with pytest.raises(DomainError):
-        birthday_collision_attack(rk, fs, P8, 4, s, q_e, q_g, random.Random(0))
+        birthday_collision_attack(rk, fs, s, q_e, q_g, random.Random(0))
     assert rk.query_count == 0
 
 

@@ -11,11 +11,11 @@ import random
 import numpy as np
 import pytest
 
-from kafw import attacks, game
+from kafw import attacks, feistel, game
 from kafw.attacks import birthday_collision_attack
 from kafw.equivalence import random_subkey_map
 from kafw.errors import DomainError, KafwError, QueryBudgetExceeded
-from kafw.feistel import _LAYOUTS, BATCH_MIN, CipherInstance, _chain
+from kafw.feistel import BATCH_MIN, CipherInstance, _chain, _reference_layout
 from kafw.gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams
 from kafw.oracles import (
     CountedFunction,
@@ -28,12 +28,12 @@ from kafw.oracles import (
     stream64,
 )
 from kafw.schedules import (
-    CONSTRUCTIONS,
     AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
     KeySchedule,
     LuciferSchedule,
+    SubkeyMap,
     XorSubkey,
     ZeroMap,
     builtin,
@@ -59,17 +59,18 @@ def _schedule(construction, p, t, rng):
 
 def _reference(inst, key, block):
     """Ciphertext and f inputs of the scalar chain under the reference layout."""
-    n = inst.params.n
-    layout = _LAYOUTS[CONSTRUCTIONS[inst.construction]](inst, key)
+    s = inst.schedule
+    n = s.params.n
     trace = []
-    left, right = _chain(inst.round_functions, layout, block >> n, block & inst.params.mask, False, trace)
+    left, right = _chain(inst.round_functions, _reference_layout(s, key), s.key_into_f, block >> n, block & s.params.mask,
+                         False, trace)
     return (left << n) | right, [x for x, _y, _after in trace]
 
 
 def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle):
     """Two instances over equal, separate round-function oracles."""
     return tuple(
-        CipherInstance(p, t, schedule, tuple(make(p.n, s) for s in seeds), construction)
+        CipherInstance(schedule, tuple(make(p.n, s) for s in seeds), construction)
         for _ in range(2)
     )
 
@@ -114,15 +115,15 @@ def test_chain_over_columns_matches_the_int_chain(construction, n):
         t = rng.randrange(2, 6)
         tables = [[rng.randrange(p.N) for _ in range(p.N)] for _ in range(1 if case % 2 else t)]
         schedule = _schedule(construction, p, t, rng)
-        ints = CipherInstance(p, t, schedule, tuple(tab.__getitem__ for tab in tables), construction)
+        ints = CipherInstance(schedule, tuple(tab.__getitem__ for tab in tables), construction)
         columns = CipherInstance(
-            p, t, schedule, tuple(np.array(tab, dtype=np.int64).__getitem__ for tab in tables), construction
+            schedule, tuple(np.array(tab, dtype=np.int64).__getitem__ for tab in tables), construction
         )
         for key in (rng.randrange(p.N), rng.randrange(p.N)):
-            layout = _LAYOUTS[CONSTRUCTIONS[construction]](ints, key)
+            layout, into = _reference_layout(schedule, key), schedule.key_into_f
             for inverse in (False, True):
-                got = _chain(columns.round_functions, layout, left, right, inverse)
-                want = [_chain(ints.round_functions, layout, w >> n, w & p.mask, inverse) for w in range(p.N * p.N)]
+                got = _chain(columns.round_functions, layout, into, left, right, inverse)
+                want = [_chain(ints.round_functions, layout, into, w >> n, w & p.mask, inverse) for w in range(p.N * p.N)]
                 assert list(zip(got[0].tolist(), got[1].tolist())) == want
 
 
@@ -178,7 +179,7 @@ def test_encrypt_many_falls_back_to_the_scalar_loop():
 
 
 def test_encrypt_many_below_the_batch_size_is_the_scalar_loop():
-    inst = CipherInstance(P8, 4, builtin("minimal4", P8), (RandomFunctionOracle(8, 1),))
+    inst = CipherInstance(builtin("minimal4", P8), (RandomFunctionOracle(8, 1),))
     assert not inst.batches(BATCH_MIN - 1) and inst.batches(BATCH_MIN)
     assert inst.encrypt_many([], 5) == []
     assert inst.encrypt_many([3, 4], 5) == [inst.encrypt_block(3, 5), inst.encrypt_block(4, 5)]
@@ -195,11 +196,11 @@ def test_out_of_range_keys_fail_as_the_reference_layout(key):
     """No table lookup or kept layout ever serves such a key: -1 would
     silently read entry N - 1."""
     for schedule in (builtin("minimal4", P8), builtin("tweakem4", P8)):
-        inst = CipherInstance(P8, 4, schedule, (RandomFunctionOracle(8, 3),))
-        want = _error(lambda: _LAYOUTS[KeySchedule](inst, key))
+        inst = CipherInstance(schedule, (RandomFunctionOracle(8, 3),))
+        want = _error(lambda: _reference_layout(schedule, key))
         assert want[0] is DomainError and "gf_mul" in want[1]
         for compiled in (False, True):  # before and after encrypt_many compiles
-            assert (inst._compiled is not None) == compiled
+            assert ("compiled_slots" in vars(schedule)) == compiled
             assert _error(lambda: inst.encrypt_block(key, 5)) == want
             assert _error(lambda: inst.decrypt_block(key, 5)) == want
             inst.encrypt_many([1, 2, 3, 4], 5)
@@ -224,20 +225,19 @@ def test_kept_layouts_match_the_reference_chain(construction, n):
     rng = random.Random(f"kept-layouts-{construction}-{n}")
     t = rng.randrange(2, 6)
     schedule = _schedule(construction, p, t, rng)
-    reference = _LAYOUTS[CONSTRUCTIONS[construction]]
     insts = [
-        CipherInstance(p, t, schedule, tuple(RandomFunctionOracle(n, rng.randrange(1 << 40)) for _ in range(t)),
-                       construction)
+        CipherInstance(schedule, tuple(RandomFunctionOracle(n, rng.randrange(1 << 40)) for _ in range(t)), construction)
         for _ in range(2)
     ]
     assert "memo" not in vars(schedule)
     for warm in (False, True):
         for key in range(p.N):
             for inst in insts:  # the first cold on the first pass, the second warm
-                layout = reference(inst, key)
+                layout = _reference_layout(schedule, key)
                 block = rng.randrange(p.N * p.N)
                 for op, inverse in ((inst.encrypt_block, False), (inst.decrypt_block, True)):
-                    left, right = _chain(inst.round_functions, layout, block >> n, block & p.mask, inverse)
+                    left, right = _chain(inst.round_functions, layout, schedule.key_into_f, block >> n, block & p.mask,
+                                         inverse)
                     assert op(key, block) == (left << n) | right, (warm, key, inverse)
         assert sorted(schedule.memo) == list(range(p.N))
 
@@ -246,7 +246,7 @@ def test_layouts_are_kept_up_to_n12_only():
     for n, kept in ((12, True), (13, False)):
         p = DomainParams.for_width(n)
         schedule = _schedule("kafw", p, 4, random.Random(n))
-        inst = CipherInstance(p, 4, schedule, (RandomFunctionOracle(n, 1),))
+        inst = CipherInstance(schedule, (RandomFunctionOracle(n, 1),))
         for key in (0, 1, p.N - 1, 1):
             assert inst.decrypt_block(key, inst.encrypt_block(key, 77)) == 77
         assert sorted(vars(schedule).get("memo", ())) == ([0, 1, p.N - 1] if kept else [])
@@ -260,14 +260,14 @@ def test_out_of_range_keys_of_affine_schedules_still_evaluate():
     batch, scalar = _twins(P8, 4, schedule, "kafw", [5])
     keys = [-3, 0, 300, -1, 255]
     assert batch.encrypt_many(keys, 9) == [_reference(scalar, k, 9)[0] for k in keys]
-    assert batch._compiled is not None
+    assert "compiled_slots" in vars(schedule)
     assert [batch.encrypt_block(k, 9) for k in keys] == [_reference(scalar, k, 9)[0] for k in keys]
     assert sorted(schedule.memo) == [0, 255]  # the memo keeps keys in [0, N) only
 
 
 def test_a_multiplier_outside_the_field_still_raises():
     schedule = KeySchedule(P8, (Z,) * 4, (FieldCubicSubkey(0x100), Z, Z, Z))
-    inst = CipherInstance(P8, 4, schedule, (RandomFunctionOracle(8, 3),))
+    inst = CipherInstance(schedule, (RandomFunctionOracle(8, 3),))
     for call in (inst.encrypt_block, inst.encrypt_many, inst.encrypt_block):
         with pytest.raises(DomainError):
             call([1, 2, 3, 4] if call == inst.encrypt_many else 1, 0)
@@ -345,7 +345,7 @@ def _rk_pair(world, limit):
         if world == "ideal":
             backend = IdealCipherOracle(8, 5)
         else:
-            backend = CipherInstance(P8, 4, builtin("minimal4", P8), (RandomFunctionOracle(8, 6),))
+            backend = CipherInstance(builtin("minimal4", P8), (RandomFunctionOracle(8, 6),))
         return RelatedKeyOracle(0x2B, backend, 8, limit=limit)
 
     return one(), one()
@@ -426,6 +426,29 @@ def test_birthday_batched_replays_the_scalar_trials(world, monkeypatch):
         assert {bit for bit, _, _ in batched} == {0, 1}
 
 
+@pytest.mark.parametrize("world", [game.REAL, game.IDEAL])
+def test_a_birthday_trials_instances_compile_the_schedules_slots_once(world, monkeypatch):
+    """The real world's cipher (its related-key probes) and the attack's
+    uncounted copy (its offline guesses) both batch over the trial's
+    schedule: its t + 4 slots compile once between them, and once for all
+    trials over a fixed schedule."""
+    compiled, batches = [], []
+    for cls in (SubkeyMap, FieldCubicSubkey):
+        monkeypatch.setattr(cls, "compiled", lambda m, p, original=cls.compiled: compiled.append(m) or original(m, p))
+    chain_many = feistel._chain_many
+    monkeypatch.setattr(feistel, "_chain_many", lambda *a: batches.append(a) or chain_many(*a))
+    d = game.birthday_distinguisher(16, 64, 4)
+    fixed = game.ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True)
+    fresh = game.ConstructionSpec(P8, 4, lambda rng: builtin("minimal4", P8), "kafw", "function", True)
+    for spec, compiles in ((fresh, [8] * 5), (fixed, [8, 0, 0, 0, 0])):
+        for seed, want in enumerate(compiles):
+            compiled.clear()
+            batches.clear()
+            game.run_trial(d, game.WorldSpec(world, spec), seed)
+            assert len(compiled) == want
+            assert len(batches) >= (2 if world == game.REAL else 1)
+
+
 def _attack(world, n, q_e, offsets, guesses, limit=None, seed=3, key=0x5C):
     """(bit or the exception, rk.query_count, q_f spent) of one birthday attack."""
     p = DomainParams.for_width(n)
@@ -433,12 +456,10 @@ def _attack(world, n, q_e, offsets, guesses, limit=None, seed=3, key=0x5C):
     oracle = RandomFunctionOracle(n, seed)
     budget = FunctionBudget(limit)
     fs = [CountedFunction(oracle, budget, 0)]
-    backend = CipherInstance(p, 4, s, (oracle,)) if world == "real" else IdealCipherOracle(n, seed + 1)
+    backend = CipherInstance(s, (oracle,)) if world == "real" else IdealCipherOracle(n, seed + 1)
     rk = RelatedKeyOracle(key & p.mask, backend, n)
     try:
-        bit = birthday_collision_attack(
-            rk, fs, p, 4, s, q_e, len(guesses), random.Random(0), offsets=offsets, guesses=guesses
-        )
+        bit = birthday_collision_attack(rk, fs, s, q_e, len(guesses), random.Random(0), offsets=offsets, guesses=guesses)
     except (QueryBudgetExceeded, DomainError) as e:
         bit = f"{type(e).__name__}: {e}"
     return bit, rk.query_count, budget.count
@@ -490,7 +511,7 @@ def test_birthday_repeated_confirmation_offsets(monkeypatch):
         # The world _attack builds: key 0x5C & 0xF, ideal cipher seed + 1.
         rk_oracle = RelatedKeyOracle(0xC, IdealCipherOracle(4, seed + 1), 4)
         seen = {rk_oracle.encrypt(off, 0): off for off in range(16)}
-        probe = CipherInstance(P4, 4, builtin("minimal4", P4), (RandomFunctionOracle(4, seed),))
+        probe = CipherInstance(builtin("minimal4", P4), (RandomFunctionOracle(4, seed),))
         candidates = [g for g in range(16) if probe.encrypt_block(g, 0) in seen]
         if not candidates:
             continue

@@ -269,6 +269,8 @@ THM3_IDEAL = ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n"
       "--trials", "1"), None, "ScheduleArityMismatch"),
     (ENCRYPT8[:2] + ("identity_bad", "--n", "8", "--rounds", "0", "--key", "0", "--block", "0"),
      None, "ArityMismatch"),
+    (ENCRYPT8[:2] + (str(DATA / "kafv4_affine.sched"), "--n", "12", "--key", "1", "--block", "2"),
+     None, "DomainError"),
 ])
 def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
     if env is None:
@@ -279,6 +281,27 @@ def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error)
     assert code == 1
     assert [r["error"] for r in recs] == [error]
     assert recs[0]["command"] == argv[0]
+
+
+def test_a_zero_denominator_is_a_usage_error_like_any_bad_fraction(capsys):
+    """--delta1 1/0 exits 2 with argparse's usage message, as abc does, and no traceback."""
+    errors = []
+    for value in ("abc", "1/0"):
+        with pytest.raises(SystemExit) as info:
+            main(["bound", "--theorem", "1", "--n", "8", "--qf", "1", "--qe", "1", "--delta1", value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        errors.append(captured.err.replace(repr(value), "VALUE"))
+    assert errors[0] == errors[1]
+    assert "argument --delta1: invalid Fraction value: VALUE" in errors[0]
+
+
+def test_a_schedule_file_takes_a_matching_n(capsys):
+    path = str(DATA / "kafv4_affine.sched")
+    runs = [run_cli(capsys, "encrypt", "--schedule", path, *n, "--key", "1", "--block", "2")
+            for n in ((), ("--n", "8"))]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1][0]["n"] == 8
 
 
 AUDIT_SCHEDULES = [

@@ -26,6 +26,7 @@ from kafw.oracles import derive_seed
 from kafw.schedules import builtin, random_affine
 
 P8 = DomainParams.for_width(8)
+P16 = DomainParams.for_width(16)
 
 
 def constant_distinguisher(bit):
@@ -151,21 +152,29 @@ def test_unknown_function_kind_and_world_are_domain_errors():
 
 
 @pytest.mark.parametrize("kind", [game.REAL, game.IDEAL])
-def test_both_worlds_check_the_construction_against_the_schedule(kind):
-    d = constant_distinguisher(0)
+def test_both_worlds_check_the_construction_against_the_schedule(kind, monkeypatch):
     cases = [
-        ("kafv", builtin("identity_bad(4)", P8), 4, ScheduleArityMismatch),
-        ("kafw", builtin("identity_bad(4)", P8), 5, ScheduleArityMismatch),
-        ("kaf", lambda rng: random_affine(P8, 4, rng), 4, ScheduleArityMismatch),
-        ("lucifer", builtin("minimal4", P8), 4, ScheduleArityMismatch),
-        ("feistel", builtin("minimal4", P8), 4, DomainError),
+        (P8, "kafv", builtin("identity_bad(4)", P8), 4, ScheduleArityMismatch),
+        (P8, "kafw", builtin("identity_bad(4)", P8), 5, ScheduleArityMismatch),
+        (P8, "kaf", lambda rng: random_affine(P8, 4, rng), 4, ScheduleArityMismatch),
+        (P8, "lucifer", builtin("minimal4", P8), 4, ScheduleArityMismatch),
+        (P8, "feistel", builtin("minimal4", P8), 4, DomainError),
+        # The spec's width against the schedule's, fixed or drawn.
+        (P16, "kafw", builtin("minimal4", P8), 4, DomainError),
+        (P8, "kafw", builtin("identity_bad(8)", P16), 8, DomainError),
+        (P8, "kafw", lambda rng: random_affine(P16, 4, rng), 4, DomainError),
     ]
-    for construction, schedule, rounds, error in cases:
-        world = WorldSpec(kind, ConstructionSpec(P8, rounds, schedule, construction))
-        with pytest.raises(error):
-            run_trial(d, world, 0)
+    built = []
+    round_oracles = game.round_oracles
+    monkeypatch.setattr(game, "round_oracles", lambda *a: built.append(a) or round_oracles(*a))
+    for d in (constant_distinguisher(0), game.birthday_distinguisher(4, 4, 4)):
+        for params, construction, schedule, rounds, error in cases:
+            world = WorldSpec(kind, ConstructionSpec(params, rounds, schedule, construction, "function"))
+            with pytest.raises(error):
+                run_trial(d, world, 0)
+    assert built == []  # every check comes before the first oracle
     ok = WorldSpec(kind, ConstructionSpec(P8, 4, builtin("identity_bad(4)", P8), "kaf"))
-    assert run_trial(d, ok, 0) == 0
+    assert run_trial(constant_distinguisher(0), ok, 0) == 0
 
 
 def test_estimate_requires_trials():
@@ -188,28 +197,40 @@ def test_single_f_world_shares_one_function_view():
 
 
 def test_a_trials_schedule_dies_with_the_trial():
-    """The schedule's memo holds no reference back to the schedule, its
-    instance or its oracles: with the cycle collector off, a fresh
-    random_affine schedule is freed as soon as run_trial returns."""
-    refs = []
+    """Neither the schedule's memo nor its compiled slots hold a reference
+    back to the schedule, its instances or its oracles: with the cycle
+    collector off, a fresh random_affine schedule is freed as soon as
+    run_trial returns, after quartet trials and after batched birthday
+    trials alike."""
+    refs, compiled = [], []
 
     def fresh(rng):
         s = random_affine(P8, 4, rng)
         refs.append(weakref.ref(s))
         return s
 
-    spec = ConstructionSpec(P8, 4, fresh, "kafw", "permutation", False)
+    def batched(ctx):
+        bit = game.birthday_distinguisher(16, 64, 4).run(ctx)
+        compiled.append("compiled_slots" in vars(ctx.schedule))
+        return bit
+
+    runs = [
+        (boomerang4_distinguisher(), ConstructionSpec(P8, 4, fresh, "kafw", "permutation", False)),
+        (Distinguisher("birthday", batched), ConstructionSpec(P8, 4, fresh, "kafw", "function", True)),
+    ]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for kind in (game.REAL, game.IDEAL):
-            for seed in range(20):
-                assert run_trial(boomerang4_distinguisher(), WorldSpec(kind, spec), seed) in (0, 1)
-                assert refs[-1]() is None
+        for d, spec in runs:
+            for kind in (game.REAL, game.IDEAL):
+                for seed in range(20):
+                    assert run_trial(d, WorldSpec(kind, spec), seed) in (0, 1)
+                    assert refs[-1]() is None
     finally:
         if enabled:
             gc.enable()
-    assert len(refs) == 40
+    assert len(refs) == 80
+    assert compiled == [True] * 40
 
 
 def test_a_fixed_schedules_memo_stays_within_n_layouts():
