@@ -99,16 +99,17 @@ def _quartet_params(s: KeySchedule, wf, g, delta: int, left: int, right: int) ->
 
     (nabla1, nabla2) starts the probability-1 trail down rounds 1-2, and
     nabla3 = (gamma_t ^ wf2).d, nabla4 = (gamma_{t-1} ^ wf3).d start the one
-    up rounds t, t-1.  The four shifts are kept per offset.
+    up rounds t, t-1.  The four shifts are kept per offset; each (A ^ B).d
+    is taken as A.d ^ B.d, without building A ^ B.
     """
     memo = _per_offset_memo(s)
     shifts = memo.get(("nablas", delta))
     if shifts is None:
         shifts = memo[("nablas", delta)] = (
-            mat_vec(wf[0] ^ g[1], delta),
-            mat_vec(wf[1] ^ g[0], delta),
-            mat_vec(g[-1] ^ wf[2], delta),
-            mat_vec(g[-2] ^ wf[3], delta),
+            mat_vec(wf[0], delta) ^ mat_vec(g[1], delta),
+            mat_vec(wf[1], delta) ^ mat_vec(g[0], delta),
+            mat_vec(g[-1], delta) ^ mat_vec(wf[2], delta),
+            mat_vec(g[-2], delta) ^ mat_vec(wf[3], delta),
         )
     return BoomerangParams(delta, *shifts, left, right)
 

@@ -35,6 +35,7 @@ from .oracles import (
     RandomFunctionOracle,
     RandomPermutationOracle,
     RelatedKeyOracle,
+    child_seeds,
     derive_seed,
 )
 from .schedules import KafvSchedule, KeySchedule, check_construction
@@ -103,42 +104,54 @@ class AdvantageEstimate:
     mean_q_f: float
 
 
+_ORACLE_KINDS = {"function": RandomFunctionOracle, "permutation": RandomPermutationOracle}
+
+
+def _round_oracle_makers(spec: ConstructionSpec, child: Callable[..., int]) -> list:
+    """One no-argument maker per round oracle (one shared, or one per
+    round): maker i makes the oracle keyed by child("f", i).  An unknown
+    function kind raises here, before any oracle exists."""
+    kind = _ORACLE_KINDS.get(spec.function_kind)
+    if kind is None:
+        raise DomainError(f"unknown function kind {spec.function_kind!r}")
+    n = spec.params.n
+    return [lambda i=i: kind(n, child("f", i)) for i in range(1 if spec.single_f else spec.rounds)]
+
+
 def round_oracles(spec: ConstructionSpec, seed: int) -> list:
-    """The round-function oracles of one instance: one shared, or one per round."""
-    count = 1 if spec.single_f else spec.rounds
-    out = []
-    for i in range(count):
-        child = derive_seed(seed, "f", i)
-        if spec.function_kind == "permutation":
-            out.append(RandomPermutationOracle(spec.params.n, child))
-        elif spec.function_kind == "function":
-            out.append(RandomFunctionOracle(spec.params.n, child))
-        else:
-            raise DomainError(f"unknown function kind {spec.function_kind!r}")
-    return out
+    """The round-function oracles of one instance: one shared, or one per
+    round; oracle i is keyed by derive_seed(seed, "f", i)."""
+    return [make() for make in _round_oracle_makers(spec, child_seeds(seed))]
 
 
 def run_trial_detailed(d: Distinguisher, w: WorldSpec, seed: int) -> AttackOutcome:
+    """One trial under `seed`.  Its child seeds derive_seed(seed, "choices"),
+    (seed, "key"), (seed, "f", i) and (seed, "ic") come from one keyed
+    state.  The real world builds every round oracle for its cipher; the
+    ideal world builds each on the distinguisher's first use of it."""
     spec = w.construction
     params = spec.params
-    rng = random.Random(derive_seed(seed, "choices"))
-    key = derive_seed(seed, "key") & (params.N - 1)
+    child = child_seeds(seed)
+    rng = random.Random(child("choices"))
+    key = child("key") & (params.N - 1)
     schedule = spec.schedule(rng) if callable(spec.schedule) else spec.schedule
     check_construction(spec.construction, schedule)
     if schedule.t != spec.rounds:
         raise ScheduleArityMismatch(f"schedule arity {schedule.t} != rounds {spec.rounds}")
     if schedule.params.n != params.n:
         raise DomainError(f"schedule width {schedule.params.n} != n {params.n}")
-    oracles = round_oracles(spec, seed)
+    makers = _round_oracle_makers(spec, child)
+    budget = FunctionBudget(limit=d.q_f)
     if w.kind == REAL:
+        oracles = [make() for make in makers]
         backend = CipherInstance(schedule, tuple(oracles), spec.construction)
+        fs = [CountedFunction(o, budget, i) for i, o in enumerate(oracles)]
     elif w.kind == IDEAL:
-        backend = IdealCipherOracle(params.n, derive_seed(seed, "ic"))
+        backend = IdealCipherOracle(params.n, child("ic"))
+        fs = [CountedFunction(None, budget, i, make) for i, make in enumerate(makers)]
     else:
         raise DomainError(f"unknown world {w.kind!r}")
     rk = RelatedKeyOracle(key, backend, params.n, limit=d.q_e)
-    budget = FunctionBudget(limit=d.q_f)
-    fs = [CountedFunction(o, budget, i) for i, o in enumerate(oracles)]
     ctx = GameContext(spec.construction, schedule, rk, fs, rng)
     bit = d.run(ctx)
     return AttackOutcome(bit=bit, q_e_used=rk.query_count, q_f_used=budget.count)
@@ -240,6 +253,8 @@ def bound_formula(
     """
     if min(q_f, q_e, N) < 0:
         raise DomainError("parameters must be nonnegative")
+    if N < 1:
+        raise DomainError("the key space size N must be at least 1")
     d1, d2, d3 = Fraction(delta1), Fraction(delta2), Fraction(delta3)
     if not all(0 <= d <= 1 for d in (d1, d2, d3)):
         raise DomainError("delta1..delta3 are probabilities and must lie in [0, 1]")

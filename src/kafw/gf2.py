@@ -213,8 +213,9 @@ class BinMatrix:
         n = len(self.rows)
         if n == 0:
             raise ValueError("empty matrix")
+        size = 1 << n
         for r in self.rows:
-            if not 0 <= r < (1 << n):
+            if not 0 <= r < size:
                 raise ValueError(f"row {r:#x} out of range for n={n}")
 
     @property
@@ -241,10 +242,11 @@ class BinMatrix:
 
 
 def mat_vec(m: BinMatrix, v: int) -> int:
-    """F2 matrix-vector product; linear in v."""
+    """F2 matrix-vector product; linear in v.  Output bit i is the parity
+    of row i & v, shifted in from the last row down."""
     out = 0
-    for i, row in enumerate(m.rows):
-        out |= ((row & v).bit_count() & 1) << i
+    for row in reversed(m.rows):
+        out = out << 1 | (row & v).bit_count() & 1
     return out
 
 

@@ -13,9 +13,12 @@ cryptographically strong randomness source; determinism is the point.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import blake2b
+from typing import Callable
 
 from .errors import DomainError, QueryBudgetExceeded, RedundantQuery
 
@@ -23,6 +26,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 _SEED_MASK = (1 << 64) - 1
+_PACK3 = struct.Struct("<QQQ").pack  # three parts below 2^64, as _digest writes them
 
 
 def _keyed(seed: int):
@@ -48,6 +52,18 @@ def derive_seed(seed: int, *parts) -> int:
     return _digest(_keyed(seed), parts)
 
 
+def child_seeds(seed: int) -> Callable[..., int]:
+    """parts -> derive_seed(seed, *parts), keying BLAKE2b by the seed once:
+    each child absorbs its parts into a copy of that state."""
+    copy = _keyed(seed).copy
+    return lambda *parts: _digest(copy(), parts)
+
+
+def _check_width(bits: int) -> None:
+    if bits < 0:
+        raise DomainError(f"width {bits} is negative")
+
+
 class RandomFunctionOracle:
     """Lazily-sampled random function over n-bit words.
 
@@ -56,6 +72,7 @@ class RandomFunctionOracle:
     """
 
     def __init__(self, n: int, seed: int):
+        _check_width(n)
         self.n = n
         self.seed = seed
         self.table: dict[int, int] = {}
@@ -119,18 +136,20 @@ class RandomPermutationOracle:
     attempt = 0, 1, ... (tag 0 forward, 1 backward).  From half load on,
     it is free[stream64(seed, tag, v, 0) % len(free)], the k-th smallest
     unused value.  Both draw from a copy of the keyed state the oracle
-    keeps, as RandomFunctionOracle does.  Each direction keeps its sorted free list (`forward`
-    the free outputs, `backward` the free inputs), built in O(N) the first
-    time that direction samples at half load or more.  Every new pair
-    then deletes its output from the forward list and its input from the
-    backward list, whichever direction made it: one bisect and one O(N)
-    memmove per built list, so a full fill costs O(N^2) word moves in C
-    rather than O(N^2) Python steps.  Below half load no list exists and
-    a fresh sample pays one truthiness test for them.  Forward and
-    backward maps stay mutually inverse.
+    keeps, as RandomFunctionOracle does, absorbing (tag, v, attempt) as
+    one packed update of the same bytes.  Each direction keeps its sorted
+    free list (`forward` the free outputs, `backward` the free inputs),
+    built in O(N) the first time that direction samples at half load or
+    more.  Every new pair then deletes its output from the forward list
+    and its input from the backward list, whichever direction made it:
+    one bisect and one O(N) memmove per built list, so a full fill costs
+    O(N^2) word moves in C rather than O(N^2) Python steps.  Below half
+    load no list exists and a fresh sample pays one truthiness test for
+    them.  Forward and backward maps stay mutually inverse.
     """
 
     def __init__(self, bits: int, seed: int):
+        _check_width(bits)
         self.bits = bits
         self.seed = seed
         self.forward_map: dict[int, int] = {}
@@ -143,18 +162,23 @@ class RandomPermutationOracle:
     def _sample(self, tag: int, v: int, used: dict[int, int]) -> int:
         if self._state is None:
             self._state = _keyed(self.seed)
-        state, mask = self._state, self._size - 1
+        copy, from_bytes, mask = self._state.copy, int.from_bytes, self._size - 1
+        v &= _SEED_MASK
         if 2 * len(used) < self._size:
             attempt = 0
             while True:
-                cand = _digest(state.copy(), (tag, v, attempt)) & mask
+                h = copy()
+                h.update(_PACK3(tag, v, attempt))
+                cand = from_bytes(h.digest(), "little") & mask
                 if cand not in used:
                     return cand
                 attempt += 1
         free = self._free.get(tag)
         if free is None:
             free = self._free[tag] = [w for w in range(self._size) if w not in used]
-        return free[_digest(state.copy(), (tag, v, 0)) % len(free)]
+        h = copy()
+        h.update(_PACK3(tag, v, 0))
+        return free[from_bytes(h.digest(), "little") % len(free)]
 
     def _lookup(self, v: int, tag: int, own: dict, other: dict) -> int:
         """One query in either direction: `own` maps v to its image, `other` back."""
@@ -190,14 +214,17 @@ class IdealCipherOracle:
     "ic", k)), but it is built only on k's second query.  The first query,
     in either direction, meets an empty permutation, whose rejection
     sampling accepts attempt 0: its answer is stream64(key seed, tag, v, 0)
-    cut to 2n bits, and (key seed, tag, v) is kept.  The second query
-    builds the permutation, replays the first query through it, and
-    answers through it.  So every answer and query count is the
+    cut to 2n bits, and (key seed, tag, v) is kept: the key seed from a
+    copy of the state keyed by `seed` that has absorbed "ic", the answer
+    from BLAKE2b keyed by that seed over the packed (tag, v, 0).  The
+    second query builds the permutation, replays the first query through
+    it, and answers through it.  So every answer and query count is the
     permutation's, in any order of queries, while the birthday attack's
     probes, each on a fresh key, build no permutation at all.
     """
 
     def __init__(self, n: int, seed: int):
+        _check_width(n)
         self.n = n
         self.seed = seed
         self.perms: dict[int, RandomPermutationOracle] = {}
@@ -215,9 +242,12 @@ class IdealCipherOracle:
                 mask = (1 << (2 * self.n)) - 1
                 if not 0 <= v <= mask:
                     raise DomainError(f"input {v:#x} out of domain")
-                key_seed = derive_seed(self.seed, "ic", key)
-                self._first[key] = (key_seed, tag, v)
-                return stream64(key_seed, tag, v, 0) & mask
+                h = self._ic.copy()
+                h.update((key & _SEED_MASK).to_bytes(8, "little"))
+                key_seed = h.digest()
+                self._first[key] = (int.from_bytes(key_seed, "little"), tag, v)
+                draw = blake2b(_PACK3(tag, v & _SEED_MASK, 0), digest_size=8, key=key_seed)
+                return int.from_bytes(draw.digest(), "little") & mask
             key_seed, tag0, v0 = first
             perm = self.perms[key] = RandomPermutationOracle(2 * self.n, key_seed)
             (perm.backward if tag0 else perm.forward)(v0)  # replays the first query
@@ -233,10 +263,9 @@ class IdealCipherOracle:
         """[self.encrypt_block(k, block) for k in keys], which it is with the
         block or a key out of range.
 
-        Otherwise each key's first draw is written out in the loop: the key
-        seed from a copy of the state keyed by `seed` that has absorbed "ic",
-        the answer from BLAKE2b keyed by that seed over the (tag 0, block,
-        attempt 0) bytes, packed once.  Keys queried before go through
+        Otherwise each key's first draw is written out in the loop, as
+        `_query` draws it, with the (tag 0, block, attempt 0) bytes packed
+        once for all keys.  Keys queried before go through
         `encrypt_block`.  Calling `_query` per key made birthday-n16 trials
         about 1.12x slower.  The tests pin these values to the reference.
         """
@@ -244,7 +273,7 @@ class IdealCipherOracle:
         if not 0 <= block < (1 << bits) or (keys and (min(keys) < 0 or max(keys) >= (1 << self.n))):
             return [self.encrypt_block(k, block) for k in keys]
         perms, first, copy, from_bytes = self.perms, self._first, self._ic.copy, int.from_bytes
-        coords, mask = bytes(8) + block.to_bytes(8, "little") + bytes(8), (1 << bits) - 1
+        coords, mask = _PACK3(0, block & _SEED_MASK, 0), (1 << bits) - 1
         outs = []
         for key in keys:
             if key in perms or key in first:
@@ -352,12 +381,23 @@ class FunctionBudget:
 
 
 class CountedFunction:
-    """Adversary-side view of one round-function oracle, metered by a FunctionBudget."""
+    """Adversary-side view of one round-function oracle, metered by a FunctionBudget.
 
-    def __init__(self, oracle, budget: FunctionBudget, index: int = 0):
-        self.oracle = oracle
+    With `make` (and oracle None) the oracle is `make()`, called on the
+    first query or the first read of `oracle`: a view nobody queries
+    builds nothing.
+    """
+
+    def __init__(self, oracle, budget: FunctionBudget, index: int = 0, make: Callable | None = None):
+        if make is None:
+            self.oracle = oracle  # shadows the property below
+        self._make = make
         self.budget = budget
         self._index = index
+
+    @cached_property
+    def oracle(self):
+        return self._make()
 
     def query(self, x: int) -> int:
         self.budget.spend((self._index, FORWARD, x))

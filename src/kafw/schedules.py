@@ -398,6 +398,8 @@ def kafv_to_kafw(s: KafvSchedule) -> KeySchedule:
     the last two: wf2 = gamma_t ^ gamma*_{t+1}, wf3 = gamma_{t-1} ^ gamma*_t.
     No input whitening is needed.
     """
+    if not isinstance(s, KafvSchedule):
+        raise ScheduleArityMismatch(f"kafv_to_kafw needs a KafvSchedule, not {type(s).__name__}")
     t = s.t
     if t < 2:
         raise TooFewRounds("conversion needs t >= 2")
@@ -513,13 +515,46 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     raise UnknownName(f"unknown builtin schedule {name!r}")
 
 
+def _randrange_by_getrandbits(rng) -> bool:
+    """Whether rng.randrange(N) is Random's own getrandbits rejection loop:
+    a subclass that overrides random() alone draws by random() instead."""
+    cls = type(rng)
+    return (
+        getattr(cls, "randrange", None) is random.Random.randrange
+        and getattr(cls, "_randbelow", None) is random.Random._randbelow_with_getrandbits
+    )
+
+
+def _affine_maps(p: DomainParams, rng: random.Random, count: int) -> list[AffineSubkey]:
+    """`count` uniformly random affine maps, each drawing its n matrix rows,
+    then its constant, by rng.randrange(N).
+
+    For a Random that draws by getrandbits, all the draws are taken in
+    randrange's own loop, written out once: keep getrandbits(N.bit_length())
+    values below N.  The maps and the state rng is left in are the same.
+    """
+    N, n = p.N, p.n
+    total = count * (n + 1)
+    if _randrange_by_getrandbits(rng):
+        getrandbits, bits, draws = rng.getrandbits, N.bit_length(), []
+        while len(draws) < total:
+            r = getrandbits(bits)
+            if r < N:
+                draws.append(r)
+    else:
+        draws = [rng.randrange(N) for _ in range(total)]
+    return [
+        AffineSubkey(BinMatrix(tuple(draws[i : i + n])), draws[i + n]) for i in range(0, total, n + 1)
+    ]
+
+
 def random_affine_map(p: DomainParams, rng: random.Random) -> AffineSubkey:
     """Uniformly random affine map; draws the n matrix rows, then the constant."""
-    rows = tuple(rng.randrange(p.N) for _ in range(p.n))
-    return AffineSubkey(BinMatrix(rows), rng.randrange(p.N))
+    return _affine_maps(p, rng, 1)[0]
 
 
 def random_affine(p: DomainParams, t: int, rng: random.Random) -> KeySchedule:
-    """Uniformly random affine schedule: t+4 random matrices and constants."""
-    whitening = tuple(random_affine_map(p, rng) for _ in range(4))
-    return KeySchedule(p, whitening, tuple(random_affine_map(p, rng) for _ in range(t)))
+    """Uniformly random affine schedule: t+4 random matrices and constants,
+    the whitening maps drawn first."""
+    maps = _affine_maps(p, rng, 4 + max(t, 0))
+    return KeySchedule(p, tuple(maps[:4]), tuple(maps[4:]))

@@ -22,7 +22,8 @@ from kafw.game import (
     run_trial_detailed,
 )
 from kafw.gf2 import DomainParams
-from kafw.oracles import derive_seed
+from kafw.attacks import _uncounted
+from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, derive_seed
 from kafw.schedules import builtin, random_affine
 
 P8 = DomainParams.for_width(8)
@@ -246,3 +247,98 @@ def test_a_fixed_schedules_memo_stays_within_n_layouts():
         layouts = [k for k in s.memo if isinstance(k, int)]
         assert sorted(layouts) == list(range(p.N))  # every key seen, none outside [0, N)
         assert len(s.memo) - len(layouts) <= p.N + 2
+
+
+def spy_on_oracle_builds(monkeypatch) -> list:
+    """(class name, width) of every function or permutation oracle built."""
+    built = []
+    for cls in (RandomFunctionOracle, RandomPermutationOracle):
+        def spy(self, bits, seed, init=cls.__init__):
+            built.append((type(self).__name__, bits))
+            init(self, bits, seed)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("kind", [game.REAL, game.IDEAL])
+def test_a_trials_child_seeds_are_derive_seeds(kind):
+    spec = ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", False)
+    seen = []
+
+    def probe(ctx):
+        backend_seed = getattr(ctx.rk._backend, "seed", None)
+        seen.append((ctx.rng.getstate(), ctx.rk._key, [f.oracle.seed for f in ctx.fs], backend_seed))
+        return 0
+
+    for seed in (0, 1, 7, (1 << 64) - 1, 12345678901234567890):
+        run_trial(Distinguisher("probe", probe), WorldSpec(kind, spec), seed)
+        state, key, f_seeds, ic_seed = seen[-1]
+        assert state == random.Random(derive_seed(seed, "choices")).getstate()
+        assert key == derive_seed(seed, "key") & (P8.N - 1)
+        assert f_seeds == [derive_seed(seed, "f", i) for i in range(4)]
+        assert [o.seed for o in game.round_oracles(spec, seed)] == f_seeds
+        assert ic_seed == (derive_seed(seed, "ic") if kind == game.IDEAL else None)
+
+
+def test_ideal_world_quartet_trials_build_no_round_oracle(monkeypatch):
+    built = spy_on_oracle_builds(monkeypatch)
+    identity8 = ConstructionSpec(P8, 8, builtin("identity_bad(8)", P8), "kafw", "function", False)
+    runs = [(boomerang4_distinguisher(), affine4_spec()), (comp_any_distinguisher(), identity8)]
+    for d, spec in runs:
+        for seed in range(50):
+            run_trial(d, WorldSpec(game.IDEAL, spec), seed)
+    # Only the ideal cipher's own 2n-bit permutations, for keys queried twice.
+    assert built and set(built) == {("RandomPermutationOracle", 16)}
+    built.clear()
+    for d, spec in runs:
+        run_trial(d, WorldSpec(game.REAL, spec), 0)
+    assert built == [("RandomPermutationOracle", 8)] * 4 + [("RandomFunctionOracle", 8)] * 8
+
+
+@pytest.mark.parametrize("function_kind", ["function", "permutation"])
+@pytest.mark.parametrize("single_f", [True, False], ids=["single-f", "per-round-f"])
+def test_round_oracles_built_on_first_use_answer_as_eager_ones(function_kind, single_f):
+    spec = ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", function_kind, single_f)
+    for kind in (game.REAL, game.IDEAL):
+        for seed in range(20):
+            seen = []
+
+            def probe(ctx):
+                xs = [ctx.rng.randrange(P8.N) for _ in range(6)]
+                ctx.rk.encrypt(0, xs[0])
+                seen.append((xs, [[f(x) for x in xs] for f in ctx.fs]))
+                return 0
+
+            out = run_trial_detailed(Distinguisher("probe", probe), WorldSpec(kind, spec), seed)
+            xs, answers = seen[0]
+            if kind == game.IDEAL:
+                eager = game.round_oracles(spec, seed)
+                assert answers == [[o(x) for x in xs] for o in eager]
+            assert out.q_f_used == len(set(xs)) * len(answers)
+
+
+def test_birthday_sees_random_function_oracles_in_both_worlds():
+    spec = ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True)
+    for kind in (game.REAL, game.IDEAL):
+        views = []
+
+        def probe(ctx):
+            views.append(_uncounted(ctx.fs))
+            return game.birthday_distinguisher(16, 16, 4).run(ctx)
+
+        run_trial(Distinguisher("birthday", probe), WorldSpec(kind, spec), 3)
+        (oracle,), _budget = views[0]
+        assert type(oracle) is RandomFunctionOracle
+
+
+@pytest.mark.parametrize("kind", [game.REAL, game.IDEAL, "neither"])
+def test_an_unknown_function_kind_raises_before_any_oracle(kind, monkeypatch):
+    built = spy_on_oracle_builds(monkeypatch)
+    ciphers = []
+    monkeypatch.setattr(game, "IdealCipherOracle", lambda *a: ciphers.append(a) or IdealCipherOracle(*a))
+    for schedule in (builtin("minimal4", P8), lambda rng: random_affine(P8, 4, rng)):
+        spec = ConstructionSpec(P8, 4, schedule, "kafw", "table")
+        with pytest.raises(DomainError, match="unknown function kind"):
+            run_trial(constant_distinguisher(0), WorldSpec(kind, spec), 0)
+    assert built == [] and ciphers == []

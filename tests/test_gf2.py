@@ -214,6 +214,28 @@ def test_rotation_matrix_is_the_bit_rotation(n):
             assert mat_vec(m, v) == ((v << s) | (v >> (n - s))) & mask, (n, r, v)
 
 
+def test_mat_vec_equals_the_entrywise_product():
+    """Output bit i is the sum over j of entry (i, j) = bit j of row i
+    times bit j of v, on 600 random matrices and vectors at n = 1..12."""
+    rng = random.Random(61)
+    for trial in range(600):
+        n = 1 + trial % 12
+        rows = tuple(rng.randrange(1 << n) for _ in range(n))
+        v = rng.randrange(1 << n)
+        want = sum(
+            (sum((rows[i] >> j) & (v >> j) & 1 for j in range(n)) % 2) << i for i in range(n)
+        )
+        assert mat_vec(BinMatrix(rows), v) == want, (rows, v)
+
+
+def test_bin_matrix_names_the_first_row_out_of_range():
+    for rows, bad in (((1, 4), 4), ((-1, 1), -1), ((0, 1, 16, -1), 16)):
+        with pytest.raises(ValueError, match=f"row {bad:#x} out of range for n={len(rows)}"):
+            BinMatrix(rows)
+    with pytest.raises(ValueError, match="empty matrix"):
+        BinMatrix(())
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 12), st.data())
 def test_mat_vec_linearity(n, data):

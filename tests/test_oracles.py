@@ -15,6 +15,7 @@ from kafw.oracles import (
     RandomFunctionOracle,
     RandomPermutationOracle,
     RelatedKeyOracle,
+    child_seeds,
     derive_seed,
     stream64,
 )
@@ -364,6 +365,36 @@ def test_rp_kept_keyed_state_draws_the_stream64_values():
                 state = o._state
         assert o._state is state and sorted(o._free) == [0, 1]
         assert (o.forward_map, o.backward_map, o.query_count) == (ref.forward_map, ref.backward_map, 64)
+
+
+def test_packed_permutation_draws_equal_the_stream64_values():
+    """Both paths of a permutation's draw and an ideal cipher's first
+    draws, which absorb (tag, v, attempt) in one packed update, against
+    stream64 and derive_seed, for blocks up to 70 bits."""
+    rng = random.Random(17)
+    for trial in range(300):
+        bits = (2, 5, 9, 16, 32, 64, 70)[trial % 7]
+        seed = rng.randrange(-(1 << 70), 1 << 70)
+        o, ref = RandomPermutationOracle(bits, seed), _PerSampleFreeListRule(bits, seed)
+        for _ in range(3):
+            tag, v = rng.randrange(2), rng.randrange(1 << bits)
+            assert (o.forward, o.backward)[tag](v) == ref.query(tag, v), (bits, seed, tag, v)
+        n = bits // 2 or 1
+        ic, key, block = IdealCipherOracle(n, seed), rng.randrange(1 << n), rng.randrange(1 << (2 * n))
+        op = rng.choice([ic.encrypt_block, ic.decrypt_block])
+        tag = int(op == ic.decrypt_block)
+        key_seed = derive_seed(seed, "ic", key)
+        assert op(key, block) == stream64(key_seed, tag, block, 0) & ((1 << (2 * n)) - 1)
+        assert ic._first[key] == (key_seed, tag, block)
+
+
+def test_child_seeds_are_derive_seeds():
+    rng = random.Random(29)
+    parts = [("choices",), ("key",), ("ic",), ("f", 0), ("f", 7), ("x", -1, 1 << 70), ()]
+    for seed in [0, -1, 1 << 64, *(rng.randrange(1 << 64) for _ in range(100))]:
+        child = child_seeds(seed)
+        for p in parts + parts:  # each child starts from the same keyed state
+            assert child(*p) == derive_seed(seed, *p), (seed, p)
 
 
 def test_rp_below_half_load_builds_no_free_list():

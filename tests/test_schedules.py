@@ -6,11 +6,13 @@ import pytest
 
 from kafw.errors import DomainError, NotAffine, OddN, TooFewRounds, UnknownName
 from kafw.gf2 import BinMatrix, DomainParams, is_orthomorphism, mat_is_invertible, mat_vec
+from kafw import schedules
 from kafw.schedules import (
     BUILTIN_NAMES,
     AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
+    KeySchedule,
     XorSubkey,
     ZeroMap,
     builtin,
@@ -20,6 +22,7 @@ from kafw.schedules import (
     lucifer_strip,
     ortho_map,
     random_affine,
+    random_affine_map,
 )
 
 P4 = DomainParams.for_width(4)
@@ -204,6 +207,40 @@ def test_random_affine_is_deterministic_per_rng():
         assert [a.whitening_key(j, k) for j in range(4)] == [
             b.whitening_key(j, k) for j in range(4)
         ]
+
+
+class RandomByRandom(random.Random):
+    """Overrides random() alone, so its randrange draws through random()."""
+
+    def random(self):
+        return super().random()
+
+
+def randrange_affine(p, t, rng):
+    """random_affine written with randrange: t + 4 maps, each its n rows
+    then its constant."""
+    maps = [rand_affine_map(p, rng) for _ in range(t + 4)]
+    return KeySchedule(p, tuple(maps[:4]), tuple(maps[4:]))
+
+
+@pytest.mark.parametrize("cls, seeds", [(random.Random, 300), (RandomByRandom, 60)])
+def test_random_affine_equals_the_randrange_reference(cls, seeds):
+    """random_affine, then random_affine_map: the same maps, and the
+    generator left in the same state, for n = 2..16 over `seeds` seeds each."""
+    for n in range(2, 17):
+        p = DomainParams.for_width(n)
+        for seed in range(seeds):
+            t = 1 + seed % 4
+            fast, ref = cls(seed), cls(seed)
+            assert random_affine(p, t, fast) == randrange_affine(p, t, ref), (n, seed)
+            assert random_affine_map(p, fast) == rand_affine_map(p, ref), (n, seed)
+            assert fast.getstate() == ref.getstate(), (n, seed)
+
+
+def test_a_random_only_subclass_draws_by_random():
+    assert RandomByRandom._randbelow is random.Random._randbelow_without_getrandbits
+    assert not schedules._randrange_by_getrandbits(RandomByRandom(0))
+    assert schedules._randrange_by_getrandbits(random.Random(0))
 
 
 def test_gamma_matrix_not_affine():
