@@ -26,13 +26,14 @@ keeps nothing, and raises again on the next call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
 from .feistel import CipherInstance
 from .gf2 import BinMatrix, joint_kernel_basis, mat_vec
 from .oracles import CountedFunction, RelatedKeyOracle, order_free
-from .schedules import MEMO_MAX_N, KeySchedule
+from .schedules import MEMO_MAX_N, KeySchedule, _sample_range
 
 
 def _pack(left: int, right: int, n: int) -> int:
@@ -283,12 +284,16 @@ def birthday_collision_attack(
     at the first confirmed guess.  When fs are CountedFunctions sharing
     one budget over order-free random functions and every guess lies in
     [0, N), guesses are instead encrypted in chunks of ceil(N / q_e) (N
-    when q_e = 0), the expected gap between hits, by `encrypt_many` on the oracles behind
-    fs, which charges no budget.  The budget is then charged in scalar
-    order for the guesses the loop would have evaluated: up to each
-    candidate, whose confirmation runs through fs as before, and to the
-    end of a chunk without a confirmed hit.  So the bit, q_e and q_f (and
-    the query at which a budget runs out) are those of the scalar loop.
+    when q_e = 0), the expected gap between hits, by `encrypt_many` on the
+    oracles behind fs, which charges no budget.  A guess whose ciphertext
+    left half no probe has seen cannot match, so the batch skips its last
+    round's f (`wanted`).  The budget is then charged in scalar order, from
+    every round's inputs, for the guesses the loop would have evaluated:
+    up to each candidate, whose confirmation runs through fs as before,
+    and to the end of a chunk without a confirmed hit.  So the bit, q_e
+    and q_f (and the query at which a budget runs out) are those of the
+    scalar loop.  Offsets and guesses are `_sample_range`'s, which are
+    rng.sample's.
     """
     N = schedule.params.N
     if not (0 <= q_e <= N and 0 <= q_g <= N):
@@ -296,10 +301,12 @@ def birthday_collision_attack(
     offline = CipherInstance(schedule, tuple(fs), construction)
     w1, w2 = 0, 1
     if offsets is None:
-        offsets = rng.sample(range(N), q_e)
+        offsets = _sample_range(rng, N, q_e)
     if guesses is None:
-        guesses = rng.sample(range(N), q_g)
+        guesses = _sample_range(rng, N, q_g)
     seen = dict(zip(rk.encrypt_many(offsets, w1), offsets))
+    n = schedule.params.n
+    wanted = {ct >> n for ct in seen}  # a guess can match only with one of these left halves
     confirm_cache: dict[int, int] = {}
 
     def confirmed(guess: int, off: int) -> bool:
@@ -314,7 +321,7 @@ def birthday_collision_attack(
         """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""
         if lo < hi:
             rows = zip(*(f.spend_keys(x[lo:hi]) for f, x in zip(offline.round_functions, inputs)))
-            view[1].spend_many([key for row in rows for key in row])
+            view[1].spend_many(list(chain.from_iterable(rows)))
 
     step = -(-N // q_e) if q_e else N
     for start in range(0, len(guesses), step):
@@ -327,7 +334,7 @@ def birthday_collision_attack(
             continue
         inputs: list[list[int]] = []
         charged = 0
-        for j, ct in enumerate(uncounted.encrypt_many(chunk, w1, inputs)):
+        for j, ct in enumerate(uncounted.encrypt_many(chunk, w1, inputs, wanted)):
             if ct in seen:
                 charge(inputs, charged, j + 1)
                 charged = j + 1

@@ -40,7 +40,7 @@ over `encrypt_block`, which stays the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import xor
 from typing import Callable, Sequence
 
@@ -169,7 +169,7 @@ class CipherInstance:
         RandomFunctionOracle."""
         return count >= BATCH_MIN and order_free(self.round_functions)
 
-    def encrypt_many(self, keys: list[int], block: int, inputs: list | None = None) -> list[int]:
+    def encrypt_many(self, keys: list[int], block: int, inputs: list | None = None, wanted: set | None = None) -> list:
         """[self.encrypt_block(key, block) for key in keys].
 
         That loop is the spec, and it is what runs unless
@@ -181,42 +181,62 @@ class CipherInstance:
         layout instead, so the first bad key raises as in the scalar loop.
         `inputs` (batched only) receives one list per round of that round's
         f inputs across the keys; the birthday attack charges its f budget
-        from them.
+        from them.  With `wanted`, a set of left halves, a key whose
+        ciphertext's left half is not in it gets None instead: that half is
+        fixed before the last round, so the batched path never asks f for
+        such a key's last round (its input is still recorded).
         """
+        n = self.schedule.params.n
         if not self.batches(len(keys)):
             if inputs is not None:
                 raise DomainError("round inputs are recorded on the batched path only")
-            return [self.encrypt_block(key, block) for key in keys]
+            cts = [self.encrypt_block(key, block) for key in keys]
+            return cts if wanted is None else [ct if ct >> n in wanted else None for ct in cts]
         s = self.schedule
         # Compiled whatever the keys, so a map that cannot compile raises first.
-        n, slots = s.params.n, s.compiled_slots
+        slots = s.compiled_slots
         if 0 <= min(keys) and max(keys) < s.params.N:
             columns = [None if f is None else list(map(f, keys)) for f in slots]
         else:
             columns = list(zip(*(_reference_layout(s, key) for key in keys)))
         left, right = _chain_many(
-            self.round_functions, columns, s.key_into_f, len(keys), block >> n, block & s.params.mask, inputs
+            self.round_functions, columns, s.key_into_f, len(keys), block >> n, block & s.params.mask, inputs, wanted
         )
-        return [(l << n) | r for l, r in zip(left, right)]
+        return [None if r is None else (l << n) | r for l, r in zip(left, right)]
 
 
-def _chain_many(fs, columns: list, key_into_f: bool, count: int, left: int, right: int, inputs=None):
+def _chain_many(fs, columns: list, key_into_f: bool, count: int, left: int, right: int, inputs=None, wanted=None):
     """_chain forward for one (left, right) under many keys, round-major.
 
     columns[i] holds layout slot i across the `count` keys, None where it
     is 0 for all of them.  Each round is one query_many over every key's f
-    input.  Returns the lists of left and right halves.
+    input, and `inputs` receives those inputs.  Returns the lists of left
+    and right halves.  With `wanted`, the last round asks f only for the
+    keys whose output left half (that round's right input half, whitened)
+    is in `wanted`; every other key's right half is None.
     """
     t = len(fs)
     lefts = [left] * count if columns[0] is None else [left ^ w for w in columns[0]]
     rights = [right] * count if columns[1] is None else [right ^ w for w in columns[1]]
-    for f, keys in zip(fs, columns[2 : t + 2]):
+    for i, (f, keys) in enumerate(zip(fs, columns[2 : t + 2]), 1):
         x = rights if keys is None or not key_into_f else list(map(xor, keys, rights))
+        if inputs is not None:
+            inputs.append(x)
+        if i == t and wanted is not None:
+            outs = rights if columns[t + 2] is None else list(map(xor, rights, columns[t + 2]))
+            kept = list(compress(range(count), map(wanted.__contains__, outs)))
+            after = (columns[t + 3], None if key_into_f else keys)
+            last = [None] * count
+            for j, y in zip(kept, f.query_many([x[j] for j in kept])):
+                y ^= lefts[j]
+                for column in after:
+                    if column is not None:
+                        y ^= column[j]
+                last[j] = y
+            return outs, last
         y = list(map(xor, lefts, f.query_many(x)))
         if keys is not None and not key_into_f:
             y = list(map(xor, y, keys))
-        if inputs is not None:
-            inputs.append(x)
         lefts, rights = rights, y
     if columns[t + 2] is not None:
         lefts = list(map(xor, lefts, columns[t + 2]))

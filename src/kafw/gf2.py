@@ -212,11 +212,11 @@ class BinMatrix:
     def __post_init__(self):
         n = len(self.rows)
         if n == 0:
-            raise ValueError("empty matrix")
+            raise DomainError("empty matrix")
         size = 1 << n
         for r in self.rows:
             if not 0 <= r < size:
-                raise ValueError(f"row {r:#x} out of range for n={n}")
+                raise DomainError(f"row {r:#x} out of range for n={n}")
 
     @property
     def n(self) -> int:
@@ -242,8 +242,11 @@ class BinMatrix:
 
 
 def mat_vec(m: BinMatrix, v: int) -> int:
-    """F2 matrix-vector product; linear in v.  Output bit i is the parity
-    of row i & v, shifted in from the last row down."""
+    """F2 matrix-vector product; linear in v, which must lie in [0, 2^n).
+    Output bit i is the parity of row i & v, shifted in from the last row
+    down."""
+    if v >> len(m.rows):  # also nonzero for a negative v
+        raise DomainError(f"vector {v:#x} is not an element of F2^{len(m.rows)}")
     out = 0
     for row in reversed(m.rows):
         out = out << 1 | (row & v).bit_count() & 1

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
+from itertools import filterfalse, repeat
 from typing import Callable
 
 from .errors import DomainError, QueryBudgetExceeded, RedundantQuery
@@ -26,6 +28,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 _SEED_MASK = (1 << 64) - 1
+_PACK1 = struct.Struct("<Q").pack  # one part below 2^64, as _digest writes it
 _PACK3 = struct.Struct("<QQQ").pack  # three parts below 2^64, as _digest writes them
 
 
@@ -40,6 +43,20 @@ def _digest(h, parts) -> int:
     for part in parts:
         h.update(part.encode() if isinstance(part, str) else (part & _SEED_MASK).to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")
+
+
+def _digests(state, values: list[int]) -> list[bytes]:
+    """The digest of a copy of `state` after absorbing each v in [0, 2^64),
+    as `_digest` absorbs it, with no bytecode per value: copy, update and
+    digest mapped in C."""
+    hs = list(map(blake2b.copy, repeat(state, len(values))))
+    deque(map(blake2b.update, hs, map(_PACK1, values)), 0)
+    return list(map(blake2b.digest, hs))
+
+
+def _packable(values: list[int], size: int) -> bool:
+    """Whether every value lies in [0, size) and packs into one 64-bit part."""
+    return 0 <= min(values) and max(values) < min(size, _SEED_MASK + 1)
 
 
 def stream64(seed: int, *parts: int) -> int:
@@ -98,25 +115,23 @@ class RandomFunctionOracle:
 
     def query_many(self, xs: list[int]) -> list[int]:
         """[self.query(x) for x in xs], which it is with an input out of the
-        domain.
+        domain (or past 2^64).
 
-        Otherwise each fresh input is drawn once, with `_draw`'s value
-        written out for an int in [0, 2^n): calling `_draw` per input made
-        birthday-n16 trials about 1.2x slower.  The tests pin these values
-        to stream64.
+        Otherwise each fresh input is drawn once, from `_digests`: the same
+        values as `_draw`, with no bytecode per input (a loop of `_draw`
+        calls made birthday-n16 trials about 1.2x slower).  The tests pin
+        these values to stream64.
         """
-        table, size = self.table, 1 << self.n
-        fresh = [x for x in dict.fromkeys(xs) if x not in table]
-        if fresh and (min(fresh) < 0 or max(fresh) >= size):
-            return [self.query(x) for x in xs]
+        table = self.table
+        fresh = list(filterfalse(table.__contains__, dict.fromkeys(xs)))
         if fresh:
+            if not _packable(fresh, 1 << self.n):
+                return [self.query(x) for x in xs]
             if self._state is None:
                 self._state = _keyed(self.seed)
-            copy, from_bytes, mask = self._state.copy, int.from_bytes, size - 1
-            for x in fresh:
-                h = copy()
-                h.update(x.to_bytes(8, "little"))
-                table[x] = from_bytes(h.digest(), "little") & mask
+            mask = (1 << self.n) - 1
+            draws = map(int.from_bytes, _digests(self._state, fresh), repeat("little"))
+            table.update(zip(fresh, map(mask.__and__, draws)))
             self.query_count += len(fresh)
         return list(map(table.__getitem__, xs))
 
@@ -260,31 +275,24 @@ class IdealCipherOracle:
         return self._query(key, 1, block)
 
     def encrypt_many(self, keys: list[int], block: int) -> list[int]:
-        """[self.encrypt_block(k, block) for k in keys], which it is with the
-        block or a key out of range.
+        """[self.encrypt_block(k, block) for k in keys], which it is unless
+        the keys are distinct, never queried before, and they and the block
+        in range.
 
-        Otherwise each key's first draw is written out in the loop, as
-        `_query` draws it, with the (tag 0, block, attempt 0) bytes packed
-        once for all keys.  Keys queried before go through
-        `encrypt_block`.  Calling `_query` per key made birthday-n16 trials
-        about 1.12x slower.  The tests pin these values to the reference.
+        Then each key's first draw is written out as `_query` draws it:
+        the key seeds from `_digests`, the (tag 0, block, attempt 0) bytes
+        packed once for all keys.  Calling `_query` per key made
+        birthday-n16 trials about 1.12x slower.  The tests pin these values
+        to the reference.
         """
-        bits = 2 * self.n
-        if not 0 <= block < (1 << bits) or (keys and (min(keys) < 0 or max(keys) >= (1 << self.n))):
+        mask, first = (1 << (2 * self.n)) - 1, self._first
+        fresh = list(filterfalse(first.__contains__, filterfalse(self.perms.__contains__, dict.fromkeys(keys))))
+        if not (keys and len(fresh) == len(keys) and _packable(keys, 1 << self.n) and 0 <= block <= mask):
             return [self.encrypt_block(k, block) for k in keys]
-        perms, first, copy, from_bytes = self.perms, self._first, self._ic.copy, int.from_bytes
-        coords, mask = _PACK3(0, block & _SEED_MASK, 0), (1 << bits) - 1
-        outs = []
-        for key in keys:
-            if key in perms or key in first:
-                outs.append(self.encrypt_block(key, block))
-                continue
-            h = copy()
-            h.update(key.to_bytes(8, "little"))
-            key_seed = h.digest()
-            first[key] = (from_bytes(key_seed, "little"), 0, block)
-            outs.append(from_bytes(blake2b(coords, digest_size=8, key=key_seed).digest(), "little") & mask)
-        return outs
+        key_seeds, from_bytes = _digests(self._ic, keys), int.from_bytes
+        first.update(zip(keys, zip(map(from_bytes, key_seeds, repeat("little")), repeat(0), repeat(block))))
+        coords = _PACK3(0, block & _SEED_MASK, 0)
+        return [from_bytes(blake2b(coords, digest_size=8, key=s).digest(), "little") & mask for s in key_seeds]
 
 
 class RelatedKeyOracle:
@@ -298,6 +306,9 @@ class RelatedKeyOracle:
     """
 
     def __init__(self, key: int, backend, n: int, limit: int | None = None):
+        _check_width(n)
+        if not 0 <= key < (1 << n):
+            raise DomainError("master key out of range")
         self._key = key
         self._backend = backend
         self.n = n
@@ -335,13 +346,29 @@ class RelatedKeyOracle:
     def encrypt_many(self, offsets: list[int], block: int) -> list[int]:
         """[self.encrypt(off, block) for off in offsets] with one backend call.
 
-        Every query is admitted in order first, so a bad offset or block, a
-        repeat or an exhausted budget raises at the same query with the same
-        count; then the backend's `encrypt_many` answers them all.
+        Every query is admitted first, then the backend's `encrypt_many`
+        answers them all.  When the block and every offset are in range, no
+        triple repeats (in the batch or before it) and the budget has room
+        for all, the batch is admitted with set operations; otherwise
+        `_admit` runs query by query, so a bad offset or block, a repeat
+        or an exhausted budget raises at the same query with the same count.
         """
-        for off in offsets:
-            self._admit(off, FORWARD, block)
-        return self._backend.encrypt_many([self._key ^ off for off in offsets], block)
+        triples = set(zip(offsets, repeat(FORWARD), repeat(block)))
+        if (
+            offsets
+            and 0 <= block < (1 << (2 * self.n))
+            and 0 <= min(offsets)
+            and max(offsets) < (1 << self.n)
+            and len(triples) == len(offsets)
+            and (self.limit is None or self.query_count + len(offsets) <= self.limit)
+            and triples.isdisjoint(self._seen)
+        ):
+            self._seen |= triples
+            self.query_count += len(offsets)
+        else:
+            for off in offsets:
+                self._admit(off, FORWARD, block)
+        return self._backend.encrypt_many(list(map(self._key.__xor__, offsets)), block)
 
     def decrypt(self, offset: int, block: int) -> int:
         return self.query(offset, BACKWARD, block)
@@ -405,6 +432,7 @@ class CountedFunction:
 
     __call__ = query
 
-    def spend_keys(self, xs: list[int]) -> list:
-        """The budget keys query(x) spends for each x, without evaluating."""
-        return [(self._index, FORWARD, x) for x in xs]
+    def spend_keys(self, xs: list[int]):
+        """The budget keys query(x) spends for each x, in order, without
+        evaluating."""
+        return zip(repeat(self._index), repeat(FORWARD), xs)

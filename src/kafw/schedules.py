@@ -9,11 +9,13 @@ about differences; everything else raises NotAffine.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import (
@@ -523,6 +525,30 @@ def _randrange_by_getrandbits(rng) -> bool:
         getattr(cls, "randrange", None) is random.Random.randrange
         and getattr(cls, "_randbelow", None) is random.Random._randbelow_with_getrandbits
     )
+
+
+def _sample_range(rng: random.Random, N: int, k: int) -> list[int]:
+    """rng.sample(range(N), k): the same list, and rng left in the same state.
+
+    Where Random.sample would take its set branch (N above 21, plus
+    4^ceil(log4(3k)) when k > 5) and rng draws by getrandbits, that branch
+    is written out in batches: keep, in order, the values of
+    getrandbits(N.bit_length()) below N not kept before.  Each batch draws
+    as many values as are still missing, so it never draws past the last
+    one sample would.  Otherwise it is rng.sample itself.
+    """
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if not (
+        0 <= k <= N
+        and N > setsize
+        and type(rng).sample is random.Random.sample
+        and _randrange_by_getrandbits(rng)
+    ):
+        return rng.sample(range(N), k)
+    getrandbits, bits, kept = rng.getrandbits, N.bit_length(), {}
+    while len(kept) < k:
+        kept.update(dict.fromkeys(filter(N.__gt__, map(getrandbits, repeat(bits, k - len(kept))))))
+    return list(kept)
 
 
 def _affine_maps(p: DomainParams, rng: random.Random, count: int) -> list[AffineSubkey]:

@@ -131,25 +131,31 @@ def test_comp5_preconditions():
         five_round_complementation_boomerang(rk, s4)
 
 
+@pytest.mark.parametrize(
+    "attack, partner",
+    [(five_round_complementation_boomerang, 3), (five_round_boomerang_switch, 5)],
+    ids=["comp5", "switch5"],
+)
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_comp5_offset_exists_iff_m1_xor_m3_is_singular(n):
-    # Over random affine schedules: NoWeakDelta exactly when M1 ^ M3 is
-    # invertible (checked by brute force), and a win at the offset otherwise.
+def test_comp5_offset_exists_iff_m1_xor_m3_is_singular(n, attack, partner):
+    # Over random affine schedules: NoWeakDelta exactly when M1 ^ M3 (for
+    # switch5, M1 ^ M5) is invertible (checked by brute force), and a win
+    # at the offset otherwise.
     p = DomainParams.for_width(n)
     rng = random.Random(500 + n)
     found = 0
     for trial in range(300):
         s = random_affine(p, 5, rng)
-        m = s.gamma_matrix(1) ^ s.gamma_matrix(3)
+        m = s.gamma_matrix(1) ^ s.gamma_matrix(partner)
         invertible = all(mat_vec(m, x) for x in range(1, 1 << n))
         fs = (RandomFunctionOracle(n, derive_seed(trial, "f")),)
         rk = RelatedKeyOracle(rng.randrange(1 << n), CipherInstance(s, fs * 5), n)
         if invertible:
             with pytest.raises(NoWeakDelta):
-                five_round_complementation_boomerang(rk, s)
+                attack(rk, s)
         else:
             found += 1
-            assert five_round_complementation_boomerang(rk, s) == 1
+            assert attack(rk, s) == 1
             assert rk.query_count == 4
     assert 0 < found < 300
 

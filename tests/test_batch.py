@@ -102,6 +102,35 @@ def test_encrypt_many_matches_the_scalar_chain(construction, n):
         _check_against_the_scalar_chain(p, t, _schedule(construction, p, t, rng), construction, seeds, keys, block)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_wanted_left_halves_skip_the_last_round_only(construction, n, monkeypatch):
+    """With `wanted`, the ciphertexts whose left half is in it and None
+    elsewhere; every round's inputs are recorded, but the last round's f
+    sees only the kept keys' inputs."""
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"wanted-{construction}-{n}")
+    asked = []
+    query_many = RandomFunctionOracle.query_many
+    monkeypatch.setattr(RandomFunctionOracle, "query_many", lambda f, xs: asked.append(xs) or query_many(f, xs))
+    for case in range(10):
+        t = rng.randrange(2, 6)
+        seeds = [rng.randrange(1 << 40) for _ in range(1 if case % 2 else t)]
+        batch, scalar = _twins(p, t, _schedule(construction, p, t, rng), construction, seeds)
+        keys = [rng.randrange(p.N) for _ in range(rng.randrange(BATCH_MIN, 60))]
+        block = rng.randrange(p.N * p.N)
+        want = [_reference(scalar, key, block) for key in keys]
+        wanted = {ct >> n for ct, _ in rng.sample(want, len(want) // 3)} | {rng.randrange(p.N)}
+        inputs = []
+        asked.clear()
+        got = batch.encrypt_many(keys, block, inputs, wanted)
+        assert got == [ct if ct >> n in wanted else None for ct, _ in want]
+        assert inputs == [list(col) for col in zip(*(xs for _, xs in want))]
+        assert len(asked) == t and asked[-1] == [xs[-1] for ct, xs in want if ct >> n in wanted]
+        short = keys[: BATCH_MIN - 1]  # the scalar loop, filtered after
+        assert batch.encrypt_many(short, block, wanted=wanted) == got[: BATCH_MIN - 1]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
 def test_chain_over_columns_matches_the_int_chain(construction, n):
@@ -253,16 +282,27 @@ def test_layouts_are_kept_up_to_n12_only():
         assert ("memo" in vars(schedule)) == kept
 
 
-def test_out_of_range_keys_of_affine_schedules_still_evaluate():
-    """mat_vec never checked its key; neither path starts to."""
+@pytest.mark.parametrize("key", [-3, -1, 256, 300])
+def test_out_of_range_keys_of_affine_schedules_fail_as_the_reference_layout(key):
+    """mat_vec rejects a key outside [0, N) on every path: it used to drop
+    the high bits, so 256 encrypted as 0 and -1 as 255."""
     rounds = tuple(AffineSubkey(BinMatrix.rotation(8, r), r) for r in range(4))
     schedule = KeySchedule(P8, (Z, AffineSubkey(BinMatrix.identity(8), 7), Z, Z), rounds)
-    batch, scalar = _twins(P8, 4, schedule, "kafw", [5])
-    keys = [-3, 0, 300, -1, 255]
-    assert batch.encrypt_many(keys, 9) == [_reference(scalar, k, 9)[0] for k in keys]
-    assert "compiled_slots" in vars(schedule)
-    assert [batch.encrypt_block(k, 9) for k in keys] == [_reference(scalar, k, 9)[0] for k in keys]
-    assert sorted(schedule.memo) == [0, 255]  # the memo keeps keys in [0, N) only
+    inst = _twins(P8, 4, schedule, "kafw", [5])[0]
+    want = _error(lambda: _reference_layout(schedule, key))
+    assert want[0] is DomainError and "F2^8" in want[1]
+    for compiled in (False, True):  # before and after encrypt_many compiles
+        assert ("compiled_slots" in vars(schedule)) == compiled
+        assert _error(lambda: inst.encrypt_block(key, 9)) == want
+        assert _error(lambda: inst.decrypt_block(key, 9)) == want
+        inst.encrypt_many([0, 1, 2, 255], 9)
+    for k in range(P8.N):  # every in-range layout kept, then the bad key again
+        inst.decrypt_block(k, 9)
+    assert _error(lambda: inst.encrypt_block(key, 9)) == want
+    assert sorted(schedule.memo) == list(range(P8.N))
+    keys = [0, 1, key, 255, 2]
+    assert _error(lambda: inst.encrypt_many(keys, 9)) == want
+    assert _error(lambda: inst.encrypt_many(keys, 9, [])) == want
 
 
 def test_a_multiplier_outside_the_field_still_raises():
@@ -307,6 +347,11 @@ def test_ideal_cipher_seeds_and_encrypt_many():
     for k, y in zip(keys, outs):
         assert ic.decrypt_block(k, y) == 77
         assert ic.perms[k].seed == derive_seed(1234, "ic", k)
+    # Repeats and keys queried before: the encrypt_block loop.
+    mixed = [5, 9, 9, 3, 0]
+    assert ic.encrypt_many(mixed, 78) == [twin.encrypt_block(k, 78) for k in mixed]
+    top = (1 << 16) - 1
+    assert ic.encrypt_many([1, 2, 3, 4], top) == [twin.encrypt_block(k, top) for k in [1, 2, 3, 4]]
     with pytest.raises(DomainError):
         ic.encrypt_many([3, 256], 0)
 
@@ -382,14 +427,19 @@ def test_rk_encrypt_many_books_queries_like_the_scalar_loop(world, offsets, bloc
     got = _outcome(lambda: batch.encrypt_many(offsets, block))
     want = _outcome(lambda: [scalar.encrypt(off, block) for off in offsets])
     assert got == want
-    assert batch.query_count == scalar.query_count
+    assert (batch.query_count, batch._seen) == (scalar.query_count, scalar._seen)
 
 
 # --- the chunked birthday attack against the forced scalar loop -------------
 
 
 def _force_scalar(monkeypatch):
+    """Offline guesses, related-key probes and the sampling of both through
+    their specs: the guess loop over fs, the probe loop over `encrypt`
+    (query-by-query admission, `encrypt_block` per key) and stdlib sample."""
     monkeypatch.setattr(attacks, "_uncounted", lambda fs: None)
+    monkeypatch.setattr(RelatedKeyOracle, "encrypt_many", lambda rk, offsets, block: [rk.encrypt(o, block) for o in offsets])
+    monkeypatch.setattr(attacks, "_sample_range", lambda rng, N, k: rng.sample(range(N), k))
 
 
 def _trials(spec, q_e, q_g, world, trials, base):
@@ -404,9 +454,12 @@ def _trials(spec, q_e, q_g, world, trials, base):
 BIRTHDAY_SPECS = {
     "minimal4": game.ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True),
     "per-round-f": game.ConstructionSpec(P8, 4, builtin("tweakem4", P8), "kafw", "function", False),
-    "kafv": game.ConstructionSpec(
-        P8, 4, lambda rng: _schedule("kafv", P8, 4, rng), "kafv", "function", True
-    ),
+    **{
+        construction: game.ConstructionSpec(
+            P8, 4, lambda rng, c=construction: _schedule(c, P8, 4, rng), construction, "function", True
+        )
+        for construction in ("kaf", "kafv", "lucifer")
+    },
 }
 
 

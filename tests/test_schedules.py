@@ -243,6 +243,24 @@ def test_a_random_only_subclass_draws_by_random():
     assert schedules._randrange_by_getrandbits(random.Random(0))
 
 
+@pytest.mark.parametrize("cls", [random.Random, RandomByRandom])
+def test_sample_range_equals_random_sample(cls):
+    """The same list and generator state as Random.sample(range(N), k),
+    either side of stdlib's switch from its pool branch to its set branch
+    (N > 21 for k <= 5, N > 85 for k = 6), and where the birthday attack
+    samples (N = 2^16, k = 512)."""
+    cases = [(N, k) for N in (1, 5, 21, 22, 85, 86, 256) for k in (0, 1, 5, 6, N) if k <= N]
+    cases += [(1 << 16, 512), (1 << 16, 1 << 12), (86, 7)]
+    for seed, (N, k) in enumerate(cases * 3):
+        fast, ref = cls(seed), cls(seed)
+        fast.random(), ref.random()  # a state mid-stream, not a fresh one
+        assert schedules._sample_range(fast, N, k) == ref.sample(range(N), k), (N, k)
+        assert fast.getstate() == ref.getstate(), (N, k)
+    for N, k in ((5, 6), (100, -1)):
+        with pytest.raises(ValueError, match="Sample larger than population or is negative"):
+            schedules._sample_range(random.Random(0), N, k)
+
+
 def test_gamma_matrix_not_affine():
     s = builtin("minimal4", P8)
     with pytest.raises(NotAffine):
