@@ -26,7 +26,6 @@ keeps nothing, and raises again on the next call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
@@ -320,8 +319,7 @@ def birthday_collision_attack(
     def charge(inputs: list[list[int]], lo: int, hi: int) -> None:
         """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""
         if lo < hi:
-            rows = zip(*(f.spend_keys(x[lo:hi]) for f, x in zip(offline.round_functions, inputs)))
-            view[1].spend_many(list(chain.from_iterable(rows)))
+            view[1].spend_many([(f.index, x[lo:hi]) for f, x in zip(offline.round_functions, inputs)])
 
     step = -(-N // q_e) if q_e else N
     for start in range(0, len(guesses), step):

@@ -23,8 +23,9 @@ full 2n-bit block.
 A `CipherInstance` is a schedule plus round functions; its width and round
 count are the schedule's.  `encrypt_block`/`decrypt_block(key, block)` are
 the one block interface.  A block is a 2n-bit word, left half high: a plain
-int, or a numpy int64 column of many words when every round function maps a
-column to a column (a table lookup does).  A tweak is folded into the key:
+int in [0, 2^2n) (any other raises DomainError), or a numpy int64 column of
+many words when every round function maps a column to a column (a table
+lookup does).  A tweak is folded into the key:
 encrypt_block(key ^ tweak, block).
 
 For n <= MEMO_MAX_N, a key's layout is computed once per schedule object
@@ -32,16 +33,17 @@ and kept in the schedule's `memo`, so every instance over that schedule
 reads it from then on.
 
 `CipherInstance.encrypt_many` encrypts one block under many keys.  Over
-order-free random functions it runs the chain round-major, one batched f
-query per round, on the schedule's compiled slots; otherwise it is the loop
-over `encrypt_block`, which stays the spec.
+order-free random functions it runs the same chain once on int64 columns
+across the keys, one batched f query per round, the layout read from the
+schedule's compiled slots; otherwise it is the loop over `encrypt_block`,
+which stays the spec.  `_chain` is the one multi-round loop, for one block
+or many, under one key or many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import xor
 from typing import Callable, Sequence
 
 from .errors import DomainError, ScheduleArityMismatch
@@ -49,9 +51,10 @@ from .oracles import order_free
 from .schedules import MEMO_MAX_N, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
 
 
-# encrypt_many runs the scalar loop below this many keys: the fixed costs of
-# the batched path (a column per sub-key map, a query_many per round) pay off
-# from about four keys (minimal4 at n = 8 and 16, ortho6 at n = 8).
+# encrypt_many runs the scalar loop below this many keys.  The column path's
+# fixed cost (about 30 numpy calls) pays off from about 6 keys at n = 16
+# (minimal4, tweakem4) and 16 at n = 8, where encrypt_block reads kept
+# layouts (minimal4; ortho6 about 48); below that it costs a few us more.
 BATCH_MIN = 4
 
 
@@ -78,10 +81,12 @@ def _chain(fs, layout: tuple, key_into_f: bool, left: int, right: int, inverse=F
     The inverse runs the reversed layout between two half swaps; `trace`
     collects (x_i, y_i, (left, right) after round i).
 
-    The halves are plain ints, or numpy integer columns of many blocks when
-    every f maps a column to a column (a table lookup does).  The chain
-    only uses ^ and f, and never writes into its operands: callers may pass
-    one plaintext column to several chains.
+    The halves and the layout's slots are plain ints, or numpy integer
+    columns when every f maps a column to a column: many blocks under one
+    key (a table lookup f), or one block under many keys (encrypt_many's
+    map over query_many).  The chain only uses ^ and f, and never writes
+    into its operands: callers may pass one plaintext column to several
+    chains.
     """
     if inverse:
         fs, layout = fs[::-1], layout[::-1]
@@ -154,18 +159,20 @@ class CipherInstance:
         return self._block_op(key, block, True)
 
     def _block_op(self, key: int, block, inverse: bool, trace=None):
-        """block is an int or a numpy int64 column of words: only >>, &, <<
-        and | touch it, and the column is never written into."""
+        """block is an int in [0, 2^2n) or a numpy int64 column of words:
+        only >>, &, << and | touch it, and the column is never written into
+        (nor checked)."""
         s = self.schedule
-        n = s.params.n
-        left, right = _chain(
-            self.round_functions, _layout(s, key), s.key_into_f, block >> n, block & s.params.mask, inverse, trace
-        )
+        n, mask = s.params.n, s.params.mask
+        left = block >> n
+        if isinstance(block, int) and not 0 <= left <= mask:
+            raise DomainError("block out of range")
+        left, right = _chain(self.round_functions, _layout(s, key), s.key_into_f, left, block & mask, inverse, trace)
         return (left << n) | right
 
     def batches(self, count: int) -> bool:
-        """Whether encrypt_many runs round-major on `count` keys: at least
-        BATCH_MIN of them, and every round function an order-free
+        """Whether encrypt_many runs the keys as columns: at least BATCH_MIN
+        of them, and every round function an order-free
         RandomFunctionOracle."""
         return count >= BATCH_MIN and order_free(self.round_functions)
 
@@ -173,73 +180,63 @@ class CipherInstance:
         """[self.encrypt_block(key, block) for key in keys].
 
         That loop is the spec, and it is what runs unless
-        `batches(len(keys))`; then `_chain_many` runs the rounds over all
-        keys at once, one query_many per round, with the same results.
-        Each slot's column reads the schedule's compiled map, which drops
-        zero maps and reads field-cubic maps at n <= MAX_EXHAUSTIVE_N from
-        tables.  Keys outside [0, N) go key by key through the reference
-        layout instead, so the first bad key raises as in the scalar loop.
-        `inputs` (batched only) receives one list per round of that round's
-        f inputs across the keys; the birthday attack charges its f budget
-        from them.  With `wanted`, a set of left halves, a key whose
-        ciphertext's left half is not in it gets None instead: that half is
-        fixed before the last round, so the batched path never asks f for
-        such a key's last round (its input is still recorded).
+        `batches(len(keys))`; then `_chain` runs once over all keys, on
+        numpy int64 columns, each round one query_many, with the same
+        results.  Layout slot i is 0 for a zero map and otherwise its
+        compiled map's column over the keys (field-cubic maps at n <=
+        MAX_EXHAUSTIVE_N read from tables).  Keys outside [0, N) go key by
+        key through the reference layout instead, so the first bad key
+        raises as in the scalar loop.  `inputs` (batched only) receives one
+        list per round of that round's f inputs across the keys; the
+        birthday attack charges its f budget from them.  With `wanted`, a
+        set of left halves, a key whose ciphertext's left half is not in it
+        gets None instead: that half is fixed before the last round, so the
+        batched path never asks f for such a key's last round (its input is
+        still recorded).
         """
-        n = self.schedule.params.n
-        if not self.batches(len(keys)):
+        s = self.schedule
+        n, count = s.params.n, len(keys)
+        if keys and not 0 <= block >> n <= s.params.mask:
+            raise DomainError("block out of range")
+        if not self.batches(count):
             if inputs is not None:
                 raise DomainError("round inputs are recorded on the batched path only")
             cts = [self.encrypt_block(key, block) for key in keys]
-            return cts if wanted is None else [ct if ct >> n in wanted else None for ct in cts]
-        s = self.schedule
+        else:
+            cts = self._encrypt_columns(keys, block, inputs, wanted)
+        return cts if wanted is None else [ct if ct >> n in wanted else None for ct in cts]
+
+    def _encrypt_columns(self, keys: list[int], block: int, inputs, wanted) -> list[int]:
+        """encrypt_many's batched path; a key whose left half is not
+        `wanted` gets a wrong right half."""
+        import numpy as np  # the CLI loads it anyway; `import kafw` does not
+
+        s, count = self.schedule, len(keys)
+        t, n = s.t, s.params.n
         # Compiled whatever the keys, so a map that cannot compile raises first.
         slots = s.compiled_slots
         if 0 <= min(keys) and max(keys) < s.params.N:
-            columns = [None if f is None else list(map(f, keys)) for f in slots]
+            layout = [0 if f is None else np.fromiter(map(f, keys), np.int64, count) for f in slots]
         else:
-            columns = list(zip(*(_reference_layout(s, key) for key in keys)))
-        left, right = _chain_many(
-            self.round_functions, columns, s.key_into_f, len(keys), block >> n, block & s.params.mask, inputs, wanted
-        )
-        return [None if r is None else (l << n) | r for l, r in zip(left, right)]
+            layout = [np.array(c, np.int64) for c in zip(*(_reference_layout(s, key) for key in keys))]
 
+        def column(f, filtered: bool):
+            def f_column(x):
+                xs = x.tolist()
+                if inputs is not None:
+                    inputs.append(xs)
+                if not filtered:
+                    return np.fromiter(f.query_many(xs), np.int64, count)
+                # x is R_{t-1} ^ (round key t if it goes into f); the left half out is R_{t-1} ^ layout[t + 2].
+                outs = (x ^ layout[t + 2] ^ (layout[t + 1] if s.key_into_f else 0)).tolist()
+                kept = list(compress(range(count), map(wanted.__contains__, outs)))
+                y = np.zeros(count, np.int64)
+                y[kept] = f.query_many([xs[j] for j in kept])
+                return y
 
-def _chain_many(fs, columns: list, key_into_f: bool, count: int, left: int, right: int, inputs=None, wanted=None):
-    """_chain forward for one (left, right) under many keys, round-major.
+            return f_column
 
-    columns[i] holds layout slot i across the `count` keys, None where it
-    is 0 for all of them.  Each round is one query_many over every key's f
-    input, and `inputs` receives those inputs.  Returns the lists of left
-    and right halves.  With `wanted`, the last round asks f only for the
-    keys whose output left half (that round's right input half, whitened)
-    is in `wanted`; every other key's right half is None.
-    """
-    t = len(fs)
-    lefts = [left] * count if columns[0] is None else [left ^ w for w in columns[0]]
-    rights = [right] * count if columns[1] is None else [right ^ w for w in columns[1]]
-    for i, (f, keys) in enumerate(zip(fs, columns[2 : t + 2]), 1):
-        x = rights if keys is None or not key_into_f else list(map(xor, keys, rights))
-        if inputs is not None:
-            inputs.append(x)
-        if i == t and wanted is not None:
-            outs = rights if columns[t + 2] is None else list(map(xor, rights, columns[t + 2]))
-            kept = list(compress(range(count), map(wanted.__contains__, outs)))
-            after = (columns[t + 3], None if key_into_f else keys)
-            last = [None] * count
-            for j, y in zip(kept, f.query_many([x[j] for j in kept])):
-                y ^= lefts[j]
-                for column in after:
-                    if column is not None:
-                        y ^= column[j]
-                last[j] = y
-            return outs, last
-        y = list(map(xor, lefts, f.query_many(x)))
-        if keys is not None and not key_into_f:
-            y = list(map(xor, y, keys))
-        lefts, rights = rights, y
-    if columns[t + 2] is not None:
-        lefts = list(map(xor, lefts, columns[t + 2]))
-    if columns[t + 3] is not None:
-        rights = list(map(xor, rights, columns[t + 3]))
-    return lefts, rights
+        fs = [column(f, i == t and wanted is not None) for i, f in enumerate(self.round_functions, 1)]
+        halves = (np.full(count, block >> n, np.int64), np.full(count, block & s.params.mask, np.int64))
+        left, right = _chain(fs, layout, s.key_into_f, *halves)
+        return (left.view(np.uint64) << n | right.view(np.uint64)).tolist()

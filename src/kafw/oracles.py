@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
@@ -378,33 +378,39 @@ class RelatedKeyOracle:
 class FunctionBudget:
     """Shared q_f accounting for an adversary's view of the round function(s).
 
-    Counts fresh (oracle, direction, input) queries only: re-asking what the
+    Counts fresh (oracle index, input) queries only: re-asking what the
     adversary already knows is free, matching the no-redundant-queries
-    convention.
+    convention.  Round functions are only ever evaluated forward, so each
+    oracle's spent inputs are one set of ints.
     """
 
     limit: int | None = None
     count: int = 0
-    _seen: set = field(default_factory=set)
+    _seen: defaultdict = field(default_factory=lambda: defaultdict(set))  # oracle index -> inputs spent
 
-    def spend(self, key) -> None:
-        if key in self._seen:
+    def spend(self, index: int, x: int) -> None:
+        seen = self._seen[index]
+        if x in seen:
             return
         if self.limit is not None and self.count >= self.limit:
             raise QueryBudgetExceeded(f"q_f budget {self.limit} exhausted")
-        self._seen.add(key)
+        seen.add(x)
         self.count += 1
 
-    def spend_many(self, keys: list) -> None:
-        """spend(key) for each key in order; in one set update when the
-        limit cannot be reached."""
-        if self.limit is None or self.count + len(keys) <= self.limit:
-            before = len(self._seen)
-            self._seen.update(keys)
-            self.count += len(self._seen) - before
+    def spend_many(self, columns: list[tuple[int, list[int]]]) -> None:
+        """For j = 0, 1, ..., spend(index, xs[j]) for each (index, xs) of
+        `columns` in order (input j of every round, then j + 1); one set
+        update per column when the limit cannot be reached."""
+        if self.limit is None or self.count + sum(len(xs) for _, xs in columns) <= self.limit:
+            for index, xs in columns:
+                seen = self._seen[index]
+                before = len(seen)
+                seen.update(xs)
+                self.count += len(seen) - before
         else:
-            for key in keys:
-                self.spend(key)
+            for row in zip(*(xs for _, xs in columns)):
+                for (index, _), x in zip(columns, row):
+                    self.spend(index, x)
 
 
 class CountedFunction:
@@ -420,19 +426,14 @@ class CountedFunction:
             self.oracle = oracle  # shadows the property below
         self._make = make
         self.budget = budget
-        self._index = index
+        self.index = index
 
     @cached_property
     def oracle(self):
         return self._make()
 
     def query(self, x: int) -> int:
-        self.budget.spend((self._index, FORWARD, x))
+        self.budget.spend(self.index, x)
         return self.oracle(x)
 
     __call__ = query
-
-    def spend_keys(self, xs: list[int]):
-        """The budget keys query(x) spends for each x, in order, without
-        evaluating."""
-        return zip(repeat(self._index), repeat(FORWARD), xs)

@@ -16,7 +16,7 @@ from kafw.attacks import birthday_collision_attack
 from kafw.equivalence import random_subkey_map
 from kafw.errors import DomainError, KafwError, QueryBudgetExceeded
 from kafw.feistel import BATCH_MIN, CipherInstance, _chain, _reference_layout
-from kafw.gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams
+from kafw.gf2 import MAX_EXHAUSTIVE_N, MAX_N, BinMatrix, DomainParams
 from kafw.oracles import (
     CountedFunction,
     FunctionBudget,
@@ -75,14 +75,18 @@ def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle):
     )
 
 
-def _check_against_the_scalar_chain(p, t, schedule, construction, seeds, keys, block):
+def _check_against_the_scalar_chain(p, t, schedule, construction, seeds, keys, block, filtered=False):
+    """With `filtered`, `wanted` holds every third key's ciphertext left half."""
     batch, scalar = _twins(p, t, schedule, construction, seeds)
     assert batch.batches(len(keys))
-    inputs = []
-    got = batch.encrypt_many(keys, block, inputs)
     want = [_reference(scalar, key, block) for key in keys]
-    assert got == [ct for ct, _ in want]
+    wanted = {ct >> p.n for ct, _ in want[::3]} if filtered else None
+    inputs = []
+    got = batch.encrypt_many(keys, block, inputs, wanted)
+    assert got == [ct if wanted is None or ct >> p.n in wanted else None for ct, _ in want]
     assert inputs == [list(col) for col in zip(*(xs for _, xs in want))]
+    if filtered:
+        return
     # Order-free: the same fresh inputs, whatever the order they came in.
     for f, g in zip(batch.round_functions, scalar.round_functions):
         assert f.query_count == g.query_count and f.table == g.table
@@ -156,18 +160,24 @@ def test_chain_over_columns_matches_the_int_chain(construction, n):
                 assert list(zip(got[0].tolist(), got[1].tolist())) == want
 
 
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n", [16, 17, MAX_N])
 @pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
-def test_encrypt_many_spot_checks_at_n16(construction):
-    rng = random.Random(f"encrypt-many-16-{construction}")
-    schedules = [_schedule(construction, P16, 4, rng) for _ in range(2)]
+def test_encrypt_many_spot_checks_at_n16(construction, n, filtered):
+    """At n = 16, where the field-cubic tables end, and past them up to
+    MAX_N, where a ciphertext fills all 64 bits of a word."""
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"encrypt-many-{n}-{construction}")
+    schedules = [_schedule(construction, p, 4, rng) for _ in range(2)]
     if construction in ("kafw", "kaf"):
-        schedules.append(builtin("minimal4", P16))
+        schedules.append(builtin("minimal4", p))
     if construction == "kafw":
-        schedules.append(builtin("tweakem4", P16))
+        schedules.append(builtin("tweakem4", p))
     for i, schedule in enumerate(schedules):
         seeds = [rng.randrange(1 << 40) for _ in range(1 if i % 2 else 4)]
-        keys = [rng.randrange(P16.N) for _ in range(40)] + [0, P16.N - 1]
-        _check_against_the_scalar_chain(P16, 4, schedule, construction, seeds, keys, rng.randrange(1 << 32))
+        keys = [rng.randrange(p.N) for _ in range(40)] + [0, p.N - 1]
+        for block in (rng.randrange(p.N * p.N), p.N * p.N - 1):
+            _check_against_the_scalar_chain(p, 4, schedule, construction, seeds, keys, block, filtered)
 
 
 def test_field_cubic_tables_equal_the_map():
@@ -359,15 +369,16 @@ def test_ideal_cipher_seeds_and_encrypt_many():
 @pytest.mark.parametrize("limit", [None, 0, 3, 6, 7, 100])
 def test_spend_many_equals_the_spend_loop(limit):
     rng = random.Random(limit)
-    keys = [(rng.randrange(2), "forward", rng.randrange(6)) for _ in range(12)]
+    columns = [(rng.randrange(2), [rng.randrange(6) for _ in range(4)]) for _ in range(3)]
     batch, scalar = FunctionBudget(limit), FunctionBudget(limit)
     if limit != 0:
-        batch.spend((0, "forward", 0))
-        scalar.spend((0, "forward", 0))
+        batch.spend(0, 0)
+        scalar.spend(0, 0)
 
     def loop():
-        for key in keys:
-            scalar.spend(key)
+        for j in range(4):
+            for index, xs in columns:
+                scalar.spend(index, xs[j])
 
     try:
         loop()
@@ -375,7 +386,7 @@ def test_spend_many_equals_the_spend_loop(limit):
     except QueryBudgetExceeded as e:
         want = str(e)
     try:
-        batch.spend_many(keys)
+        batch.spend_many(columns)
         got = None
     except QueryBudgetExceeded as e:
         got = str(e)
@@ -488,8 +499,8 @@ def test_a_birthday_trials_instances_compile_the_schedules_slots_once(world, mon
     compiled, batches = [], []
     for cls in (SubkeyMap, FieldCubicSubkey):
         monkeypatch.setattr(cls, "compiled", lambda m, p, original=cls.compiled: compiled.append(m) or original(m, p))
-    chain_many = feistel._chain_many
-    monkeypatch.setattr(feistel, "_chain_many", lambda *a: batches.append(a) or chain_many(*a))
+    chain = feistel._chain
+    monkeypatch.setattr(feistel, "_chain", lambda *a: isinstance(a[3], np.ndarray) and batches.append(a) or chain(*a))
     d = game.birthday_distinguisher(16, 64, 4)
     fixed = game.ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True)
     fresh = game.ConstructionSpec(P8, 4, lambda rng: builtin("minimal4", P8), "kafw", "function", True)

@@ -8,13 +8,31 @@ from kafw.game import bound_formula
 from kafw.feistel import CipherInstance
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
-from kafw.schedules import KafvSchedule, builtin, identity_map, kafv_to_kafw
+from kafw.schedules import KafvSchedule, KeySchedule, ZeroMap, builtin, identity_map, kafv_to_kafw
 
 P8 = DomainParams.for_width(8)
+P32 = DomainParams.for_width(32)
 
 
 def _cipher():
     return CipherInstance(builtin("identity_bad(4)", P8), (RandomFunctionOracle(8, 1),))
+
+
+def _one_round():
+    """One round keyed by the key itself: blocks outside [0, 2^16) used to
+    encrypt silently (1 << 20 to 0x1034, -1 to -203)."""
+    return CipherInstance(KeySchedule(P8, (ZeroMap(),) * 4, (identity_map(8),)), (RandomFunctionOracle(8, 1),))
+
+
+def _wide():
+    """At n = 32 a block of 2^64 would overflow encrypt_many's int64 columns."""
+    return CipherInstance(builtin("minimal4", P32), (RandomFunctionOracle(32, 1),))
+
+
+def _table_lookup():
+    """minimal4 over a table-lookup f: 1 << 17 used to raise IndexError."""
+    table = [RandomFunctionOracle(8, 2).query(x) for x in range(256)]
+    return CipherInstance(builtin("minimal4", P8), (table.__getitem__,))
 
 
 MISUSE = [
@@ -33,6 +51,15 @@ MISUSE = [
         (f"theorem {theorem} bound with N = 0", lambda theorem=theorem: bound_formula(theorem, 1, 1, 0), DomainError)
         for theorem in (1, 2, 5, 6)
     ],
+    ("one-round block 2^20", lambda: _one_round().encrypt_block(3, 1 << 20), DomainError),
+    ("one-round block -1", lambda: _one_round().encrypt_block(3, -1), DomainError),
+    ("one-round decryption of block 2^16", lambda: _one_round().decrypt_block(3, 1 << 16), DomainError),
+    ("table-lookup block 2^17", lambda: _table_lookup().encrypt_block(3, 1 << 17), DomainError),
+    ("batched block 2^16", lambda: _cipher().encrypt_many([1, 2, 3, 4], 1 << 16), DomainError),
+    ("batched block -1", lambda: _cipher().encrypt_many([1, 2, 3, 4], -1), DomainError),
+    ("unbatched block 2^16", lambda: _cipher().encrypt_many([1], 1 << 16), DomainError),
+    ("table-lookup batch of block 2^17", lambda: _table_lookup().encrypt_many([1, 2, 3, 4], 1 << 17), DomainError),
+    ("batched block 2^64 at n = 32", lambda: _wide().encrypt_many([1, 2, 3, 4], 1 << 64), DomainError),
     ("kafv_to_kafw of a KAFw schedule", lambda: kafv_to_kafw(builtin("minimal4", P8)), ScheduleArityMismatch),
     ("kafv_to_kafw of no schedule", lambda: kafv_to_kafw(None), ScheduleArityMismatch),
 ]
@@ -54,3 +81,21 @@ def test_the_edge_of_each_domain_still_works():
     assert bound_formula(6, 1, 1, 1).value == 24
     kafv = KafvSchedule(P8, (identity_map(8),) * 4)
     assert kafv_to_kafw(kafv).t == 2
+    cipher = _one_round()
+    top = cipher.encrypt_block(3, (1 << 16) - 1)
+    assert cipher.decrypt_block(3, top) == (1 << 16) - 1
+    assert cipher.encrypt_many([3] * 4, (1 << 16) - 1) == [top] * 4
+    assert cipher.encrypt_many([], 1 << 16) == []  # nothing asked, nothing checked
+
+
+def test_a_bad_block_raises_before_any_f_query():
+    for call in (
+        lambda c: c.encrypt_block(3, 1 << 16),
+        lambda c: c.decrypt_block(3, -1),
+        lambda c: c.encrypt_many([1, 2, 3, 4], 1 << 16),
+        lambda c: c.encrypt_many([1], -1),
+    ):
+        cipher = _cipher()
+        with pytest.raises(DomainError, match="block out of range"):
+            call(cipher)
+        assert cipher.round_functions[0].query_count == 0

@@ -3,7 +3,10 @@
 exported in kafw.__all__.  Methods are out of scope."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import kafw
@@ -26,3 +29,12 @@ def test_no_public_name_is_used_only_by_tests():
             rest = [own] + [text for f, text in texts.items() if f != path]
             unused += [f"{path.stem}.{n}" for n in names if not any(re.search(rf"\b{n}\b", t) for t in rest)]
     assert unused == []
+
+
+def test_importing_kafw_loads_no_numpy():
+    """numpy is imported on first use (field-cubic tables, encrypt_many's
+    columns, the auditor and equivalence modules), never by `import kafw`."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, kafw; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
