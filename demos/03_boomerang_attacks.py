@@ -7,9 +7,8 @@ handful of queries separates the worlds completely.
 """
 
 from kafw import game
-from kafw.game import ConstructionSpec, WorldSpec
+from kafw.game import ConstructionSpec
 from kafw.gf2 import BinMatrix, DomainParams
-from kafw.oracles import derive_seed
 from kafw.schedules import AffineSubkey, KeySchedule, ZeroMap, builtin, random_affine
 
 P8 = DomainParams.for_width(8)
@@ -17,15 +16,13 @@ Z = ZeroMap()
 TRIALS_REAL, TRIALS_IDEAL = 100, 5000
 
 
+def ones(d, spec, trials, seed, world):
+    return sum(outcome.bit for *_, outcome in game.iter_trials(d, spec, trials, seed, (world,)))
+
+
 def show(name, d, spec, seed):
-    real = sum(
-        game.run_trial(d, WorldSpec(game.REAL, spec), derive_seed(seed, "real", i))
-        for i in range(TRIALS_REAL)
-    )
-    ideal = sum(
-        game.run_trial(d, WorldSpec(game.IDEAL, spec), derive_seed(seed, "ideal", i))
-        for i in range(TRIALS_IDEAL)
-    )
+    real = ones(d, spec, TRIALS_REAL, seed, game.REAL)
+    ideal = ones(d, spec, TRIALS_IDEAL, seed, game.IDEAL)
     print(
         f"{name:34s} real {real}/{TRIALS_REAL}   ideal {ideal}/{TRIALS_IDEAL}"
         f" (expected ~{TRIALS_IDEAL / 65535:.2f})"

@@ -16,11 +16,11 @@ round at once, which needs all odd-round matrices to agree on the offset
 attack is schedule-agnostic: it trades q_e related-key queries against
 q_g offline key guesses and wins once some guess hits k ^ offset.
 
-The constants an attack derives from its schedule alone (the affine
-forms, the weak offset, the block shifts of an offset) are kept in the
-schedule's `memo`, so repeated trials over one schedule compute them once;
-every trial still makes all of its queries.  A precondition that fails
-keeps nothing, and raises again on the next call.
+The constants an attack derives from its schedule alone are kept: the
+affine forms and the weak offset in the schedule's `memo`, the block
+shifts of an offset where its `per_key` says.  So repeated trials over one
+schedule compute them once; every trial still makes all of its queries.
+A precondition that fails keeps nothing, and raises again on the next call.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
 from .feistel import CipherInstance
 from .gf2 import BinMatrix, joint_kernel_basis, mat_vec
 from .oracles import CountedFunction, RelatedKeyOracle, order_free
-from .schedules import MEMO_MAX_N, KeySchedule, _sample_range
+from .schedules import KeySchedule, _sample_range
 
 
 def _pack(left: int, right: int, n: int) -> int:
@@ -87,22 +87,16 @@ def _weak_offset(s: KeySchedule, name, constraints: Callable[[], list[BinMatrix]
     return delta
 
 
-def _per_offset_memo(s: KeySchedule) -> dict:
-    """Where per-offset constants go: s.memo for n <= MEMO_MAX_N, else a
-    throwaway dict, so a long run of random offsets cannot grow s.memo
-    past about N entries per attack."""
-    return s.memo if s.params.n <= MEMO_MAX_N else {}
-
-
 def _quartet_params(s: KeySchedule, wf, g, delta: int, left: int, right: int) -> BoomerangParams:
     """Shifts of a quartet over t = len(g) rounds, t = 4 or 5.
 
     (nabla1, nabla2) starts the probability-1 trail down rounds 1-2, and
     nabla3 = (gamma_t ^ wf2).d, nabla4 = (gamma_{t-1} ^ wf3).d start the one
-    up rounds t, t-1.  The four shifts are kept per offset; each (A ^ B).d
-    is taken as A.d ^ B.d, without building A ^ B.
+    up rounds t, t-1.  The four shifts are kept per offset, where
+    s.per_key says; each (A ^ B).d is taken as A.d ^ B.d, without
+    building A ^ B.
     """
-    memo = _per_offset_memo(s)
+    memo = s.per_key
     shifts = memo.get(("nablas", delta))
     if shifts is None:
         shifts = memo[("nablas", delta)] = (
@@ -228,7 +222,7 @@ def any_round_differential(
         delta = _weak_offset(s, ("weak", "any-round"), constraints) if t > 2 else 1
     elif delta == 0 or any(mat_vec(c, delta) != 0 for c in constraints()):
         raise NoWeakDelta("offset does not satisfy the common-difference conditions")
-    memo = _per_offset_memo(s)
+    memo = s.per_key
     shifts = memo.get(("any-round", delta))
     if shifts is None:
         d1 = mat_vec(g[0], delta)
@@ -266,8 +260,6 @@ def birthday_collision_attack(
     q_g: int,
     rng,
     construction: str = "kafw",
-    offsets: Sequence[int] | None = None,
-    guesses: Sequence[int] | None = None,
 ) -> int:
     """Collide secret related keys with offline key guesses.
 
@@ -277,35 +269,32 @@ def birthday_collision_attack(
     confirms the candidate on a second plaintext (one extra oracle query).
     The probe plaintext is 0 and the confirming one 1.
     Success against the construction approaches 1 - exp(-q_e*q_g/N); an
-    ideal cipher only passes the confirmation by accident.
+    ideal cipher only passes the confirmation by accident.  Offsets and
+    guesses are `_sample_range`'s, which are rng.sample's.
 
     The spec is the scalar loop: guess by guess, encrypt through fs, stop
-    at the first confirmed guess.  When fs are CountedFunctions sharing
-    one budget over order-free random functions and every guess lies in
-    [0, N), guesses are instead encrypted in chunks of ceil(N / q_e) (N
-    when q_e = 0), the expected gap between hits, by `encrypt_many` on the
-    oracles behind fs, which charges no budget.  A guess whose ciphertext
-    left half no probe has seen cannot match, so the batch skips its last
-    round's f (`wanted`).  The budget is then charged in scalar order, from
-    every round's inputs, for the guesses the loop would have evaluated:
-    up to each candidate, whose confirmation runs through fs as before,
-    and to the end of a chunk without a confirmed hit.  So the bit, q_e
-    and q_f (and the query at which a budget runs out) are those of the
-    scalar loop.  Offsets and guesses are `_sample_range`'s, which are
-    rng.sample's.
+    at the first confirmed guess.  It is what runs unless fs have an
+    uncounted view (CountedFunctions sharing one budget over order-free
+    random functions) and every guess lies in [0, N).  With a view, the
+    guesses go in chunks of ceil(N / q_e) (N when q_e = 0), the expected
+    gap between hits, through `encrypt_many` on the oracles behind fs,
+    which charges no budget and records every round's inputs.  A guess
+    whose ciphertext left half no probe has seen cannot match, so the
+    chunk may skip its last round's f (`wanted`).  The budget is then
+    charged in scalar order, from those inputs, for the guesses the loop
+    would have evaluated: up to each candidate, whose confirmation runs
+    through fs as before, and to the end of a chunk without a confirmed
+    hit.  So the bit, q_e and q_f (and the query at which a budget runs
+    out) are those of the scalar loop.
     """
     N = schedule.params.N
     if not (0 <= q_e <= N and 0 <= q_g <= N):
         raise DomainError(f"q_e = {q_e} and q_g = {q_g} must lie in [0, {N}]")
     offline = CipherInstance(schedule, tuple(fs), construction)
     w1, w2 = 0, 1
-    if offsets is None:
-        offsets = _sample_range(rng, N, q_e)
-    if guesses is None:
-        guesses = _sample_range(rng, N, q_g)
+    offsets = _sample_range(rng, N, q_e)
+    guesses = _sample_range(rng, N, q_g)
     seen = dict(zip(rk.encrypt_many(offsets, w1), offsets))
-    n = schedule.params.n
-    wanted = {ct >> n for ct in seen}  # a guess can match only with one of these left halves
     confirm_cache: dict[int, int] = {}
 
     def confirmed(guess: int, off: int) -> bool:
@@ -314,22 +303,23 @@ def birthday_collision_attack(
         return confirm_cache[off] == offline.encrypt_block(guess, w2)
 
     view = _uncounted(fs) if guesses and 0 <= min(guesses) and max(guesses) < N else None
-    uncounted = view and CipherInstance(schedule, view[0], construction)
+    if view is None:
+        for guess in guesses:
+            off = seen.get(offline.encrypt_block(guess, w1))
+            if off is not None and confirmed(guess, off):
+                return 1
+        return 0
+    uncounted, budget = CipherInstance(schedule, view[0], construction), view[1]
 
     def charge(inputs: list[list[int]], lo: int, hi: int) -> None:
         """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""
         if lo < hi:
-            view[1].spend_many([(f.index, x[lo:hi]) for f, x in zip(offline.round_functions, inputs)])
+            budget.spend_many([(f.index, x[lo:hi]) for f, x in zip(offline.round_functions, inputs)])
 
+    wanted = {ct >> schedule.params.n for ct in seen}  # a guess can match only with one of these left halves
     step = -(-N // q_e) if q_e else N
     for start in range(0, len(guesses), step):
         chunk = guesses[start : start + step]
-        if not (uncounted and uncounted.batches(len(chunk))):
-            for guess in chunk:
-                off = seen.get(offline.encrypt_block(guess, w1))
-                if off is not None and confirmed(guess, off):
-                    return 1
-            continue
         inputs: list[list[int]] = []
         charged = 0
         for j, ct in enumerate(uncounted.encrypt_many(chunk, w1, inputs, wanted)):

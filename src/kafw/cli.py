@@ -334,6 +334,10 @@ def cmd_bound(args, out) -> int:
     result = game.bound_formula(
         args.theorem, args.qf, args.qe, 1 << args.n, args.delta1, args.delta2, args.delta3
     )
+    try:
+        value, value_float = str(result.value), float(result.value)
+    except (ValueError, OverflowError) as e:  # past str's digit limit or float's range
+        raise DomainError(f"the bound's value cannot be printed: {e}") from None
     _emit(
         {
             "command": "bound",
@@ -344,8 +348,8 @@ def cmd_bound(args, out) -> int:
             "delta1": str(args.delta1),
             "delta2": str(args.delta2),
             "delta3": str(args.delta3),
-            "value": str(result.value),
-            "value_float": float(result.value),
+            "value": value,
+            "value_float": value_float,
             "precondition_ok": result.precondition_ok,
             "vacuous": result.vacuous,
         },

@@ -28,16 +28,16 @@ many words when every round function maps a column to a column (a table
 lookup does).  A tweak is folded into the key:
 encrypt_block(key ^ tweak, block).
 
-For n <= MEMO_MAX_N, a key's layout is computed once per schedule object
-and kept in the schedule's `memo`, so every instance over that schedule
-reads it from then on.
+A key's layout is computed once and kept where the schedule's `per_key`
+says, so every instance over that schedule reads it from then on.
 
-`CipherInstance.encrypt_many` encrypts one block under many keys.  Over
-order-free random functions it runs the same chain once on int64 columns
-across the keys, one batched f query per round, the layout read from the
-schedule's compiled slots; otherwise it is the loop over `encrypt_block`,
-which stays the spec.  `_chain` is the one multi-round loop, for one block
-or many, under one key or many.
+`CipherInstance.encrypt_many` encrypts one block under many keys and alone
+decides how: for enough in-range keys over order-free random functions it
+runs the same chain once on int64 columns across the keys, one batched f
+query per round; otherwise it is the loop over `encrypt_block`, which
+stays the spec.  Either way it can record every round's f inputs.
+`_chain` is the one multi-round loop, for one block or many, under one
+key or many.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, ScheduleArityMismatch
 from .oracles import order_free
-from .schedules import MEMO_MAX_N, KafvSchedule, KeySchedule, LuciferSchedule, check_construction
+from .schedules import KafvSchedule, KeySchedule, LuciferSchedule, check_construction
 
 
 # encrypt_many runs the scalar loop below this many keys.  The column path's
@@ -112,13 +112,11 @@ def _reference_layout(s, key: int) -> tuple:
 
 
 def _layout(s, key: int) -> tuple:
-    """The reference layout under key, kept in s.memo for n <= MEMO_MAX_N
-    and keys in [0, N).  Any other key is computed afresh each time, so it
-    raises (or not) exactly as the reference does, and a failing layout is
-    never kept."""
-    if s.params.n > MEMO_MAX_N:
-        return _reference_layout(s, key)
-    memo = s.memo
+    """The reference layout under key, kept in s.per_key for keys in
+    [0, N).  Any other key is computed afresh each time, so it raises (or
+    not) exactly as the reference does, and a failing layout is never
+    kept."""
+    memo = s.per_key
     layout = memo.get(key)
     if layout is None:
         layout = _reference_layout(s, key)
@@ -170,55 +168,46 @@ class CipherInstance:
         left, right = _chain(self.round_functions, _layout(s, key), s.key_into_f, left, block & mask, inverse, trace)
         return (left << n) | right
 
-    def batches(self, count: int) -> bool:
-        """Whether encrypt_many runs the keys as columns: at least BATCH_MIN
-        of them, and every round function an order-free
-        RandomFunctionOracle."""
-        return count >= BATCH_MIN and order_free(self.round_functions)
-
     def encrypt_many(self, keys: list[int], block: int, inputs: list | None = None, wanted: set | None = None) -> list:
         """[self.encrypt_block(key, block) for key in keys].
 
-        That loop is the spec, and it is what runs unless
-        `batches(len(keys))`; then `_chain` runs once over all keys, on
-        numpy int64 columns, each round one query_many, with the same
-        results.  Layout slot i is 0 for a zero map and otherwise its
-        compiled map's column over the keys (field-cubic maps at n <=
-        MAX_EXHAUSTIVE_N read from tables).  Keys outside [0, N) go key by
-        key through the reference layout instead, so the first bad key
-        raises as in the scalar loop.  `inputs` (batched only) receives one
-        list per round of that round's f inputs across the keys; the
-        birthday attack charges its f budget from them.  With `wanted`, a
-        set of left halves, a key whose ciphertext's left half is not in it
-        gets None instead: that half is fixed before the last round, so the
-        batched path never asks f for such a key's last round (its input is
+        That loop is the spec.  With at least BATCH_MIN keys, all in
+        [0, N), over order-free round functions, `_chain` runs once over
+        all keys instead, on numpy int64 columns, each round one
+        query_many, with the same results.  Layout slot i is 0 for a zero
+        map and otherwise its compiled map's column over the keys
+        (field-cubic maps at n <= MAX_EXHAUSTIVE_N read from tables).  Any
+        other call runs the loop, so a key outside [0, N) raises as the
+        reference layout does.  `inputs`, on either path, receives one list
+        per round of that round's f inputs across the keys; the birthday
+        attack charges its f budget from them.  With `wanted`, a set of
+        left halves, a key whose ciphertext's left half is not in it gets
+        None instead: that half is fixed before the last round, so the
+        column path never asks f for such a key's last round (its input is
         still recorded).
         """
         s = self.schedule
         n, count = s.params.n, len(keys)
         if keys and not 0 <= block >> n <= s.params.mask:
             raise DomainError("block out of range")
-        if not self.batches(count):
-            if inputs is not None:
-                raise DomainError("round inputs are recorded on the batched path only")
+        if count >= BATCH_MIN and order_free(self.round_functions) and 0 <= min(keys) and max(keys) < s.params.N:
+            cts = self._encrypt_columns(keys, block, inputs, wanted)
+        elif inputs is None:
             cts = [self.encrypt_block(key, block) for key in keys]
         else:
-            cts = self._encrypt_columns(keys, block, inputs, wanted)
+            traces = [[] for _ in keys]
+            cts = [self.encrypt_block(key, block, trace) for key, trace in zip(keys, traces)]
+            inputs += ([x for x, _y, _after in rounds] for rounds in zip(*traces))
         return cts if wanted is None else [ct if ct >> n in wanted else None for ct in cts]
 
     def _encrypt_columns(self, keys: list[int], block: int, inputs, wanted) -> list[int]:
-        """encrypt_many's batched path; a key whose left half is not
+        """encrypt_many's column path; a key whose left half is not
         `wanted` gets a wrong right half."""
         import numpy as np  # the CLI loads it anyway; `import kafw` does not
 
         s, count = self.schedule, len(keys)
         t, n = s.t, s.params.n
-        # Compiled whatever the keys, so a map that cannot compile raises first.
-        slots = s.compiled_slots
-        if 0 <= min(keys) and max(keys) < s.params.N:
-            layout = [0 if f is None else np.fromiter(map(f, keys), np.int64, count) for f in slots]
-        else:
-            layout = [np.array(c, np.int64) for c in zip(*(_reference_layout(s, key) for key in keys))]
+        layout = [0 if f is None else np.fromiter(map(f, keys), np.int64, count) for f in s.compiled_slots]
 
         def column(f, filtered: bool):
             def f_column(x):

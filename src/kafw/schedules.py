@@ -41,9 +41,6 @@ class SubkeyMap:
     def matrix(self, p: DomainParams) -> BinMatrix:
         raise NotAffine(f"{type(self).__name__} has no matrix form")
 
-    def constant(self, p: DomainParams) -> int:
-        raise NotAffine(f"{type(self).__name__} has no affine form")
-
     def is_zero(self, p: DomainParams) -> bool:
         return False
 
@@ -68,9 +65,6 @@ class ZeroMap(SubkeyMap):
     def matrix(self, p):
         return BinMatrix.zero(p.n)
 
-    def constant(self, p):
-        return 0
-
     def is_zero(self, p):
         return True
 
@@ -91,9 +85,6 @@ class AffineSubkey(SubkeyMap):
 
     def matrix(self, p):
         return self.m
-
-    def constant(self, p):
-        return self.c
 
     def is_zero(self, p):
         return self.c == 0 and not any(self.m.rows)
@@ -167,12 +158,6 @@ class XorSubkey(SubkeyMap):
             m = m ^ part.matrix(p)
         return m
 
-    def constant(self, p):
-        c = 0
-        for part in self.parts:
-            c ^= part.constant(p)
-        return c
-
     def is_zero(self, p):
         return all(part.is_zero(p) for part in self.parts)
 
@@ -213,14 +198,17 @@ class _Memo:
     """Values derived from the schedule alone, made on first use and freed
     with the schedule.
 
-    `memo` is a dict: int keys hold one master key's sub-key layout
-    (feistel), other keys attack constants (attacks).  `compiled_slots`
-    holds each slot's compiled map for every instance's encrypt_many.
-    Nothing derived from an oracle goes in, and nothing refers back to the
-    schedule.  cached_property writes both straight to the instance's
-    __dict__, past the frozen dataclass's __setattr__, so no field,
-    comparison or hash sees them; a compilation that raises keeps nothing.
-    An equal copy (dataclasses.replace) starts afresh.
+    `memo` is a dict of attack constants (attacks).  `per_key` is where
+    entries made per master key (feistel's sub-key layouts, under int keys)
+    or per key offset (attacks' block shifts) go: `memo` itself for n <=
+    MEMO_MAX_N, otherwise a fresh dict that nothing keeps, so a wide
+    schedule never grows one entry per key.  `compiled_slots` holds each
+    slot's compiled map for every instance's encrypt_many.  Nothing derived
+    from an oracle goes in, and nothing refers back to the schedule.
+    cached_property writes `memo` and `compiled_slots` straight to the
+    instance's __dict__, past the frozen dataclass's __setattr__, so no
+    field, comparison or hash sees them; a compilation that raises keeps
+    nothing.  An equal copy (dataclasses.replace) starts afresh.
 
     Each subclass states once, in `slots`, which map fills each of its
     construction's t + 4 sub-key slots in chain order (input whitening
@@ -234,6 +222,10 @@ class _Memo:
     @cached_property
     def memo(self) -> dict:
         return {}
+
+    @property
+    def per_key(self) -> dict:
+        return self.memo if self.params.n <= MEMO_MAX_N else {}
 
     @cached_property
     def compiled_slots(self) -> tuple:

@@ -220,13 +220,23 @@ def test_filled6_no_weak_delta():
         any_round_differential(rk, s)
 
 
+class _Planted(random.Random):
+    """sample() returns the planted lists in turn: the attack's offsets, then its guesses."""
+
+    def __init__(self, *lists):
+        super().__init__(0)
+        self.lists = list(lists)
+
+    def sample(self, population, k):
+        return self.lists.pop(0)
+
+
 def test_birthday_planted_collision():
     s = builtin("minimal4", P8)
     key = 0x5C
     rk, fs = real_oracle(s, 4, key, 13)
     delta = 0x21
-    rng = random.Random(0)
-    bit = birthday_collision_attack(rk, fs, s, 1, 1, rng, offsets=[delta], guesses=[key ^ delta])
+    bit = birthday_collision_attack(rk, fs, s, 1, 1, _Planted([delta], [key ^ delta]))
     assert bit == 1
     assert rk.query_count == 2  # one probe + one confirmation
 
@@ -234,8 +244,7 @@ def test_birthday_planted_collision():
 def test_birthday_miss_returns_zero():
     s = builtin("minimal4", P8)
     rk, fs = real_oracle(s, 4, 0x5C, 14)
-    rng = random.Random(0)
-    bit = birthday_collision_attack(rk, fs, s, 1, 1, rng, offsets=[0x21], guesses=[0x00])
+    bit = birthday_collision_attack(rk, fs, s, 1, 1, _Planted([0x21], [0x00]))
     assert bit == 0
 
 

@@ -75,14 +75,23 @@ def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle):
     )
 
 
+def _columns_ran(inst):
+    """A list that gets the key count of each encrypt_many that takes inst's column path."""
+    ran = []
+    columns = inst._encrypt_columns
+    inst._encrypt_columns = lambda keys, *rest: ran.append(len(keys)) or columns(keys, *rest)
+    return ran
+
+
 def _check_against_the_scalar_chain(p, t, schedule, construction, seeds, keys, block, filtered=False):
     """With `filtered`, `wanted` holds every third key's ciphertext left half."""
     batch, scalar = _twins(p, t, schedule, construction, seeds)
-    assert batch.batches(len(keys))
+    ran = _columns_ran(batch)
     want = [_reference(scalar, key, block) for key in keys]
     wanted = {ct >> p.n for ct, _ in want[::3]} if filtered else None
     inputs = []
     got = batch.encrypt_many(keys, block, inputs, wanted)
+    assert ran == [len(keys)]
     assert got == [ct if wanted is None or ct >> p.n in wanted else None for ct, _ in want]
     assert inputs == [list(col) for col in zip(*(xs for _, xs in want))]
     if filtered:
@@ -209,19 +218,50 @@ def test_encrypt_many_falls_back_to_the_scalar_loop():
         schedule = _schedule(construction, P8, 4, rng)
         seeds = [rng.randrange(1 << 40) for _ in range(4)]
         batch, scalar = _twins(P8, 4, schedule, construction, seeds, RandomPermutationOracle)
+        ran = _columns_ran(batch)
         keys = [rng.randrange(P8.N) for _ in range(30)]
-        assert not batch.batches(len(keys))
         assert batch.encrypt_many(keys, 0x1234) == [scalar.encrypt_block(k, 0x1234) for k in keys]
         assert [f.query_count for f in batch.round_functions] == [f.query_count for f in scalar.round_functions]
-        with pytest.raises(DomainError):
-            batch.encrypt_many(keys, 0, inputs=[])
+        inputs = []
+        got = batch.encrypt_many(keys, 0, inputs)
+        want = [_reference(scalar, key, 0) for key in keys]
+        assert got == [ct for ct, _ in want]
+        assert inputs == [list(col) for col in zip(*(xs for _, xs in want))]
+        assert ran == []
+
+
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
+def test_both_paths_record_the_same_round_inputs(construction):
+    """The same keys over the same order-free oracles, once as columns and
+    once through the encrypt_block loop (the oracles' bound queries are not
+    order-free): equal ciphertexts and equal lists of f inputs per round."""
+    rng = random.Random(f"both-paths-{construction}")
+    for filtered in (False, True):
+        schedule = _schedule(construction, P8, 4, rng)
+        oracles = tuple(RandomFunctionOracle(8, rng.randrange(1 << 40)) for _ in range(4))
+        columns = CipherInstance(schedule, oracles, construction)
+        loop = CipherInstance(schedule, tuple(f.query for f in oracles), construction)
+        ran = _columns_ran(columns), _columns_ran(loop)
+        keys = [rng.randrange(P8.N) for _ in range(40)]
+        wanted = {rng.randrange(P8.N) for _ in range(30)} if filtered else None
+        recorded = []
+        for inst in (columns, loop):
+            inputs = []
+            recorded.append((inst.encrypt_many(keys, 0xBEEF, inputs, wanted), inputs))
+        assert ran == ([len(keys)], [])
+        assert recorded[0] == recorded[1] and len(recorded[0][1]) == 4
 
 
 def test_encrypt_many_below_the_batch_size_is_the_scalar_loop():
     inst = CipherInstance(builtin("minimal4", P8), (RandomFunctionOracle(8, 1),))
-    assert not inst.batches(BATCH_MIN - 1) and inst.batches(BATCH_MIN)
+    ran = _columns_ran(inst)
     assert inst.encrypt_many([], 5) == []
     assert inst.encrypt_many([3, 4], 5) == [inst.encrypt_block(3, 5), inst.encrypt_block(4, 5)]
+    keys = list(range(BATCH_MIN))
+    assert inst.encrypt_many(keys[:-1], 5) == [inst.encrypt_block(k, 5) for k in keys[:-1]]
+    assert ran == []
+    assert inst.encrypt_many(keys, 5) == [inst.encrypt_block(k, 5) for k in keys]
+    assert ran == [BATCH_MIN]
 
 
 def _error(call):
@@ -513,6 +553,17 @@ def test_a_birthday_trials_instances_compile_the_schedules_slots_once(world, mon
             assert len(batches) >= (2 if world == game.REAL else 1)
 
 
+class _Planted(random.Random):
+    """sample() returns the planted lists in turn: the attack's offsets, then its guesses."""
+
+    def __init__(self, *lists):
+        super().__init__(0)
+        self.lists = list(lists)
+
+    def sample(self, population, k):
+        return self.lists.pop(0)
+
+
 def _attack(world, n, q_e, offsets, guesses, limit=None, seed=3, key=0x5C):
     """(bit or the exception, rk.query_count, q_f spent) of one birthday attack."""
     p = DomainParams.for_width(n)
@@ -523,7 +574,7 @@ def _attack(world, n, q_e, offsets, guesses, limit=None, seed=3, key=0x5C):
     backend = CipherInstance(s, (oracle,)) if world == "real" else IdealCipherOracle(n, seed + 1)
     rk = RelatedKeyOracle(key & p.mask, backend, n)
     try:
-        bit = birthday_collision_attack(rk, fs, s, q_e, len(guesses), random.Random(0), offsets=offsets, guesses=guesses)
+        bit = birthday_collision_attack(rk, fs, s, q_e, len(guesses), _Planted(offsets, guesses))
     except (QueryBudgetExceeded, DomainError) as e:
         bit = f"{type(e).__name__}: {e}"
     return bit, rk.query_count, budget.count

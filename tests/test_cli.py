@@ -251,6 +251,8 @@ THM3_IDEAL = ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n"
     (("bound", "--theorem", "1", "--n", "8", "--qf", "-1", "--qe", "4"), None, "DomainError"),
     (("bound", "--theorem", "2", "--n", "8", "--qf", "4", "--qe", "-1"), None, "DomainError"),
     (("bound", "--theorem", "1", "--n", "-1", "--qf", "4", "--qe", "4"), None, "DomainError"),
+    (("bound", "--theorem", "6", "--n", "20000", "--qf", "1", "--qe", "1"), None, "DomainError"),
+    (("bound", "--theorem", "1", "--n", "8", "--qf", "9" * 400, "--qe", "9" * 400), None, "DomainError"),
     (("equivalence", "--pair", "kafv-kafw", "--n", "4", "--rounds", "4", "--seeds", "0"), None,
      "DomainError"),
     (("equivalence", "--pair", "lucifer", "--n", "4", "--rounds", "4", "--seeds", "-2"), None,

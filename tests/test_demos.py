@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against this checkout, with the same output every time."""
+"""Each demo script runs to completion against this checkout and prints
+exactly its pinned stdout, tests/data/demos/<demo>.stdout."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "data" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -16,8 +18,6 @@ def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     env.pop("KAFW_SEED", None)
-    runs = [subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                           text=True, timeout=300) for _ in range(2)]
-    for result in runs:
-        assert result.returncode == 0, result.stderr
-    assert runs[0].stdout == runs[1].stdout
+    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (PINNED / f"{demo.stem}.stdout").read_text()

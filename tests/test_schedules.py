@@ -177,7 +177,6 @@ def test_xor_map_affine_introspection():
     x = XorSubkey((a, b, Z))
     assert x.is_affine
     assert x.matrix(P8) == a.m ^ b.m
-    assert x.constant(P8) == a.c ^ b.c
     for k in (0, 3, 200):
         assert x.value(k, P8) == a.value(k, P8) ^ b.value(k, P8)
     mixed = XorSubkey((a, FieldCubicSubkey(2)))
