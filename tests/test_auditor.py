@@ -1,14 +1,15 @@
 """Key-schedule audits: exact counts, reductions validated against direct enumeration."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kafw.errors import ArityMismatch, DomainError, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from kafw.auditor import (
-    _worst_self_count,
-    _worst_shifted_count,
+    _worst_counts,
     check_corollary1_affine,
     check_corollary1_nl,
     check_corollary2,
@@ -142,13 +143,77 @@ def _sample_tables(n, rng):
     }
 
 
+def shifted_count(t1, t2, offsets):
+    """Reference loop: max over a in offsets and y of |{k : t1[k] ^ t2[k ^ a] = y}|."""
+    N = len(t1)
+    idx = np.arange(N)
+    worst = 0
+    for a in offsets:
+        diffs = t1 ^ t2[idx ^ a]
+        worst = max(worst, int(np.bincount(diffs, minlength=N).max()))
+    return worst
+
+
+def _loop_counts(t1, t4):
+    """What _worst_counts((t1, t4)) gives, by the per-offset loop."""
+    N = len(t1)
+    return max(shifted_count(t1, t1, range(1, N)), shifted_count(t4, t4, range(1, N))), shifted_count(t1, t4, range(N))
+
+
+def _assert_kernel_matches_the_loop(t1, t4, label=None):
+    """_worst_counts in each of its modes against the per-offset loop."""
+    self_count, cross_count = _loop_counts(t1, t4)
+    assert _worst_counts((t1, t4)) == (self_count, cross_count), label
+    assert _worst_counts((t1, t4), cross_counts=False) == (self_count, 0), label
+    assert _worst_counts((t1, t4), self_counts=False) == (0, cross_count), label
+    assert _worst_counts((t1,), cross_counts=False) == (shifted_count(t1, t1, range(1, len(t1))), 0), label
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_self_count_matches_the_full_offset_loop(n):
     rng = random.Random(f"self-count-{n}")
     for seed in range(3):
         for kind, tab in _sample_tables(n, rng).items():
             t = np.array(tab, dtype=np.int64)
-            assert _worst_self_count(t) == _worst_shifted_count(t, t, range(1, 1 << n)), (seed, kind)
+            assert _worst_counts((t,), cross_counts=False)[0] == shifted_count(t, t, range(1, 1 << n)), (seed, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernel_matches_the_offset_loop_on_every_pair_of_sample_tables(n):
+    # Every ordered pair of kinds: both argument orders, t1 = t4 on the
+    # diagonal, and at n = 1, 2 fewer keys than a full block of offsets.
+    tables = {kind: np.array(tab, dtype=np.int64) for kind, tab in _sample_tables(n, random.Random(f"kernel-{n}")).items()}
+    for k1, t1 in tables.items():
+        for k4, t4 in tables.items():
+            _assert_kernel_matches_the_loop(t1, t4, (k1, k4))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_kernel_matches_the_offset_loop_on_a_random_pair(n):
+    rng = np.random.default_rng(n)
+    t1, t4 = rng.integers(0, 1 << n, size=(2, 1 << n))
+    assert _worst_counts((t1, t4)) == _loop_counts(t1, t4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n)] * 2)))
+def test_kernel_matches_the_offset_loop_on_arbitrary_tables(pair):
+    _assert_kernel_matches_the_loop(*(np.array(t, dtype=np.int64) for t in pair))
+
+
+def test_definition1_audit_at_n12_stays_within_2mb():
+    # The block size sets the kernel's working set (about 1 MB at n = 12);
+    # this keeps it well inside the benchmark's peak-memory bound.
+    s = builtin("minimal4", DomainParams.for_width(12))
+    check_definition1(s)  # compile the sub-key tables outside the measurement
+    tracemalloc.start()
+    try:
+        check_definition1(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -1,8 +1,10 @@
 """Misuse of public entry points: each row is a call and the typed error it
 raises, at the call itself rather than on some later use."""
 
+import numpy as np
 import pytest
 
+from kafw.auditor import check_corollary1_nl, check_definition1, measure_axu, measure_cross_uniformity, measure_uniformity
 from kafw.errors import DomainError, ScheduleArityMismatch
 from kafw.game import bound_formula
 from kafw.feistel import CipherInstance
@@ -62,6 +64,17 @@ MISUSE = [
     ("batched block 2^64 at n = 32", lambda: _wide().encrypt_many([1, 2, 3, 4], 1 << 64), DomainError),
     ("kafv_to_kafw of a KAFw schedule", lambda: kafv_to_kafw(builtin("minimal4", P8)), ScheduleArityMismatch),
     ("kafv_to_kafw of no schedule", lambda: kafv_to_kafw(None), ScheduleArityMismatch),
+    # _table used to truncate each float, auditing k + 0.5 as the identity
+    # (uniformity 1, XOR-universality 16).
+    ("uniformity of a float-valued map", lambda: measure_uniformity(lambda k: k + 0.5, 4), DomainError),
+    ("XOR-universality of a float-valued map", lambda: measure_axu(lambda k: k + 0.5, 4), DomainError),
+    ("cross uniformity of a float-valued map", lambda: measure_cross_uniformity(lambda k: k, lambda k: k / 1, 4), DomainError),
+    ("uniformity of a map returning None", lambda: measure_uniformity(lambda k: None, 4), DomainError),
+    ("uniformity of a map returning str(k)", lambda: measure_uniformity(str, 4), DomainError),
+    ("uniformity at width 4.0", lambda: measure_uniformity(lambda k: k, 4.0), DomainError),
+    ("XOR-universality at width None", lambda: measure_axu(lambda k: k, None), DomainError),
+    ("definition 1 audit with threshold None", lambda: check_definition1(builtin("minimal4", P8), None), DomainError),
+    ("corollary 1 audit with threshold 2.5", lambda: check_corollary1_nl(builtin("minimal4", P8), 2.5), DomainError),
 ]
 
 
@@ -86,6 +99,9 @@ def test_the_edge_of_each_domain_still_works():
     assert cipher.decrypt_block(3, top) == (1 << 16) - 1
     assert cipher.encrypt_many([3] * 4, (1 << 16) - 1) == [top] * 4
     assert cipher.encrypt_many([], 1 << 16) == []  # nothing asked, nothing checked
+    assert measure_uniformity(lambda k: np.int64(k), np.int64(4)) == 1
+    assert measure_axu(lambda k: np.uint16(k) if k % 2 else k, 4) == 16
+    assert check_definition1(builtin("tweakem4", P8), np.int64(3)).good_like
 
 
 def test_a_bad_block_raises_before_any_f_query():
@@ -99,3 +115,11 @@ def test_a_bad_block_raises_before_any_f_query():
         with pytest.raises(DomainError, match="block out of range"):
             call(cipher)
         assert cipher.round_functions[0].query_count == 0
+
+
+def test_a_bad_threshold_raises_before_any_map_is_tabulated(monkeypatch):
+    binds = []
+    monkeypatch.setattr(KeySchedule, "bind", lambda schedule, m: binds.append(m))
+    with pytest.raises(DomainError, match="threshold"):
+        check_definition1(builtin("minimal4", DomainParams.for_width(12)), None)
+    assert binds == []
