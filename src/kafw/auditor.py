@@ -16,15 +16,19 @@ enumerate the full key space; nothing is sampled.
 One kernel, _worst_counts, takes the XOR-universality and cross counts.  A
 Definition 1 audit costs about 2N^2 bin increments (N^2 for each count):
 about 0.1 s at n = 12, growing 4x with each added bit.
+
+numpy loads on the first count, not with this module, so a program that
+imports the auditor but never audits starts without it.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import ArityMismatch, DomainError, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from .gf2 import MAX_EXHAUSTIVE_N, mat_is_invertible, mat_kernel_basis
@@ -72,6 +76,8 @@ def _check_width(n: int) -> int:
 def _table(phi: Callable[[int], int], n: int) -> np.ndarray:
     """phi(k) for every k in [0, N); a value that is not an integer in [0, N)
     raises DomainError."""
+    import numpy as np
+
     N = 1 << n
     values = [phi(k) for k in range(N)]
     try:
@@ -85,6 +91,8 @@ def _table(phi: Callable[[int], int], n: int) -> np.ndarray:
 
 
 def _max_preimage(tab: np.ndarray) -> int:
+    import numpy as np
+
     return int(np.bincount(tab, minlength=len(tab)).max())
 
 
@@ -117,6 +125,8 @@ def _worst_counts(
     table and its offset's row in the block above bit n, so one bincount
     counts every offset of the block at once.
     """
+    import numpy as np
+
     N = len(tables[0])
     n = N.bit_length() - 1
     m = len(tables)

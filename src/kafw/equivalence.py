@@ -12,14 +12,15 @@ Round functions are numpy tables, so each side of an identity is one
 `encrypt_block` call per key on a numpy column of plaintext words, CHUNK of
 them at a time.  Counts and the first mismatch are those of the
 case-by-case loop in (seed, key, plaintext) order.
+
+numpy loads on the first sweep, not with this module, so a program that
+imports the sweeps but never runs one starts without it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, DomainTooLarge, TooFewRounds
 from .feistel import CipherInstance, psi_tilde_round
@@ -64,6 +65,8 @@ def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
 
 def _function_table(n: int, seed: int):
     """The random function with this seed as a lookup that takes int columns."""
+    import numpy as np
+
     oracle = RandomFunctionOracle(n, seed)
     table = np.array([oracle.query(x) for x in range(1 << n)], dtype=np.int64)
     return table.__getitem__
@@ -78,6 +81,8 @@ CHUNK = 1 << 16
 
 def _plaintexts(n: int):
     """Columns of all 2n-bit words, CHUNK at a time."""
+    import numpy as np
+
     total = 1 << (2 * n)
     for start in range(0, total, CHUNK):
         yield np.arange(start, min(start + CHUNK, total), dtype=np.int64)
@@ -91,6 +96,8 @@ class _Tally:
         self.first = None
 
     def add(self, seed, key: int, words, a, b) -> None:
+        import numpy as np
+
         bad = a != b
         count = int(np.count_nonzero(bad))
         self.cases += len(bad)

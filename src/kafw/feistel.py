@@ -203,7 +203,7 @@ class CipherInstance:
     def _encrypt_columns(self, keys: list[int], block: int, inputs, wanted) -> list[int]:
         """encrypt_many's column path; a key whose left half is not
         `wanted` gets a wrong right half."""
-        import numpy as np  # the CLI loads it anyway; `import kafw` does not
+        import numpy as np  # on first use; `import kafw.cli` does not load it
 
         s, count = self.schedule, len(keys)
         t, n = s.t, s.params.n

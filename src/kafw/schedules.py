@@ -121,7 +121,7 @@ def _field_cubic_table(multiplier: int, n: int, poly: int) -> array:
     temporaries small: whole-range ones cost a run at n = 16 over 1 MB of
     peak memory.
     """
-    import numpy as np  # the CLI loads it anyway; `import kafw` does not
+    import numpy as np  # on first use; `import kafw.cli` does not load it
 
     log, exp = _log_tables(n, poly)
     logs = np.frombuffer(log, dtype=np.uint16)

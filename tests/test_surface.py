@@ -1,6 +1,7 @@
-"""Each public module-level function, class or assignment in src/kafw is named
-(whole word) in src/kafw, demos/ or bench/ outside its own definition, or is
-exported in kafw.__all__.  Methods are out of scope."""
+"""The package surface: each public module-level function, class or
+assignment in src/kafw is named (whole word) in src/kafw, demos/ or bench/
+outside its own definition, or is exported in kafw.__all__ (methods are out
+of scope); and which cold runs load numpy."""
 
 import ast
 import os
@@ -9,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kafw
+from kafw.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 # feistel.psi_round is the one-round reference the scalar chain is tested against.
@@ -31,10 +35,41 @@ def test_no_public_name_is_used_only_by_tests():
     assert unused == []
 
 
-def test_importing_kafw_loads_no_numpy():
-    """numpy is imported on first use (field-cubic tables, encrypt_many's
-    columns, the auditor and equivalence modules), never by `import kafw`."""
+# A cold interpreter imports kafw.cli, runs `main(argv)` if argv is given,
+# then prints whether numpy was loaded.
+COLD = """import sys
+from kafw.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print('numpy' in sys.modules)
+sys.exit(code)"""
+N8 = ("--n", "8", "--seed", "7")
+COLD_RUNS = [  # (argv, numpy loaded)
+    ((), False),
+    (("encrypt", "--schedule", "minimal4", *N8, "--key", "2a", "--block", "1234"), False),
+    (("schedule", "--schedule", "minimal4", "--n", "8", "--key", "ab"), False),
+    (("bound", "--theorem", "1", "--n", "16", "--qf", "300", "--qe", "100"), False),
+    (("attack", "--name", "thm3", "--schedule", "identity_bad(4)", *N8, "--world", "real",
+      "--trials", "1"), False),
+    (("advantage", "--attack", "comp-any", "--schedule", "identity_bad(8)", *N8, "--trials", "3"), False),
+    (("audit", "--check", "def1", "--schedule", "minimal4", "--n", "8"), True),
+    (("equivalence", "--pair", "lucifer", "--n", "4", "--rounds", "3", "--seeds", "1", "--seed", "5"), True),
+]
+
+
+@pytest.mark.parametrize("argv, loads_numpy", COLD_RUNS,
+                         ids=[" ".join(argv[:1]) or "import kafw.cli" for argv, _ in COLD_RUNS])
+def test_importing_kafw_loads_no_numpy(argv, loads_numpy, capsys, monkeypatch):
+    """numpy is imported on first use, never by `import kafw` or `import
+    kafw.cli`: on an audit's first count, an equivalence sweep's first
+    column, `encrypt_many`'s column path and a field-cubic table's first
+    build.  So encrypt, schedule, bound and the quartet and complementation
+    attacks start without it; audits and sweeps load it, and print in a cold
+    process the record they print in this one."""
+    monkeypatch.delenv("KAFW_SEED", raising=False)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, kafw; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", COLD, *argv], env=env, capture_output=True, text=True, check=True)
+    *records, loaded = out.stdout.splitlines()
+    assert loaded == str(loads_numpy)
+    if argv:
+        assert main(list(argv)) == 0
+    assert records == capsys.readouterr().out.splitlines()
