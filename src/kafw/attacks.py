@@ -259,14 +259,14 @@ def birthday_collision_attack(
     q_e: int,
     q_g: int,
     rng,
-    construction: str = "kafw",
 ) -> int:
     """Collide secret related keys with offline key guesses.
 
     Queries the related-key oracle at q_e distinct offsets on one fixed
-    plaintext, evaluates the construction under q_g guessed keys offline
-    through the public round-function interface, and on a ciphertext match
-    confirms the candidate on a second plaintext (one extra oracle query).
+    plaintext, evaluates the schedule's construction under q_g guessed keys
+    offline through the public round-function interface, and on a
+    ciphertext match confirms the candidate on a second plaintext (one
+    extra oracle query).
     The probe plaintext is 0 and the confirming one 1.
     Success against the construction approaches 1 - exp(-q_e*q_g/N); an
     ideal cipher only passes the confirmation by accident.  Offsets and
@@ -290,7 +290,7 @@ def birthday_collision_attack(
     N = schedule.params.N
     if not (0 <= q_e <= N and 0 <= q_g <= N):
         raise DomainError(f"q_e = {q_e} and q_g = {q_g} must lie in [0, {N}]")
-    offline = CipherInstance(schedule, tuple(fs), construction)
+    offline = CipherInstance(schedule, tuple(fs))
     w1, w2 = 0, 1
     offsets = _sample_range(rng, N, q_e)
     guesses = _sample_range(rng, N, q_g)
@@ -309,7 +309,7 @@ def birthday_collision_attack(
             if off is not None and confirmed(guess, off):
                 return 1
         return 0
-    uncounted, budget = CipherInstance(schedule, view[0], construction), view[1]
+    uncounted, budget = CipherInstance(schedule, view[0]), view[1]
 
     def charge(inputs: list[list[int]], lo: int, hi: int) -> None:
         """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""

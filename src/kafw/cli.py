@@ -50,6 +50,7 @@ from .schedules import (
     KeySchedule,
     LuciferSchedule,
     builtin,
+    check_construction,
     is_builtin,
     kafv_to_kafw,
 )
@@ -125,7 +126,8 @@ def cmd_encrypt(args, out) -> int:
     seed = _default_seed(args)
     spec = _construction_spec(args, _load_schedule(args.schedule, args.n, args.rounds))
     p = spec.params
-    instance = CipherInstance(spec.schedule, game.round_oracles(spec, seed), spec.construction)
+    check_construction(spec.construction, spec.schedule)
+    instance = CipherInstance(spec.schedule, game.round_oracles(spec, seed))
     key = _hex_arg(args.key, p.n, "key")
     block = _hex_arg(args.block, 2 * p.n, "block")
     ct = instance.encrypt_block(key, block)

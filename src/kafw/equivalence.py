@@ -129,8 +129,8 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         star = KafvSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t + 2)))
         converted = kafv_to_kafw(star)
         f = _function_table(n, derive_seed(seed, "f"))
-        kafv_inst = CipherInstance(star, (f,), "kafv")
-        kafw_inst = CipherInstance(converted, (f,), "kafw")
+        kafv_inst = CipherInstance(star, (f,))
+        kafw_inst = CipherInstance(converted, (f,))
         for key in range(p.N):
             for words in _plaintexts(n):
                 a = kafv_encrypt(kafv_inst, key, words)
@@ -149,10 +149,10 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         rng = random.Random(derive_seed(seed, "lucifer-schedule"))
         key_maps = LuciferSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t)))
         fs = [_function_table(n, derive_seed(seed, "f", i)) for i in range(t)]
-        lucifer_inst = CipherInstance(key_maps, tuple(fs), "lucifer")
+        lucifer_inst = CipherInstance(key_maps, tuple(fs))
         # The Lucifer's round-key maps are the KAFv core's sub-key maps.
         parts = lucifer_strip(fs, key_maps.maps)
-        core_inst = CipherInstance(KafvSchedule(p, parts.core_subkeys), parts.core_functions, "kafv")
+        core_inst = CipherInstance(KafvSchedule(p, parts.core_subkeys), parts.core_functions)
         for key in range(p.N):
             for words in _plaintexts(n):
                 direct = lucifer_encrypt(lucifer_inst, key, words)

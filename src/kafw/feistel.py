@@ -13,20 +13,19 @@ Every construction is one chain w_out ^ round_t o ... o round_1 (w_in ^ x)
 over a flat layout of t + 4 sub-keys: the input whitening halves, the t
 round keys, the output whitening halves.  Each schedule class states once,
 in its `slots`, which sub-key map fills each place: KAFw whitens with
-wf0(k)||wf1(k) and wf2(k)||wf3(k), KAF (construction="kaf") is KAFw with
-zero whitening, a t-round KAFv whitens with 0||g*_0 and g*_{t+1}||0, and
-Lucifer not at all.  Decryption is the reversed chain between two half
-swaps (round^-1 = swap o round o swap): round functions are only ever
-evaluated forward, so non-invertible ones still give permutations of the
-full 2n-bit block.
+wf0(k)||wf1(k) and wf2(k)||wf3(k), KAF is KAFw with zero whitening, a
+t-round KAFv whitens with 0||g*_0 and g*_{t+1}||0, and Lucifer not at
+all.  Decryption is the reversed chain between two half swaps (round^-1 =
+swap o round o swap): round functions are only ever evaluated forward, so
+non-invertible ones still give permutations of the full 2n-bit block.
 
-A `CipherInstance` is a schedule plus round functions; its width and round
-count are the schedule's.  `encrypt_block`/`decrypt_block(key, block)` are
-the one block interface.  A block is a 2n-bit word, left half high: a plain
-int in [0, 2^2n) (any other raises DomainError), or a numpy int64 column of
-many words when every round function maps a column to a column (a table
-lookup does).  A tweak is folded into the key:
-encrypt_block(key ^ tweak, block).
+A `CipherInstance` is a schedule plus round functions; its construction,
+width and round count are the schedule's.
+`encrypt_block`/`decrypt_block(key, block)` are the one block interface.
+A block is a 2n-bit word, left half high: a plain int in [0, 2^2n) (any
+other raises DomainError), or a numpy int64 column of many words when every
+round function maps a column to a column (a table lookup does).  A tweak is
+folded into the key: encrypt_block(key ^ tweak, block).
 
 A key's layout is computed once and kept where the schedule's `per_key`
 says, so every instance over that schedule reads it from then on.
@@ -48,7 +47,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, ScheduleArityMismatch
 from .oracles import order_free
-from .schedules import KafvSchedule, KeySchedule, LuciferSchedule, check_construction
+from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
 
 
 # encrypt_many runs the scalar loop below this many keys.  The column path's
@@ -136,10 +135,10 @@ class CipherInstance:
 
     schedule: KeySchedule | KafvSchedule | LuciferSchedule
     round_functions: Sequence[RoundFunction]
-    construction: str = "kafw"
 
     def __post_init__(self):
-        check_construction(self.construction, self.schedule)
+        if not isinstance(self.schedule, tuple(CONSTRUCTIONS.values())):
+            raise ScheduleArityMismatch(f"no construction reads a {type(self.schedule).__name__}")
         t = self.schedule.t
         fs = tuple(self.round_functions)
         if len(fs) == 1 and t != 1:

@@ -72,9 +72,10 @@ class WorldSpec:
 
 @dataclass
 class GameContext:
-    """Everything a distinguisher may touch during one trial."""
+    """Everything a distinguisher may touch during one trial: the schedule
+    (which names the construction), the related-key oracle, the round
+    functions and the trial's random stream."""
 
-    construction: str
     schedule: KeySchedule | KafvSchedule
     rk: RelatedKeyOracle
     fs: list[CountedFunction]
@@ -144,7 +145,7 @@ def run_trial_detailed(d: Distinguisher, w: WorldSpec, seed: int) -> AttackOutco
     budget = FunctionBudget(limit=d.q_f)
     if w.kind == REAL:
         oracles = [make() for make in makers]
-        backend = CipherInstance(schedule, tuple(oracles), spec.construction)
+        backend = CipherInstance(schedule, tuple(oracles))
         fs = [CountedFunction(o, budget, i) for i, o in enumerate(oracles)]
     elif w.kind == IDEAL:
         backend = IdealCipherOracle(params.n, child("ic"))
@@ -152,7 +153,7 @@ def run_trial_detailed(d: Distinguisher, w: WorldSpec, seed: int) -> AttackOutco
     else:
         raise DomainError(f"unknown world {w.kind!r}")
     rk = RelatedKeyOracle(key, backend, params.n, limit=d.q_e)
-    ctx = GameContext(spec.construction, schedule, rk, fs, rng)
+    ctx = GameContext(schedule, rk, fs, rng)
     bit = d.run(ctx)
     return AttackOutcome(bit=bit, q_e_used=rk.query_count, q_f_used=budget.count)
 
@@ -323,7 +324,7 @@ def quartet_probe_distinguisher() -> Distinguisher:
     return _schedule_distinguisher("quartet-probe", "quartet_probe", 4, True)
 
 
-def birthday_distinguisher(q_e: int, q_g: int, rounds: int | None = None) -> Distinguisher:
+def birthday_distinguisher(q_e: int, q_g: int, rounds: int) -> Distinguisher:
     def run(ctx: GameContext) -> int:
         return attacks.birthday_collision_attack(
             ctx.rk,
@@ -332,18 +333,16 @@ def birthday_distinguisher(q_e: int, q_g: int, rounds: int | None = None) -> Dis
             q_e,
             q_g,
             ctx.rng,
-            ctx.construction,
         )
 
     # Worst case: one confirmation query per guess, two offline evaluations
     # per guess at `rounds` function queries each.
-    q_f = 2 * q_g * rounds if rounds is not None else None
-    return Distinguisher("birthday", run, q_e=q_e + q_g, q_f=q_f)
+    return Distinguisher("birthday", run, q_e=q_e + q_g, q_f=2 * q_g * rounds)
 
 
 # Attack names and their aliases -> factory(q_e, q_g, rounds).  The budgets
 # size the birthday attack only; the quartet attacks have fixed ones.
-ATTACKS: dict[str, Callable[[int, int, int | None], Distinguisher]] = {
+ATTACKS: dict[str, Callable[[int, int, int], Distinguisher]] = {
     name: factory
     for names, factory in (
         (("thm3", "boomerang4"), lambda *_: boomerang4_distinguisher()),

@@ -367,8 +367,9 @@ CONSTRUCTIONS = {
 
 
 def check_construction(construction: str, schedule) -> None:
-    """The one check of a (construction, schedule) pair, for every instance
-    and every game world.
+    """The one check of a (construction, schedule) pair, run wherever a
+    construction label comes in from outside the schedule: each game
+    trial's ConstructionSpec and `kafw encrypt --construction`.
 
     The construction must be known; the schedule must be of the class it
     reads, and for KAF have zero whitening.  Nothing else of the schedule

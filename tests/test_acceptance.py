@@ -235,11 +235,11 @@ def test_criterion_8_core_properties(capsys):
 
     # 100k random encrypt/decrypt round trips across all four constructions.
     kafw_inst = CipherInstance(random_affine(P8, 4, rng), (_table_f(8, 1),))
-    kaf_inst = CipherInstance(builtin("minimal4", P8), (_table_f(8, 2),), "kaf")
+    kaf_inst = CipherInstance(builtin("minimal4", P8), (_table_f(8, 2),))
     star = KafvSchedule(P8, tuple(random_affine(P8, 6, rng).round_keys) + (Z, Z))
-    kafv_inst = CipherInstance(KafvSchedule(P8, star.maps), (_table_f(8, 3),), "kafv")
+    kafv_inst = CipherInstance(KafvSchedule(P8, star.maps), (_table_f(8, 3),))
     luc_maps = LuciferSchedule(P8, tuple(random_affine(P8, 4, rng).round_keys))
-    luc_inst = CipherInstance(luc_maps, tuple(_table_f(8, 10 + i) for i in range(4)), "lucifer")
+    luc_inst = CipherInstance(luc_maps, tuple(_table_f(8, 10 + i) for i in range(4)))
     for inst, count in ((kafw_inst, 30_000), (kaf_inst, 20_000), (kafv_inst, 25_000), (luc_inst, 25_000)):
         for _ in range(count):
             key = rng.randrange(256)

@@ -33,9 +33,9 @@ P8 = DomainParams.for_width(8)
 Z = ZeroMap()
 
 
-def real_oracle(spec_schedule, rounds, key, seed, construction="kafw"):
+def real_oracle(spec_schedule, rounds, key, seed):
     fs = tuple(RandomFunctionOracle(8, derive_seed(seed, "f", i)) for i in range(rounds))
-    inst = CipherInstance(spec_schedule, fs, construction)
+    inst = CipherInstance(spec_schedule, fs)
     return RelatedKeyOracle(key, inst, 8), fs
 
 

@@ -16,7 +16,7 @@ from kafw.attacks import birthday_collision_attack
 from kafw.equivalence import random_subkey_map
 from kafw.errors import DomainError, KafwError, QueryBudgetExceeded
 from kafw.feistel import BATCH_MIN, CipherInstance, _chain, _reference_layout
-from kafw.gf2 import MAX_EXHAUSTIVE_N, MAX_N, BinMatrix, DomainParams
+from kafw.gf2 import MAX_EXHAUSTIVE_N, REDUCTION_POLYNOMIALS, BinMatrix, DomainParams
 from kafw.oracles import (
     CountedFunction,
     FunctionBudget,
@@ -39,6 +39,7 @@ from kafw.schedules import (
     builtin,
 )
 
+MAX_N = max(REDUCTION_POLYNOMIALS)
 P4 = DomainParams.for_width(4)
 P8 = DomainParams.for_width(8)
 P16 = DomainParams.for_width(16)
@@ -67,10 +68,10 @@ def _reference(inst, key, block):
     return (left << n) | right, [x for x, _y, _after in trace]
 
 
-def _twins(p, t, schedule, construction, seeds, make=RandomFunctionOracle):
+def _twins(p, t, schedule, seeds, make=RandomFunctionOracle):
     """Two instances over equal, separate round-function oracles."""
     return tuple(
-        CipherInstance(schedule, tuple(make(p.n, s) for s in seeds), construction)
+        CipherInstance(schedule, tuple(make(p.n, s) for s in seeds))
         for _ in range(2)
     )
 
@@ -85,7 +86,7 @@ def _columns_ran(inst):
 
 def _check_against_the_scalar_chain(p, t, schedule, construction, seeds, keys, block, filtered=False):
     """With `filtered`, `wanted` holds every third key's ciphertext left half."""
-    batch, scalar = _twins(p, t, schedule, construction, seeds)
+    batch, scalar = _twins(p, t, schedule, seeds)
     ran = _columns_ran(batch)
     want = [_reference(scalar, key, block) for key in keys]
     wanted = {ct >> p.n for ct, _ in want[::3]} if filtered else None
@@ -129,7 +130,7 @@ def test_wanted_left_halves_skip_the_last_round_only(construction, n, monkeypatc
     for case in range(10):
         t = rng.randrange(2, 6)
         seeds = [rng.randrange(1 << 40) for _ in range(1 if case % 2 else t)]
-        batch, scalar = _twins(p, t, _schedule(construction, p, t, rng), construction, seeds)
+        batch, scalar = _twins(p, t, _schedule(construction, p, t, rng), seeds)
         keys = [rng.randrange(p.N) for _ in range(rng.randrange(BATCH_MIN, 60))]
         block = rng.randrange(p.N * p.N)
         want = [_reference(scalar, key, block) for key in keys]
@@ -157,9 +158,9 @@ def test_chain_over_columns_matches_the_int_chain(construction, n):
         t = rng.randrange(2, 6)
         tables = [[rng.randrange(p.N) for _ in range(p.N)] for _ in range(1 if case % 2 else t)]
         schedule = _schedule(construction, p, t, rng)
-        ints = CipherInstance(schedule, tuple(tab.__getitem__ for tab in tables), construction)
+        ints = CipherInstance(schedule, tuple(tab.__getitem__ for tab in tables))
         columns = CipherInstance(
-            schedule, tuple(np.array(tab, dtype=np.int64).__getitem__ for tab in tables), construction
+            schedule, tuple(np.array(tab, dtype=np.int64).__getitem__ for tab in tables)
         )
         for key in (rng.randrange(p.N), rng.randrange(p.N)):
             layout, into = _reference_layout(schedule, key), schedule.key_into_f
@@ -217,7 +218,7 @@ def test_encrypt_many_falls_back_to_the_scalar_loop():
     for construction in ("kafw", "kafv", "lucifer"):
         schedule = _schedule(construction, P8, 4, rng)
         seeds = [rng.randrange(1 << 40) for _ in range(4)]
-        batch, scalar = _twins(P8, 4, schedule, construction, seeds, RandomPermutationOracle)
+        batch, scalar = _twins(P8, 4, schedule, seeds, RandomPermutationOracle)
         ran = _columns_ran(batch)
         keys = [rng.randrange(P8.N) for _ in range(30)]
         assert batch.encrypt_many(keys, 0x1234) == [scalar.encrypt_block(k, 0x1234) for k in keys]
@@ -239,8 +240,8 @@ def test_both_paths_record_the_same_round_inputs(construction):
     for filtered in (False, True):
         schedule = _schedule(construction, P8, 4, rng)
         oracles = tuple(RandomFunctionOracle(8, rng.randrange(1 << 40)) for _ in range(4))
-        columns = CipherInstance(schedule, oracles, construction)
-        loop = CipherInstance(schedule, tuple(f.query for f in oracles), construction)
+        columns = CipherInstance(schedule, oracles)
+        loop = CipherInstance(schedule, tuple(f.query for f in oracles))
         ran = _columns_ran(columns), _columns_ran(loop)
         keys = [rng.randrange(P8.N) for _ in range(40)]
         wanted = {rng.randrange(P8.N) for _ in range(30)} if filtered else None
@@ -305,7 +306,7 @@ def test_kept_layouts_match_the_reference_chain(construction, n):
     t = rng.randrange(2, 6)
     schedule = _schedule(construction, p, t, rng)
     insts = [
-        CipherInstance(schedule, tuple(RandomFunctionOracle(n, rng.randrange(1 << 40)) for _ in range(t)), construction)
+        CipherInstance(schedule, tuple(RandomFunctionOracle(n, rng.randrange(1 << 40)) for _ in range(t)))
         for _ in range(2)
     ]
     assert "memo" not in vars(schedule)
@@ -338,7 +339,7 @@ def test_out_of_range_keys_of_affine_schedules_fail_as_the_reference_layout(key)
     the high bits, so 256 encrypted as 0 and -1 as 255."""
     rounds = tuple(AffineSubkey(BinMatrix.rotation(8, r), r) for r in range(4))
     schedule = KeySchedule(P8, (Z, AffineSubkey(BinMatrix.identity(8), 7), Z, Z), rounds)
-    inst = _twins(P8, 4, schedule, "kafw", [5])[0]
+    inst = _twins(P8, 4, schedule, [5])[0]
     want = _error(lambda: _reference_layout(schedule, key))
     assert want[0] is DomainError and "F2^8" in want[1]
     for compiled in (False, True):  # before and after encrypt_many compiles

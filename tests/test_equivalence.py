@@ -72,8 +72,8 @@ def _scalar_kafv_vs_kafw(n, t, seeds):
         rng = random.Random(derive_seed(seed, "kafv-schedule"))
         star = KafvSchedule(p, tuple(equivalence.random_subkey_map(p, rng) for _ in range(t + 2)))
         f = _int_table(n, derive_seed(seed, "f"))
-        kafv_inst = CipherInstance(star, (f,), "kafv")
-        kafw_inst = CipherInstance(equivalence.kafv_to_kafw(star), (f,), "kafw")
+        kafv_inst = CipherInstance(star, (f,))
+        kafw_inst = CipherInstance(equivalence.kafv_to_kafw(star), (f,))
         for key in range(p.N):
             for word in range(p.N * p.N):
                 a, b = kafv_inst.encrypt_block(key, word), kafw_inst.encrypt_block(key, word)
@@ -92,12 +92,12 @@ def _scalar_lucifer_sandwich(n, t, seeds):
         rng = random.Random(derive_seed(seed, "lucifer-schedule"))
         key_maps = LuciferSchedule(p, tuple(equivalence.random_subkey_map(p, rng) for _ in range(t)))
         fs = [_int_table(n, derive_seed(seed, "f", i)) for i in range(t)]
-        lucifer_inst = CipherInstance(key_maps, tuple(fs), "lucifer")
+        lucifer_inst = CipherInstance(key_maps, tuple(fs))
         for key in range(p.N):
             keys = [key_maps.round_key(i, key) for i in range(1, t + 1)]
             parts = equivalence.lucifer_strip(fs, keys)
             const_maps = tuple(AffineSubkey(BinMatrix.zero(n), c) for c in parts.core_subkeys)
-            core_inst = CipherInstance(KafvSchedule(p, const_maps), parts.core_functions, "kafv")
+            core_inst = CipherInstance(KafvSchedule(p, const_maps), parts.core_functions)
             for word in range(p.N * p.N):
                 direct = lucifer_inst.encrypt_block(key, word)
                 left, right = psi_tilde_round((word >> n, word & p.mask), 0, parts.outer_first)

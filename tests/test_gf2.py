@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import kafw
@@ -18,7 +19,6 @@ from kafw.gf2 import (
     DomainParams,
     gf_cube,
     gf_mul,
-    is_irreducible,
     is_orthomorphism,
     joint_kernel_basis,
     mat_is_invertible,
@@ -347,19 +347,15 @@ def test_polynomial_table_minimal_and_irreducible_small(n):
 
 @pytest.mark.parametrize("n", range(2, 33))
 def test_polynomial_table_against_sympy(n):
-    sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     mask = REDUCTION_POLYNOMIALS[n]
     expr = x**n + sum((mask >> i & 1) * x**i for i in range(n))
     assert sympy.Poly(expr, x, modulus=2).is_irreducible
-    assert is_irreducible(mask, n)
 
 
 def test_domain_params_validation():
     assert DomainParams.for_width(8).N == 256
     with pytest.raises(ValueError):
-        DomainParams(8, 0x03)  # x^8 + x + 1 factors
+        DomainParams(1)
     with pytest.raises(ValueError):
-        DomainParams(1, 0x1)
-    with pytest.raises(ValueError):
-        DomainParams(33, 0x1)
+        DomainParams(33)

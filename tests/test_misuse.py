@@ -10,7 +10,7 @@ from kafw.game import bound_formula
 from kafw.feistel import CipherInstance
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
-from kafw.schedules import KafvSchedule, KeySchedule, ZeroMap, builtin, identity_map, kafv_to_kafw
+from kafw.schedules import KafvSchedule, KeySchedule, LuciferSchedule, ZeroMap, builtin, identity_map, kafv_to_kafw
 
 P8 = DomainParams.for_width(8)
 P32 = DomainParams.for_width(32)
@@ -46,6 +46,11 @@ MISUSE = [
     ("related-key oracle with master key -1", lambda: RelatedKeyOracle(-1, _cipher(), 8), DomainError),
     ("affine sub-key of key 2^n", lambda: _cipher().encrypt_block(256, 0), DomainError),
     ("affine sub-key of key -1", lambda: _cipher().encrypt_block(-1, 0), DomainError),
+    *[
+        (f"{make.__qualname__} of width {n!r}", lambda make=make, n=n: make(n), DomainError)
+        for make in (DomainParams, DomainParams.for_width)
+        for n in (8.0, np.int64(8), 1, 33)
+    ],
     ("empty matrix", lambda: BinMatrix(()), DomainError),
     ("matrix row 2^n", lambda: BinMatrix((1, 4)), DomainError),
     ("negative matrix row", lambda: BinMatrix((1, -1)), DomainError),
@@ -94,6 +99,9 @@ def test_the_edge_of_each_domain_still_works():
     assert bound_formula(6, 1, 1, 1).value == 24
     kafv = KafvSchedule(P8, (identity_map(8),) * 4)
     assert kafv_to_kafw(kafv).t == 2
+    for schedule in (kafv, LuciferSchedule(P8, (identity_map(8),) * 3)):
+        cipher = CipherInstance(schedule, (RandomFunctionOracle(8, 3),))  # the schedule names the construction
+        assert cipher.decrypt_block(5, cipher.encrypt_block(5, 0x1234)) == 0x1234
     cipher = _one_round()
     top = cipher.encrypt_block(3, (1 << 16) - 1)
     assert cipher.decrypt_block(3, top) == (1 << 16) - 1
