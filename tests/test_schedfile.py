@@ -2,7 +2,7 @@
 
 import pytest
 
-from kafw.errors import BadMatrix, ParseError
+from kafw.errors import BadMatrix, KafwError, ParseError, TooFewRounds
 from kafw.gf2 import DomainParams
 from kafw.schedfile import parse_schedule_text
 from kafw.schedules import KafvSchedule, KeySchedule, LuciferSchedule, builtin
@@ -159,3 +159,92 @@ def test_whitening_defaults_to_zero():
     ref = builtin("tweakem4", P8)
     for k in range(0, 256, 3):
         assert s.whitening_key(1, k) == ref.whitening_key(1, k)
+
+
+# One row per error the parser raises: its type, full message and, for a
+# ParseError, its line and column.  The later rows pin the order in which
+# checks fire where a text breaks two rules at once.
+ERRORS = [
+    ("unexpected character", "n = 8\ngamma1 = zero @\n", ParseError, "unexpected character '@'", 2, 15),
+    ("tokenizer before parser", "whatnot = 3\n\n  $\n", ParseError, "unexpected character '$'", 3, 3),
+    ("expected punctuation", "n 8\n", ParseError, "expected '=', found '8'", 1, 3),
+    ("expected a word", "n = 8\ngamma1 = ,\n", ParseError, "expected 'word', found ','", 2, 10),
+    ("end of file", "n = 8\ngamma1 =", ParseError, "expected 'word', found 'end of file'", 3, 1),
+    ("expected a keyword", "n = 8\ngamma1 = affine { rows = [01] }\n", ParseError,
+     "expected 'matrix', found 'rows'", 2, 19),
+    ("bad matrix row", "n = 8\ngamma1 = affine { matrix = [01, zz], constant = 00 }\n", ParseError,
+     "bad hex matrix row 'zz'", 2, 33),
+    ("bad constant", "n = 8\ngamma1 = affine { matrix = [01], constant = x1 }\n", ParseError,
+     "bad hex constant 'x1'", 2, 45),
+    ("bad multiplier", "n = 8\ngamma1 = fieldcubic { m = g }\n", ParseError, "bad hex multiplier 'g'", 2, 27),
+    ("bad n", "n = 8a\n", ParseError, "bad integer n '8a'", 1, 5),
+    ("bad t", "n = 8\nt = four\n", ParseError, "bad integer t 'four'", 2, 5),
+    ("unknown entry kind", "n = 8\ngamma1 = bogus { }\n", ParseError, "unknown entry kind 'bogus'", 2, 10),
+    ("unknown construction", "construction = des\n", ParseError, "unknown construction 'des'", 1, 16),
+    ("unknown field", "whatnot = 3\n", ParseError, "unknown field 'whatnot'", 1, 1),
+    ("duplicate entry", "n = 8\ngamma1 = zero\n  gamma1 = zero\n", ParseError, "duplicate entry 'gamma1'", 3, 3),
+    ("missing n", "gamma1 = zero\n", ParseError, "missing field n", 1, 1),
+    ("unsupported width", "n = 33\ngamma1 = zero\n", ParseError, "unsupported width n=33", 1, 1),
+    ("gamma gap", "n = 8\ngamma1 = zero\ngamma3 = zero\n", ParseError,
+     "gamma entries must be contiguous from gamma1", 1, 1),
+    ("star in kafw", "n = 8\nstar0 = zero\ngamma1 = zero\n", ParseError, "star entries are not valid for kafw", 1, 1),
+    ("no round keys", "n = 8\nwf0 = zero\n", ParseError, "no round-key entries", 1, 1),
+    ("kaf whitening", "n = 8\nconstruction = kaf\nwf0 = zero\ngamma1 = zero\n", ParseError,
+     "kaf takes no whitening entries", 1, 1),
+    ("whitening slot 4", "n = 8\nwf4 = zero\ngamma1 = zero\n", ParseError, "whitening slots are wf0..wf3", 1, 1),
+    ("star gap", "n = 8\nconstruction = kafv\nstar1 = zero\nstar2 = zero\n", ParseError,
+     "star entries must be contiguous from star0", 1, 1),
+    ("one star", "n = 8\nconstruction = kafv\nstar0 = zero\n", ParseError, "kafv needs entries star0..star{t+1}", 1, 1),
+    ("gamma in kafv", "n = 8\nconstruction = kafv\nstar0 = zero\nstar1 = zero\ngamma1 = zero\n", ParseError,
+     "kafv takes only star entries", 1, 1),
+    ("whitening in lucifer", "n = 8\nconstruction = lucifer\ngamma1 = zero\ngamma2 = zero\nwf0 = zero\n",
+     ParseError, "lucifer takes only gamma entries", 1, 1),
+    ("one-round lucifer", "n = 8\nconstruction = lucifer\ngamma1 = zero\n", TooFewRounds, "lucifer needs t >= 2",
+     None, None),
+    ("t mismatch", "n = 8\nt = 5\ngamma1 = zero\n", ParseError, "t = 5 but entries imply t = 1", 1, 1),
+    ("matrix row count", "n = 8\n\ngamma1 = affine { matrix = [01, 02], constant = 00 }\n", BadMatrix,
+     "line 3: affine matrix needs 8 rows below 2^8", None, None),
+    ("matrix row range", "n = 4\ngamma1 = affine { matrix = [01, 02, 04, 1f], constant = 00 }\n", BadMatrix,
+     "line 2: affine matrix needs 4 rows below 2^4", None, None),
+    ("constant range", "n = 4\ngamma1 = affine { matrix = [01, 02, 04, 08], constant = ff }\n", BadMatrix,
+     "line 2: constant 0xff out of range", None, None),
+    ("multiplier range, on the multiplier's line", "n = 4\ngamma1 = fieldcubic {\n  m = 10 }\n", BadMatrix,
+     "line 3: multiplier 0x10 out of range", None, None),
+    ("matrix inside xor, on the affine's line", "n = 4\ngamma1 = xor [ zero,\n affine { matrix = [1],\n"
+     " constant = 0 } ]\n", BadMatrix, "line 3: affine matrix needs 4 rows below 2^4", None, None),
+    ("row count before constant", "n = 4\ngamma1 = affine { matrix = [1], constant = ff }\n", BadMatrix,
+     "line 2: affine matrix needs 4 rows below 2^4", None, None),
+    ("n after the entries", "gamma1 = fieldcubic { m = 10 }\nn = 4\n", BadMatrix,
+     "line 1: multiplier 0x10 out of range", None, None),
+    ("whitening built before gammas", "n = 4\ngamma1 = fieldcubic { m = 10 }\nwf1 = fieldcubic { m = 20 }\n",
+     BadMatrix, "line 3: multiplier 0x20 out of range", None, None),
+    ("gammas built in slot order", "n = 4\ngamma2 = fieldcubic { m = 20 }\ngamma1 = fieldcubic { m = 10 }\n",
+     BadMatrix, "line 3: multiplier 0x10 out of range", None, None),
+    ("xor parts built in order", "n = 4\ngamma1 = xor [ fieldcubic { m = 20 },\n fieldcubic { m = 10 } ]\n",
+     BadMatrix, "line 2: multiplier 0x20 out of range", None, None),
+    ("stars built in order", "n = 4\nconstruction = kafv\nstar1 = fieldcubic { m = 20 }\n"
+     "star0 = fieldcubic { m = 10 }\n", BadMatrix, "line 4: multiplier 0x10 out of range", None, None),
+    ("lucifer maps built", "n = 4\nconstruction = lucifer\ngamma1 = zero\ngamma2 = fieldcubic { m = 10 }\n",
+     BadMatrix, "line 4: multiplier 0x10 out of range", None, None),
+    ("build before the t check", "n = 4\nt = 9\ngamma1 = fieldcubic { m = 10 }\n", BadMatrix,
+     "line 3: multiplier 0x10 out of range", None, None),
+    ("layout before build", "n = 4\ngamma1 = fieldcubic { m = 10 }\ngamma3 = zero\n", ParseError,
+     "gamma entries must be contiguous from gamma1", 1, 1),
+    ("syntax before missing n", "gamma1 = zero\ngamma2 = zap\n", ParseError, "unknown entry kind 'zap'", 2, 10),
+    ("missing n before layout checks", "construction = kafv\ngamma1 = zero\n", ParseError,
+     "missing field n", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line, column", [row[1:] for row in ERRORS],
+                         ids=[row[0] for row in ERRORS])
+def test_each_error_has_its_type_message_and_position(text, error, message, line, column):
+    with pytest.raises(KafwError) as info:
+        parse_schedule_text(text)
+    err = info.value
+    assert type(err) is error
+    if error is ParseError:
+        assert str(err) == f"{line}:{column}: {message}"
+        assert (err.line, err.column) == (line, column)
+    else:
+        assert str(err) == message
