@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import BadMatrix, ParseError
 from .gf2 import BinMatrix, DomainParams, REDUCTION_POLYNOMIALS
@@ -41,6 +41,9 @@ from .schedules import (
     ZeroMap,
 )
 
+# xor entries may nest this deep; the xor one level further is an error.
+MAX_XOR_DEPTH = 64
+
 
 class _Token(NamedTuple):
     kind: str  # "word", "punct", "end"
@@ -49,31 +52,34 @@ class _Token(NamedTuple):
     col: int
 
 
-_WORD = re.compile(r"[A-Za-z0-9_]+")
+# Blanks and comments match no group; any character no other branch takes is an error.
+_TOKEN = re.compile(r"\s+|#.*|(?P<punct>[={}\[\],])|(?P<word>[A-Za-z0-9_]+)|(?P<other>.)")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    lines = text.splitlines()
     tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == "#":
-                break
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "={}[],":
-                tokens.append(_Token("punct", ch, lineno, i + 1))
-                i += 1
-                continue
-            m = _WORD.match(line, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
-            tokens.append(_Token("word", m.group(), lineno, i + 1))
-            i = m.end()
-    tokens.append(_Token("end", "", len(text.splitlines()) + 1, 1))
+    for lineno, line in enumerate(lines, start=1):
+        for m in _TOKEN.finditer(line):
+            if m.lastgroup == "other":
+                raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+            if m.lastgroup:
+                tokens.append(_Token(m.lastgroup, m.group(), lineno, m.start() + 1))
+    tokens.append(_Token("end", "", len(lines) + 1, 1))
     return tokens
+
+
+def _decimal(tok: _Token, digits: str, what: str) -> int:
+    """int(digits), read from tok; a ParseError at tok if it is no decimal or too long for int()."""
+    if not digits.isdigit():
+        raise ParseError(f"bad integer {what} {digits!r}", tok.line, tok.col)
+    try:
+        return int(digits)
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(f"{what} has too many digits", tok.line, tok.col) from None
+
+
+Builder = Callable[[DomainParams], SubkeyMap]
 
 
 class _Parser:
@@ -84,97 +90,79 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def expect(self, text: str | None = None) -> _Token:
+        """The next token: any word, or exactly `text` when given."""
         tok = self.tokens[self.pos]
+        if tok.kind != "word" if text is None else tok.text != text:
+            raise ParseError(f"expected {text or 'word'!r}, found {tok.text or 'end of file'!r}",
+                             tok.line, tok.col)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of file'!r}",
-                             tok.line, tok.col)
-        return tok
+    def keywords(self, *texts: str) -> None:
+        for text in texts:
+            self.expect(text)
 
-    def hex_word(self, what: str) -> tuple[int, _Token]:
-        tok = self.expect("word")
+    def comma_list(self, item: Callable[[], object]) -> list:
+        """item(), then item() again after each comma that follows."""
+        items = [item()]
+        while self.peek().text == ",":
+            self.pos += 1
+            items.append(item())
+        return items
+
+    def hex_word(self, what: str) -> int:
+        tok = self.expect()
         try:
-            return int(tok.text, 16), tok
+            return int(tok.text, 16)
         except ValueError:
             raise ParseError(f"bad hex {what} {tok.text!r}", tok.line, tok.col) from None
 
     def int_word(self, what: str) -> int:
-        tok = self.expect("word")
-        if not tok.text.isdigit():
-            raise ParseError(f"bad integer {what} {tok.text!r}", tok.line, tok.col)
-        return int(tok.text)
+        tok = self.expect()
+        return _decimal(tok, tok.text, what)
 
-    def entry(self):
-        """AST node: ('zero',) | ('affine', rows, const, tok) | ('fieldcubic', m, tok)
-        | ('xor', [nodes])."""
-        tok = self.expect("word")
+    def entry(self, depth: int = 0) -> Builder:
+        """One sub-key map, as a builder: the width may come after the
+        entries, so each range check waits for it there."""
+        tok = self.expect()
         if tok.text == "zero":
-            return ("zero",)
+            return lambda p: ZeroMap()
         if tok.text == "affine":
-            self.expect("punct", "{")
-            self.expect("word", "matrix")
-            self.expect("punct", "=")
-            self.expect("punct", "[")
-            rows = []
-            while True:
-                value, _ = self.hex_word("matrix row")
-                rows.append(value)
-                if self.peek().kind == "punct" and self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-            self.expect("punct", "]")
-            self.expect("punct", ",")
-            self.expect("word", "constant")
-            self.expect("punct", "=")
-            const, _ = self.hex_word("constant")
-            self.expect("punct", "}")
-            return ("affine", rows, const, tok)
+            self.keywords("{", "matrix", "=", "[")
+            rows = self.comma_list(lambda: self.hex_word("matrix row"))
+            self.keywords("]", ",", "constant", "=")
+            const = self.hex_word("constant")
+            self.keywords("}")
+
+            def affine(p: DomainParams) -> SubkeyMap:
+                if len(rows) != p.n or any(r >= p.N for r in rows):
+                    raise BadMatrix(f"line {tok.line}: affine matrix needs {p.n} rows below 2^{p.n}")
+                if const >= p.N:
+                    raise BadMatrix(f"line {tok.line}: constant {const:#x} out of range")
+                return AffineSubkey(BinMatrix(tuple(rows)), const)
+
+            return affine
         if tok.text == "fieldcubic":
-            self.expect("punct", "{")
-            self.expect("word", "m")
-            self.expect("punct", "=")
-            mult, mtok = self.hex_word("multiplier")
-            self.expect("punct", "}")
-            return ("fieldcubic", mult, mtok)
+            self.keywords("{", "m", "=")
+            line = self.peek().line
+            mult = self.hex_word("multiplier")
+            self.keywords("}")
+
+            def fieldcubic(p: DomainParams) -> SubkeyMap:
+                if mult >= p.N:
+                    raise BadMatrix(f"line {line}: multiplier {mult:#x} out of range")
+                return FieldCubicSubkey(mult)
+
+            return fieldcubic
         if tok.text == "xor":
-            self.expect("punct", "[")
-            parts = [self.entry()]
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                parts.append(self.entry())
-            self.expect("punct", "]")
-            return ("xor", parts)
+            if depth == MAX_XOR_DEPTH:
+                raise ParseError(f"xor entries nest at most {MAX_XOR_DEPTH} deep", tok.line, tok.col)
+            self.keywords("[")
+            parts = self.comma_list(lambda: self.entry(depth + 1))
+            self.keywords("]")
+            return lambda p: XorSubkey(tuple(part(p) for part in parts))
         raise ParseError(f"unknown entry kind {tok.text!r}", tok.line, tok.col)
-
-
-def _build_map(node, p: DomainParams) -> SubkeyMap:
-    kind = node[0]
-    if kind == "zero":
-        return ZeroMap()
-    if kind == "affine":
-        _, rows, const, tok = node
-        if len(rows) != p.n or any(r >= p.N for r in rows):
-            raise BadMatrix(
-                f"line {tok.line}: affine matrix needs {p.n} rows below 2^{p.n}"
-            )
-        if const >= p.N:
-            raise BadMatrix(f"line {tok.line}: constant {const:#x} out of range")
-        return AffineSubkey(BinMatrix(tuple(rows)), const)
-    if kind == "fieldcubic":
-        _, mult, tok = node
-        if mult >= p.N:
-            raise BadMatrix(f"line {tok.line}: multiplier {mult:#x} out of range")
-        return FieldCubicSubkey(mult)
-    if kind == "xor":
-        return XorSubkey(tuple(_build_map(part, p) for part in node[1]))
-    raise AssertionError(kind)
 
 
 @dataclass(frozen=True)
@@ -191,17 +179,17 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
     n = None
     t_field = None
     construction = "kafw"
-    entries: dict[tuple[str, int], object] = {}
+    entries: dict[tuple[str, int], Builder] = {}
     while parser.peek().kind != "end":
-        name_tok = parser.expect("word")
-        parser.expect("punct", "=")
+        name_tok = parser.expect()
+        parser.keywords("=")
         name = name_tok.text
         if name == "n":
             n = parser.int_word("n")
         elif name == "t":
             t_field = parser.int_word("t")
         elif name == "construction":
-            ctok = parser.expect("word")
+            ctok = parser.expect()
             if ctok.text not in CONSTRUCTIONS:
                 raise ParseError(f"unknown construction {ctok.text!r}", ctok.line, ctok.col)
             construction = ctok.text
@@ -209,26 +197,21 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
             m = _SLOT.match(name)
             if not m:
                 raise ParseError(f"unknown field {name!r}", name_tok.line, name_tok.col)
-            slot = (m.group(1), int(m.group(2)))
+            slot = (m.group(1), _decimal(name_tok, m.group(2), "slot index"))
             if slot in entries:
                 raise ParseError(f"duplicate entry {name!r}", name_tok.line, name_tok.col)
-            entries[slot] = (parser.entry(), name_tok)
+            entries[slot] = parser.entry()
     if n is None:
         raise ParseError("missing field n", 1, 1)
     if n not in REDUCTION_POLYNOMIALS:
         raise ParseError(f"unsupported width n={n}", 1, 1)
     p = DomainParams.for_width(n)
 
-    def contiguous(prefix: str, start: int) -> list:
+    def contiguous(prefix: str, start: int) -> list[Builder]:
         indices = sorted(i for kind, i in entries if kind == prefix)
-        expect_upto = start + len(indices)
-        if indices != list(range(start, expect_upto)):
+        if indices != list(range(start, start + len(indices))):
             raise ParseError(f"{prefix} entries must be contiguous from {prefix}{start}", 1, 1)
         return [entries[(prefix, i)] for i in indices]
-
-    def built(astnode_tok) -> SubkeyMap:
-        node, _tok = astnode_tok
-        return _build_map(node, p)
 
     cls = CONSTRUCTIONS[construction]
     if cls is KeySchedule:
@@ -242,23 +225,20 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
             raise ParseError("kaf takes no whitening entries", 1, 1)
         if not wf_entries.issubset({0, 1, 2, 3}):
             raise ParseError("whitening slots are wf0..wf3", 1, 1)
-        whitening = tuple(
-            built(entries[("wf", j)]) if ("wf", j) in entries else ZeroMap()
-            for j in range(4)
-        )
-        schedule = KeySchedule(p, whitening, tuple(built(e) for e in gammas))
+        whitening = tuple(entries[("wf", j)](p) if j in wf_entries else ZeroMap() for j in range(4))
+        schedule = KeySchedule(p, whitening, tuple(gamma(p) for gamma in gammas))
     elif cls is KafvSchedule:
         stars = contiguous("star", 0)
         if len(stars) < 2:
             raise ParseError("kafv needs entries star0..star{t+1}", 1, 1)
         if any(kind != "star" for kind, _ in entries):
             raise ParseError("kafv takes only star entries", 1, 1)
-        schedule = KafvSchedule(p, tuple(built(e) for e in stars))
+        schedule = KafvSchedule(p, tuple(star(p) for star in stars))
     else:  # lucifer
         gammas = contiguous("gamma", 1)
         if any(kind != "gamma" for kind, _ in entries):
             raise ParseError("lucifer takes only gamma entries", 1, 1)
-        schedule = LuciferSchedule(p, tuple(built(e) for e in gammas))
+        schedule = LuciferSchedule(p, tuple(gamma(p) for gamma in gammas))
     if t_field is not None and t_field != schedule.t:
         raise ParseError(f"t = {t_field} but entries imply t = {schedule.t}", 1, 1)
     return ParsedSchedule(construction, schedule)

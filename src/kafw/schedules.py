@@ -447,6 +447,9 @@ BUILTIN_NAMES = (
     "bitperm_bad5",
 )
 
+# identity_bad(t)'s largest t.
+MAX_BUILTIN_ROUNDS = 1 << 16
+
 _NAME_RE = re.compile(r"^([a-z_][a-z0-9_]*)(?:\((\d+)\))?$")
 
 
@@ -455,18 +458,19 @@ def is_builtin(source: str) -> bool:
     return source.partition("(")[0] in {name.partition("(")[0] for name in BUILTIN_NAMES}
 
 
-def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
+def builtin(name: str, p: DomainParams, rounds: int | None = None) -> KeySchedule:
     """Named schedule instances.
 
-    minimal4        4-round KAF: gamma_1 = m1 (x) k ^ k^3, gamma_4 = m4 (x) k ^ k^3,
-                    middle rounds and whitening zero; m1 != m4 nonzero.
+    minimal4        4-round KAF: gamma_1 = 2 (x) k ^ k^3, gamma_4 = 3 (x) k ^ k^3,
+                    middle rounds and whitening zero.
     ortho6          6-round KAF (k, 0, 0, 0, 0, pi(k)) with the linear
                     orthomorphism pi(kL||kR) = kR||(kL ^ kR); even n only.
     filled6         6-round KAF (k, k, pi(k), k, k, pi(k)); even n only.
-    tweakem4        4-round KAFw with wf1 = m1 (x) k ^ k^3, wf2 = m4 (x) k ^ k^3
+    tweakem4        4-round KAFw with wf1 = 2 (x) k ^ k^3, wf2 = 3 (x) k ^ k^3
                     and every other sub-key zero.
     identity_bad(t) gamma_i = k for all t rounds, zero whitening
-                    (complementation-vulnerable); t in the name beats rounds=.
+                    (complementation-vulnerable); t in the name beats rounds=,
+                    and t is at most MAX_BUILTIN_ROUNDS.
     bitperm_bad5    5 distinct bit-rotations as round-key matrices; the
                     all-ones offset satisfies M1.d = M5.d.
     """
@@ -477,16 +481,15 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
     if arg is not None:
         if base != "identity_bad":
             raise UnknownName(f"{base} takes no round-count argument")
-        params["rounds"] = int(arg)
+        try:
+            rounds = int(arg)
+        except ValueError:  # past int()'s digit limit
+            rounds = math.inf
     zero = ZeroMap()
     no_whitening = (zero, zero, zero, zero)
 
     if base in ("minimal4", "tweakem4"):
-        m1 = params.get("m1", 2)
-        m4 = params.get("m4", 3)
-        if m1 == m4 or m1 == 0 or m4 == 0:
-            raise DomainError(f"{base} needs two distinct nonzero multipliers")
-        c1, c4 = FieldCubicSubkey(m1), FieldCubicSubkey(m4)
+        c1, c4 = FieldCubicSubkey(2), FieldCubicSubkey(3)
         if base == "minimal4":
             return KeySchedule(p, no_whitening, (c1, zero, zero, c4))
         return KeySchedule(p, (zero, c1, c4, zero), (zero, zero, zero, zero))
@@ -498,10 +501,11 @@ def builtin(name: str, p: DomainParams, **params) -> KeySchedule:
         ident, pi = identity_map(p.n), ortho_map(p.n)
         return KeySchedule(p, no_whitening, (ident, ident, pi, ident, ident, pi))
     if base == "identity_bad":
-        t = params.get("rounds")
-        if t is None:
+        if rounds is None:
             raise UnknownName("identity_bad needs a round count, e.g. identity_bad(8)")
-        return KeySchedule(p, no_whitening, (identity_map(p.n),) * t)
+        if rounds > MAX_BUILTIN_ROUNDS:
+            raise DomainError(f"identity_bad takes at most {MAX_BUILTIN_ROUNDS} rounds")
+        return KeySchedule(p, no_whitening, (identity_map(p.n),) * rounds)
     if base == "bitperm_bad5":
         if p.n < 5:
             raise DomainError("bitperm_bad5 needs n >= 5 for five distinct rotations")

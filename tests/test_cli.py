@@ -273,6 +273,10 @@ THM3_IDEAL = ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n"
      None, "ArityMismatch"),
     (ENCRYPT8[:2] + (str(DATA / "kafv4_affine.sched"), "--n", "12", "--key", "1", "--block", "2"),
      None, "DomainError"),
+    (("schedule", "--schedule", f"identity_bad({'9' * 5000})", "--n", "8", "--key", "01"), None, "DomainError"),
+    (("schedule", "--schedule", f"identity_bad({10**30})", "--n", "8", "--key", "01"), None, "DomainError"),
+    (("schedule", "--schedule", "identity_bad", "--n", "8", "--rounds", str(10**30), "--key", "01"), None,
+     "DomainError"),
 ])
 def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
     if env is None:
@@ -283,6 +287,20 @@ def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error)
     assert code == 1
     assert [r["error"] for r in recs] == [error]
     assert recs[0]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("text", [
+    "n = 8\ngamma1 = " + "xor [ " * 1000 + "zero" + " ]" * 1000 + "\n",
+    f"n = {'9' * 5000}\ngamma1 = zero\n",
+    f"n = 8\nt = {'9' * 5000}\ngamma1 = zero\n",
+    f"n = 8\ngamma{'1' * 5000} = zero\n",
+], ids=["xor 1000 deep", "n of 5000 digits", "t of 5000 digits", "slot index of 5000 digits"])
+def test_a_schedule_file_past_the_parser_limits_is_one_error_record(capsys, tmp_path, text):
+    sched = tmp_path / "limit.sched"
+    sched.write_text(text)
+    code, recs = run_cli(capsys, "schedule", "--schedule", str(sched), "--key", "01")
+    assert code == 1
+    assert [r["error"] for r in recs] == ["ParseError"]
 
 
 def test_a_zero_denominator_is_a_usage_error_like_any_bad_fraction(capsys):

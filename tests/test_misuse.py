@@ -10,7 +10,9 @@ from kafw.game import bound_formula
 from kafw.feistel import CipherInstance
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
-from kafw.schedules import KafvSchedule, KeySchedule, LuciferSchedule, ZeroMap, builtin, identity_map, kafv_to_kafw
+from kafw.schedules import (
+    MAX_BUILTIN_ROUNDS, KafvSchedule, KeySchedule, LuciferSchedule, ZeroMap, builtin, identity_map, kafv_to_kafw,
+)
 
 P8 = DomainParams.for_width(8)
 P32 = DomainParams.for_width(32)
@@ -80,6 +82,13 @@ MISUSE = [
     ("XOR-universality at width None", lambda: measure_axu(lambda k: k, None), DomainError),
     ("definition 1 audit with threshold None", lambda: check_definition1(builtin("minimal4", P8), None), DomainError),
     ("corollary 1 audit with threshold 2.5", lambda: check_corollary1_nl(builtin("minimal4", P8), 2.5), DomainError),
+    # int() refused the 5000 digits with a ValueError, and (map,) * 10**30
+    # an OverflowError: the round count is checked before any tuple is built.
+    ("identity_bad of 5000 digits of rounds", lambda: builtin(f"identity_bad({'9' * 5000})", P8), DomainError),
+    ("identity_bad(10**30)", lambda: builtin(f"identity_bad({10**30})", P8), DomainError),
+    ("identity_bad with rounds=10**30", lambda: builtin("identity_bad", P8, rounds=10**30), DomainError),
+    ("identity_bad one round past the cap", lambda: builtin("identity_bad", P8, rounds=MAX_BUILTIN_ROUNDS + 1),
+     DomainError),
 ]
 
 
@@ -110,6 +119,7 @@ def test_the_edge_of_each_domain_still_works():
     assert measure_uniformity(lambda k: np.int64(k), np.int64(4)) == 1
     assert measure_axu(lambda k: np.uint16(k) if k % 2 else k, 4) == 16
     assert check_definition1(builtin("tweakem4", P8), np.int64(3)).good_like
+    assert builtin(f"identity_bad({MAX_BUILTIN_ROUNDS})", P8).t == MAX_BUILTIN_ROUNDS
 
 
 def test_a_bad_block_raises_before_any_f_query():

@@ -1,13 +1,17 @@
 """Schedule spec file parsing."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from kafw.errors import BadMatrix, KafwError, ParseError, TooFewRounds
 from kafw.gf2 import DomainParams
-from kafw.schedfile import parse_schedule_text
+from kafw.schedfile import MAX_XOR_DEPTH, parse_schedule_text
 from kafw.schedules import KafvSchedule, KeySchedule, LuciferSchedule, builtin
 
 P8 = DomainParams.for_width(8)
+DATA = Path(__file__).resolve().parent / "data"
 
 IDENTITY_ROWS = ", ".join(f"{1 << i:02x}" for i in range(8))
 
@@ -161,9 +165,14 @@ def test_whitening_defaults_to_zero():
         assert s.whitening_key(1, k) == ref.whitening_key(1, k)
 
 
+def nested_xor(depth):
+    return "n = 8\ngamma1 = " + "xor [ " * depth + "zero" + " ]" * depth + "\n"
+
+
 # One row per error the parser raises: its type, full message and, for a
 # ParseError, its line and column.  The later rows pin the order in which
-# checks fire where a text breaks two rules at once.
+# checks fire where a text breaks two rules at once, and the last ones the
+# limits past which a text used to crash the parser.
 ERRORS = [
     ("unexpected character", "n = 8\ngamma1 = zero @\n", ParseError, "unexpected character '@'", 2, 15),
     ("tokenizer before parser", "whatnot = 3\n\n  $\n", ParseError, "unexpected character '$'", 3, 3),
@@ -233,6 +242,15 @@ ERRORS = [
     ("syntax before missing n", "gamma1 = zero\ngamma2 = zap\n", ParseError, "unknown entry kind 'zap'", 2, 10),
     ("missing n before layout checks", "construction = kafv\ngamma1 = zero\n", ParseError,
      "missing field n", 1, 1),
+    # A RecursionError at about 1000 levels, and int()'s ValueError past 4300 digits.
+    ("xor one level past the cap", nested_xor(MAX_XOR_DEPTH + 1), ParseError,
+     f"xor entries nest at most {MAX_XOR_DEPTH} deep", 2, 10 + 6 * MAX_XOR_DEPTH),
+    ("xor 1000 deep", nested_xor(1000), ParseError, f"xor entries nest at most {MAX_XOR_DEPTH} deep", 2,
+     10 + 6 * MAX_XOR_DEPTH),
+    ("n of 5000 digits", f"n = {'9' * 5000}\ngamma1 = zero\n", ParseError, "n has too many digits", 1, 5),
+    ("t of 5000 digits", f"n = 8\nt = {'9' * 5000}\ngamma1 = zero\n", ParseError, "t has too many digits", 2, 5),
+    ("slot index of 5000 digits", f"n = 8\ngamma{'1' * 5000} = zero\n", ParseError,
+     "slot index has too many digits", 2, 1),
 ]
 
 
@@ -248,3 +266,37 @@ def test_each_error_has_its_type_message_and_position(text, error, message, line
         assert (err.line, err.column) == (line, column)
     else:
         assert str(err) == message
+
+
+def test_xor_nests_up_to_the_cap():
+    s = parse_schedule_text(nested_xor(MAX_XOR_DEPTH)).schedule
+    assert s.round_key(1, 0x5A) == 0
+
+
+FUZZ_WORDS = (
+    "n t construction kafw kaf kafv lucifer wf1 wf4 gamma1 gamma2 gamma3 star0 star1 star2 zero affine "
+    "fieldcubic xor matrix constant m 0 2 4 8 01 02 1f ff 0x1 1_0 _ g"
+).split() + list("={}[],#@\n\t") + ["\x1c", "\u200b", "\r\n", "\u00e9"]
+
+
+def fuzz_texts(count, seed):
+    """count/2 strings of random tokens, and count/2 valid files with one
+    character inserted, replaced or deleted."""
+    rng = random.Random(seed)
+    valid = [MINIMAL4_LONGHAND] + [path.read_text() for path in sorted(DATA.glob("*.sched"))]
+    for _ in range(count // 2):
+        yield " ".join(rng.choice(FUZZ_WORDS) for _ in range(rng.randrange(1, 30)))
+        text = rng.choice(valid)
+        i = rng.randrange(len(text))
+        yield text[:i] + rng.choice(FUZZ_WORDS + [""])[:1] + text[i + rng.randrange(2):]
+
+
+def test_any_text_gives_a_schedule_or_a_typed_error():
+    parsed = 0
+    for text in [row[1] for row in ERRORS] + list(fuzz_texts(3000, seed=23)):
+        try:
+            parse_schedule_text(text)
+        except KafwError:
+            continue
+        parsed += 1
+    assert parsed > 300  # most single-character changes to a comment or a hex word still parse

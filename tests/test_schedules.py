@@ -93,8 +93,6 @@ def test_builtin_minimal4_values():
     assert s.t == 4 and s.has_zero_whitening()
     assert isinstance(s.round_keys[0], FieldCubicSubkey)
     assert s.round_keys[1].is_zero(P8) and s.round_keys[2].is_zero(P8)
-    with pytest.raises(ValueError):
-        builtin("minimal4", P8, m1=5, m4=5)
 
 
 def test_builtin_ortho6_and_filled6():
@@ -273,21 +271,15 @@ def test_identity_map_matrix():
         assert m.value(k, DomainParams.for_width(6)) == k
 
 
-@pytest.mark.parametrize("name, n, params", [
-    ("minimal4", 8, {"m1": 5, "m4": 5}),
-    ("minimal4", 8, {"m1": 0}),
-    ("tweakem4", 8, {"m4": 2}),
-    ("bitperm_bad5", 4, {}),
+@pytest.mark.parametrize("name, n", [
+    ("bitperm_bad5", 4),
 ])
-def test_builtin_parameter_errors_are_domain_errors(name, n, params):
+def test_builtin_parameter_errors_are_domain_errors(name, n):
     with pytest.raises(DomainError):
-        builtin(name, DomainParams.for_width(n), **params)
+        builtin(name, DomainParams.for_width(n))
 
 
-def test_is_builtin_and_the_shared_multiplier_check():
+def test_is_builtin():
     assert all(is_builtin(name) for name in BUILTIN_NAMES)
     assert is_builtin("identity_bad(9)") and is_builtin("minimal4(3)")
     assert not is_builtin("data/strong5.sched")
-    for base in ("minimal4", "tweakem4"):
-        with pytest.raises(DomainError, match=f"^{base} needs two distinct nonzero multipliers$"):
-            builtin(base, P8, m1=3)
