@@ -27,6 +27,7 @@ from .feistel import CipherInstance, psi_tilde_round
 from .gf2 import MAX_EXHAUSTIVE_N, DomainParams
 from .oracles import RandomFunctionOracle, derive_seed
 from .schedules import (
+    MAX_BUILTIN_ROUNDS,
     FieldCubicSubkey,
     KafvSchedule,
     LuciferSchedule,
@@ -110,17 +111,21 @@ class _Tally:
         return SweepResult(description, self.cases, self.mismatches, self.first)
 
 
-def _check_sweep(n: int, seeds) -> DomainParams:
+def _check_sweep(n: int, t: int, seeds) -> DomainParams:
+    """Each sweep draws about t maps and t tables before its first case, so
+    t is capped as the builtins' round counts are."""
     if n > MAX_EXHAUSTIVE_N:
         raise DomainTooLarge("exhaustive sweep capped")
     if not seeds:
         raise DomainError("a sweep needs at least one oracle seed")
+    if t > MAX_BUILTIN_ROUNDS:
+        raise DomainError(f"a sweep takes at most {MAX_BUILTIN_ROUNDS} rounds")
     return DomainParams.for_width(n)
 
 
 def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Converted-schedule KAFw vs the original KAFv, exhaustively per seed."""
-    p = _check_sweep(n, seeds)
+    p = _check_sweep(n, t, seeds)
     if t < 2:
         raise TooFewRounds("conversion needs t >= 2")
     tally = _Tally()
@@ -141,7 +146,7 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
 
 def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Lucifer chain vs keyless outer rounds around the stripped KAFv core."""
-    p = _check_sweep(n, seeds)
+    p = _check_sweep(n, t, seeds)
     if t < 3:
         raise TooFewRounds("the sandwich needs t >= 3")
     tally = _Tally()

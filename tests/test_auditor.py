@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kafw import auditor
 from kafw.errors import ArityMismatch, DomainError, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from kafw.auditor import (
     _worst_counts,
@@ -200,6 +201,122 @@ def test_kernel_matches_the_offset_loop_on_a_random_pair(n):
     *[st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n)] * 2)))
 def test_kernel_matches_the_offset_loop_on_arbitrary_tables(pair):
     _assert_kernel_matches_the_loop(*(np.array(t, dtype=np.int64) for t in pair))
+
+
+def _table_of_anf(n, rng, degree, nonzero=()):
+    """A seeded random table whose output bits have degree <= `degree`: random
+    n-bit coefficients at every monomial of weight <= `degree`, nonzero at
+    the monomials in `nonzero`, evaluated at each key (monomial u is 1 at
+    key k exactly when u is a subset of k)."""
+    N = 1 << n
+    coefficients = [
+        (u, rng.randrange(u in nonzero, N)) for u in range(N) if bin(u).count("1") <= degree
+    ]
+    table = [0] * N
+    for k in range(N):
+        for u, c in coefficients:
+            if u & k == u:
+                table[k] ^= c
+    return np.array(table, dtype=np.int64)
+
+
+def _with_quadratic_term(n, rng):
+    """A random degree-2 table with a nonzero coefficient at k_0 k_1: XORed
+    into any table, it changes that table's quadratic part."""
+    return _table_of_anf(n, rng, 2, nonzero=(0b11,))
+
+
+class _KernelCalls:
+    """Records the (self_counts, cross_counts) flags of each kernel call the
+    dispatcher makes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        monkeypatch.setattr(auditor, "_worst_counts", self.kernel)
+
+    def kernel(self, tables, self_counts=True, cross_counts=True):
+        self.calls.append((self_counts, cross_counts))
+        return _worst_counts(tables, self_counts, cross_counts)
+
+    def taken(self, *args):
+        """The dispatcher's counts for args, and the kernel calls they made."""
+        self.calls = []
+        return auditor._delta_counts(*args), self.calls
+
+
+def _assert_dispatcher_matches_the_kernel(spy, t1, t2, cross_kernel_calls, label):
+    """The dispatcher equals _worst_counts in each mode, calling the kernel
+    only for cross counts, and for those exactly as cross_kernel_calls says."""
+    cross = [(False, True)] if cross_kernel_calls else []
+    for args, calls in [
+        (((t1, t2),), cross),
+        (((t1, t2), True, False), []),
+        (((t1, t2), False, True), cross),
+        (((t1,), True, False), []),
+    ]:
+        assert spy.taken(*args) == (_worst_counts(*args), calls), (label, args[1:])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rank_path_matches_the_kernel_on_quadratic_tables(monkeypatch, n):
+    spy = _KernelCalls(monkeypatch)
+    rng = random.Random(f"ranks-{n}")
+    N = 1 << n
+    for trial in range(4):
+        t1 = _table_of_anf(n, rng, 2)
+        # Sharing t1's quadratic part, every derivative of the pair is affine.
+        shared = t1 ^ _table_of_anf(n, rng, 1)
+        _assert_dispatcher_matches_the_kernel(spy, t1, shared, False, ("shared", trial))
+        _assert_dispatcher_matches_the_kernel(spy, shared, t1, False, ("shared, swapped", trial))
+        _assert_dispatcher_matches_the_kernel(spy, t1, t1, False, ("equal", trial))
+        if n >= 2:  # at n = 1 every table is affine
+            other = t1 ^ _with_quadratic_term(n, rng)
+            _assert_dispatcher_matches_the_kernel(spy, t1, other, True, ("not shared", trial))
+            _assert_dispatcher_matches_the_kernel(spy, other, t1, True, ("not shared, swapped", trial))
+        # An affine or constant table has a constant derivative: delta2 reads N.
+        affine, constant = _table_of_anf(n, rng, 1), np.full(N, rng.randrange(N), dtype=np.int64)
+        for t in (affine, constant):
+            assert spy.taken((t,), True, False) == ((N, 0), [])
+            if n >= 2:
+                _assert_dispatcher_matches_the_kernel(spy, t, _with_quadratic_term(n, rng), True, ("affine", trial))
+        _assert_dispatcher_matches_the_kernel(spy, affine, constant, False, ("affine and constant", trial))
+
+
+@pytest.mark.parametrize("block_values", [1, 7, 20])
+def test_rank_path_counts_do_not_depend_on_the_offset_blocks(monkeypatch, block_values):
+    # Blocks of one, two or three offsets at n = 6: every block boundary
+    # falls somewhere, and the counts must not see it.
+    spy = _KernelCalls(monkeypatch)
+    monkeypatch.setattr(auditor, "_BLOCK_VALUES", block_values)
+    rng = random.Random(f"blocks-{block_values}")
+    for trial in range(8):
+        t1 = _table_of_anf(6, rng, 2)
+        _assert_dispatcher_matches_the_kernel(spy, t1, t1 ^ _table_of_anf(6, rng, 1), False, trial)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_a_cubic_table_takes_the_kernel(monkeypatch, n):
+    # k -> k^7 in GF(2^n) has degree 3, the weight of 7.
+    p = DomainParams.for_width(n)
+    spy = _KernelCalls(monkeypatch)
+    seventh = np.array([gf_mul(gf_cube(k, p), gf_mul(gf_mul(k, k, p), gf_mul(k, k, p), p), p) for k in range(p.N)])
+    square = np.array([gf_mul(k, k, p) for k in range(p.N)])
+    for args, calls in [
+        (((seventh,), True, False), [(True, False)]),
+        (((seventh, square),), [(True, True)]),
+        (((square, seventh), False, True), [(False, True)]),
+        (((seventh, seventh ^ square), False, True), [(False, True)]),  # shared cubic part: no shortcut
+    ]:
+        assert spy.taken(*args) == (_worst_counts(*args), calls), args[1:]
+
+
+@pytest.mark.parametrize("name", ["minimal4", "tweakem4"])
+def test_builtins_audit_by_rank_alone(monkeypatch, name):
+    spy = _KernelCalls(monkeypatch)
+    for n in range(2, 14):
+        s = builtin(name, DomainParams.for_width(n))
+        tables = tuple(auditor._table(s.bind(m), n) for m in (s.phi1_map(), s.phi_last_map()))
+        assert spy.taken(tables) == (_worst_counts(tables), []), n
 
 
 def test_definition1_audit_at_n12_stays_within_2mb():

@@ -10,7 +10,7 @@ import pytest
 
 from kafw import game
 from kafw.cli import build_parser, main
-from kafw.schedules import BUILTIN_NAMES
+from kafw.schedules import BUILTIN_NAMES, MAX_BUILTIN_ROUNDS
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +277,8 @@ THM3_IDEAL = ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", "--n"
     (("schedule", "--schedule", f"identity_bad({10**30})", "--n", "8", "--key", "01"), None, "DomainError"),
     (("schedule", "--schedule", "identity_bad", "--n", "8", "--rounds", str(10**30), "--key", "01"), None,
      "DomainError"),
+    *[(("equivalence", "--pair", pair, "--n", "2", "--rounds", str(MAX_BUILTIN_ROUNDS + 1), "--seeds", "1"), None,
+       "DomainError") for pair in ("kafv-kafw", "lucifer")],
 ])
 def test_bad_input_gives_one_error_record(capsys, monkeypatch, argv, env, error):
     if env is None:

@@ -13,7 +13,7 @@ from kafw.errors import DomainError, DomainTooLarge, TooFewRounds
 from kafw.feistel import CipherInstance, psi_tilde_round
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import RandomFunctionOracle, derive_seed
-from kafw.schedules import AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule
+from kafw.schedules import MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -52,6 +52,17 @@ def test_sweep_guards():
 def test_sweeps_reject_an_empty_seed_list(sweep):
     with pytest.raises(DomainError):
         sweep(4, 4, seeds=())
+
+
+@pytest.mark.parametrize("sweep", (kafv_vs_kafw_sweep, lucifer_sandwich_sweep))
+@pytest.mark.parametrize("t", [MAX_BUILTIN_ROUNDS + 1, 10**8])
+def test_sweeps_reject_round_counts_past_the_cap_before_any_draw(monkeypatch, sweep, t):
+    def draw(p, rng):
+        raise AssertionError("a sub-key map was drawn")
+
+    monkeypatch.setattr(equivalence, "random_subkey_map", draw)
+    with pytest.raises(DomainError, match=f"at most {MAX_BUILTIN_ROUNDS} rounds"):
+        sweep(2, t, seeds=(1,))
 
 
 # The case-by-case loops the column sweeps replace, on int tables.  They look

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kafw.auditor import check_corollary1_nl, check_definition1, measure_axu, measure_cross_uniformity, measure_uniformity
+from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, ScheduleArityMismatch
 from kafw.game import bound_formula
 from kafw.feistel import CipherInstance
@@ -89,6 +90,13 @@ MISUSE = [
     ("identity_bad with rounds=10**30", lambda: builtin("identity_bad", P8, rounds=10**30), DomainError),
     ("identity_bad one round past the cap", lambda: builtin("identity_bad", P8, rounds=MAX_BUILTIN_ROUNDS + 1),
      DomainError),
+    # Each sweep drew t + 2 (or t) maps and t tables before its first case:
+    # 10**8 rounds ended in a MemoryError.  The cap is checked before any draw.
+    *[
+        (f"{sweep.__name__} one round past the cap", lambda sweep=sweep: sweep(2, MAX_BUILTIN_ROUNDS + 1, (1,)),
+         DomainError)
+        for sweep in (kafv_vs_kafw_sweep, lucifer_sandwich_sweep)
+    ],
 ]
 
 
