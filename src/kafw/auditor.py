@@ -18,12 +18,12 @@ schedule file, a builtin or equivalence.random_subkey_map can state (zero,
 affine, m (x) k ^ k^3, and XORs of these) has algebraic degree <= 2, so its
 derivatives k -> phi(k) ^ phi(k ^ a) are affine, and each count is
 2^(n - rank) of an n x n matrix over GF(2), one matrix per offset.  A
-Definition 1 audit of such maps takes O(N n^2) word operations: about 10 ms
-at n = 12 and 0.4 s at n = 16.  The degree is checked exactly first, from
-the tables' algebraic normal form.  Tables of higher degree, such as those
-of callables passed to measure_axu, go through the kernel _worst_counts at
-about N^2 bin increments per count: about 0.1 s for a Definition 1 audit at
-n = 12, growing 4x with each added bit.
+Definition 1 audit of such maps takes O(N n^2) word operations: about 5 ms
+at n = 12 and 0.11 s at n = 16 on a 2-core Xeon.  The degree is checked
+exactly first, from the tables' algebraic normal form.  Tables of higher
+degree, such as those of callables passed to measure_axu, go through the
+kernel _worst_counts at about N^2 bin increments per count: about 0.1 s
+for a Definition 1 audit at n = 12, growing 4x with each added bit.
 
 numpy loads on the first count, not with this module, so a program that
 imports the auditor but never audits starts without it.
@@ -176,17 +176,18 @@ def _anf(table: np.ndarray) -> np.ndarray:
 
 
 def _ranks(rows: np.ndarray, n: int) -> np.ndarray:
-    """The GF(2) rank of each row of `rows`, a (c, n) array of n-bit vectors.
-    For each bit, one vector of the row that has it (the largest) clears it
-    from every vector of the row, itself included, and counts one towards
-    the rank."""
+    """The GF(2) rank of each column of `rows`, an (n, c) array holding c
+    sets of n vectors of n bits, one set per column.  For each bit, the
+    largest vector of a column that has it clears it from every vector of
+    the column, itself included, and counts one towards the rank.  Each
+    step reduces over the n rows, c contiguous values at a time."""
     import numpy as np
 
-    rank = np.zeros(len(rows), dtype=rows.dtype)
+    rank = np.zeros(rows.shape[1], dtype=rows.dtype)
     for bit in range(n):
         has = rows >> bit & 1
-        pivot = (rows * has).max(axis=1)
-        rows ^= has * pivot[:, None]
+        pivot = (rows * has).max(axis=0)
+        rows ^= has * pivot
         rank += pivot >> bit & 1
     return rank
 
@@ -196,23 +197,24 @@ def _derivative_count(u: np.ndarray, v: np.ndarray, first: int) -> int:
     for tables where each map k -> v[k] ^ u[k ^ a] is affine.
 
     An affine map takes each of its values 2^(n - rank) times or never, the
-    rank being that of its linear part, whose column j is the map at e_j
-    XOR the map at 0.  Offsets run in blocks of about _BLOCK_VALUES / n, so
-    that each temporary holds about _BLOCK_VALUES values.
+    rank being that of its linear part, whose vector j is the map at e_j
+    XOR the map at 0.  Offsets run in blocks of about _BLOCK_VALUES / n;
+    each block's vectors form an (n, offsets) array of uint16, exact for
+    n <= 16, so each temporary holds about _BLOCK_VALUES values.
     """
     import numpy as np
 
     N = len(u)
     n = N.bit_length() - 1
-    u, v = u.astype(np.int32), v.astype(np.int32)  # n <= 16: half the traffic of int64
+    u, v = u.astype(np.uint16), v.astype(np.uint16)
     units = 1 << np.arange(n)
-    base = v[units] ^ v[0]
+    base = (v[units] ^ v[0])[:, None]
     step = max(1, _BLOCK_VALUES // n)
     least = n
     for start in range(first, N, step):
         offsets = np.arange(start, min(start + step, N))
-        columns = u[offsets[:, None] ^ units] ^ u[offsets][:, None] ^ base
-        least = min(least, int(_ranks(columns, n).min()))
+        vectors = u[units[:, None] ^ offsets] ^ u[offsets] ^ base
+        least = min(least, int(_ranks(vectors, n).min()))
     return 1 << (n - least)
 
 

@@ -146,21 +146,25 @@ def order_free(fs) -> bool:
 class RandomPermutationOracle:
     """Lazily-sampled random permutation over `bits`-bit words.
 
-    Below half load, a fresh output is drawn by rejection against the
-    already-used range: candidate stream64(seed, tag, v, attempt) for
-    attempt = 0, 1, ... (tag 0 forward, 1 backward).  From half load on,
-    it is free[stream64(seed, tag, v, 0) % len(free)], the k-th smallest
-    unused value.  Both draw from a copy of the keyed state the oracle
-    keeps, as RandomFunctionOracle does, absorbing (tag, v, attempt) as
-    one packed update of the same bytes.  Each direction keeps its sorted
-    free list (`forward` the free outputs, `backward` the free inputs),
-    built in O(N) the first time that direction samples at half load or
-    more.  Every new pair then deletes its output from the forward list
-    and its input from the backward list, whichever direction made it:
-    one bisect and one O(N) memmove per built list, so a full fill costs
-    O(N^2) word moves in C rather than O(N^2) Python steps.  Below half
-    load no list exists and a fresh sample pays one truthiness test for
-    them.  Forward and backward maps stay mutually inverse.
+    `forward` and `backward` answer from their own map when they can.  A
+    fresh input goes to `_draw`, the one routine that makes a new pair, in
+    either direction (tag 0 forward, 1 backward).  It checks the domain,
+    then draws from a copy of the keyed state the oracle keeps, as
+    RandomFunctionOracle does, absorbing (tag, v, attempt) as one packed
+    update of stream64's bytes, v taken to its low 64 bits.  Below half
+    load the output is drawn by rejection against the range already used:
+    candidate stream64(seed, tag, v, attempt) for attempt = 0, 1, ...  From
+    half load on, it is free[stream64(seed, tag, v, 0) % len(free)], the
+    k-th smallest unused value.  Each direction keeps its sorted free list
+    (`forward` the free outputs, `backward` the free inputs), built in O(N)
+    the first time that direction draws at half load or more.  Every new
+    pair from then on leaves both built lists: its output is popped from
+    the drawing direction's list at the drawn index, and its input found
+    by bisection in the other's.  That is one O(N) memmove per built list,
+    so a full fill costs O(N^2) word moves in C rather than O(N^2) Python
+    steps.  The two maps always hold as many pairs, so below half load no
+    list exists and a draw looks at none.  Forward and backward maps stay
+    mutually inverse.
     """
 
     def __init__(self, bits: int, seed: int):
@@ -172,52 +176,49 @@ class RandomPermutationOracle:
         self.query_count = 0
         self._free: dict[int, list[int]] = {}  # tag -> sorted values unused in its direction
         self._size = 1 << bits
-        self._state = None  # BLAKE2b keyed by the seed, built on the first sample
+        self._state = None  # BLAKE2b keyed by the seed, built on the first draw
 
-    def _sample(self, tag: int, v: int, used: dict[int, int]) -> int:
+    def _draw(self, tag: int, v: int, own: dict[int, int], other: dict[int, int]) -> int:
+        """A fresh pair for input v in direction `tag`, whose map is `own`
+        (v to its image), `other` the map back; returns v's image."""
+        size = self._size
+        if not 0 <= v < size:
+            raise DomainError(f"input {v:#x} out of domain")
         if self._state is None:
             self._state = _keyed(self.seed)
-        copy, from_bytes, mask = self._state.copy, int.from_bytes, self._size - 1
-        v &= _SEED_MASK
-        if 2 * len(used) < self._size:
-            attempt = 0
+        copy, from_bytes, packed = self._state.copy, int.from_bytes, v & _SEED_MASK
+        if 2 * len(other) < size:
+            mask, attempt = size - 1, 0
             while True:
                 h = copy()
-                h.update(_PACK3(tag, v, attempt))
-                cand = from_bytes(h.digest(), "little") & mask
-                if cand not in used:
-                    return cand
+                h.update(_PACK3(tag, packed, attempt))
+                out = from_bytes(h.digest(), "little") & mask
+                if out not in other:
+                    break
                 attempt += 1
-        free = self._free.get(tag)
-        if free is None:
-            free = self._free[tag] = [w for w in range(self._size) if w not in used]
-        h = copy()
-        h.update(_PACK3(tag, v, 0))
-        return free[from_bytes(h.digest(), "little") % len(free)]
-
-    def _lookup(self, v: int, tag: int, own: dict, other: dict) -> int:
-        """One query in either direction: `own` maps v to its image, `other` back."""
-        if not 0 <= v < self._size:
-            raise DomainError(f"input {v:#x} out of domain")
-        out = own.get(v)
-        if out is None:
-            out = self._sample(tag, v, other)
-            own[v] = out
-            other[out] = v
-            if self._free:
-                # out is now used by this direction, v by the other one.
-                for t, w in ((tag, out), (1 - tag, v)):
-                    free = self._free.get(t)
-                    if free is not None:
-                        del free[bisect_left(free, w)]
-            self.query_count += 1
+        else:
+            free = self._free
+            mine = free.get(tag)
+            if mine is None:
+                mine = free[tag] = [w for w in range(size) if w not in other]
+            h = copy()
+            h.update(_PACK3(tag, packed, 0))
+            out = mine.pop(from_bytes(h.digest(), "little") % len(mine))
+            theirs = free.get(1 - tag)
+            if theirs is not None:
+                del theirs[bisect_left(theirs, v)]
+        own[v] = out
+        other[out] = v
+        self.query_count += 1
         return out
 
     def forward(self, x: int) -> int:
-        return self._lookup(x, 0, self.forward_map, self.backward_map)
+        y = self.forward_map.get(x)
+        return self._draw(0, x, self.forward_map, self.backward_map) if y is None else y
 
     def backward(self, y: int) -> int:
-        return self._lookup(y, 1, self.backward_map, self.forward_map)
+        x = self.backward_map.get(y)
+        return self._draw(1, y, self.backward_map, self.forward_map) if x is None else x
 
     __call__ = forward
 

@@ -294,6 +294,63 @@ def test_rank_path_counts_do_not_depend_on_the_offset_blocks(monkeypatch, block_
         _assert_dispatcher_matches_the_kernel(spy, t1, t1 ^ _table_of_anf(6, rng, 1), False, trial)
 
 
+def _plain_rank(vectors):
+    """The GF(2) rank of a list of ints: each is reduced by a basis keyed
+    on its vectors' top bits, and joins it if anything is left."""
+    basis = {}
+    for v in vectors:
+        while v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
+def _rank_sets(n, rng):
+    """Seeded sets of n vectors of n bits: random ones, ones from the top
+    half (each holding bit n - 1), ones with zero vectors or repeats in
+    them, all zeros, all ones, and full-rank sets."""
+    N, top = 1 << n, 1 << (n - 1)
+    sets = [[rng.randrange(N) for _ in range(n)] for _ in range(24)]
+    sets += [[rng.randrange(top, N) for _ in range(n)] for _ in range(24)]
+    for vectors in sets[:16]:
+        with_zeros, with_repeats = vectors.copy(), vectors.copy()
+        for i in rng.sample(range(n), (n + 1) // 2):
+            with_zeros[i] = 0
+            with_repeats[i] = vectors[rng.randrange(n)]
+        sets += [with_zeros, with_repeats]
+    sets += [[0] * n, [N - 1] * n, [top >> j | top for j in range(n)]]
+    for _ in range(8):  # unit vectors under row operations keep rank n
+        full = [1 << j for j in range(n)]
+        for _ in range(4 * n * (n > 1)):
+            i, j = rng.sample(range(n), 2)
+            full[i] ^= full[j]
+        sets.append(rng.sample(full, n))
+    return sets
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_ranks_match_a_plain_gf2_rank(n):
+    # Each set is a column of an (n, c) uint16 array; a square array
+    # (c = n) too, where reducing along the wrong axis still broadcasts.
+    sets = _rank_sets(n, random.Random(f"rank-sets-{n}"))
+    assert {_plain_rank(s) for s in sets} >= {0, n}
+    for chosen in (sets, sets[:n], sets[-n:]):
+        rows = np.array(chosen, dtype=np.uint16).T.copy()
+        assert auditor._ranks(rows, n).tolist() == [_plain_rank(s) for s in chosen], n
+
+
+def test_derivative_count_at_n16_is_exact_at_every_offset():
+    # k -> k^3 in GF(2^16): each derivative's linear part x -> a x^2 ^ a^2 x
+    # has kernel {0, a}, so every offset a != 0 counts 2, and a pivot lost
+    # at any one of them (say to a sign, as half the values hold bit 15)
+    # would read 4.
+    p = DomainParams.for_width(16)
+    cube = auditor._table(FieldCubicSubkey(0).compiled(p), 16)
+    assert auditor._derivative_count(cube, cube, 1) == 2
+    assert auditor._delta_counts((cube,), cross_counts=False) == (2, 0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_a_cubic_table_takes_the_kernel(monkeypatch, n):
     # k -> k^7 in GF(2^n) has degree 3, the weight of 7.

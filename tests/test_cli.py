@@ -358,3 +358,94 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+# main keeps one parser per process.  A cold interpreter installs a count of
+# ArgumentParser builds, imports kafw.cli, then runs `main` on each argv of
+# its JSON argument, printing each exit code after that call's records.
+SEQUENCE = """import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]
+import kafw.cli
+print(json.dumps({'numpy': 'numpy' in sys.modules, 'built': len(built)}))
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps({'exit': kafw.cli.main(argv), 'built': len(built)}))
+kafw.cli.build_parser()
+print(json.dumps({'built': len(built)}))"""
+
+
+def _cold_sequence(argvs):
+    """The lines a cold interpreter prints for SEQUENCE over argvs."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("KAFW_SEED", None)
+    out = subprocess.run([sys.executable, "-c", SEQUENCE, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stderr == ""
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def _without_counts(lines):
+    return [{k: v for k, v in line.items() if k != "built"} for line in lines]
+
+
+def test_main_calls_in_one_process_give_the_records_of_separate_processes(tmp_path):
+    # An error record, then good runs whose flags and defaults the earlier
+    # calls set otherwise: nothing may carry over from one call to the next,
+    # not even an option only the earlier command has (advantage's --out).
+    out = tmp_path / "advantage.ndjson"
+    argvs = [
+        [*ENCRYPT8, "--key", "zz", "--block", "0", "--seed", "7", "--per-round-f"],
+        [*ENCRYPT8, "--key", "2a", "--block", "1234", "--per-round-f", "--function-kind", "permutation"],
+        ["advantage", "--attack", "comp-any", "--schedule", "identity_bad(8)", "--n", "8", "--trials", "3",
+         "--out", str(out)],
+        [*ENCRYPT8, "--key", "2a", "--block", "1234"],
+        ["audit", "--check", "def1", "--schedule", "no/such.sched"],
+        ["audit", "--check", "cor1", "--schedule", "minimal4", "--n", "6", "--threshold", "2"],
+        ["audit", "--check", "def1", "--schedule", "minimal4", "--n", "6"],
+        ["bound", "--theorem", "1", "--n", "8", "--qf", "4", "--qe", "4", "--delta1", "1/3"],
+        ["bound", "--theorem", "1", "--n", "8", "--qf", "4", "--qe", "4"],
+    ]
+    together = _cold_sequence(argvs)
+    apart = [line for argv in argvs for line in _cold_sequence([argv])[1:-1]]
+    assert _without_counts(together[1:-1]) == _without_counts(apart)
+    assert [line["exit"] for line in together[1:-1] if "exit" in line] == [1, 0, 0, 0, 1, 0, 0, 0, 0]
+    records = [line for line in together if "command" in line]
+    assert [r["command"] for r in records[:3]] == ["encrypt"] * 3
+    assert [r["per_round_f"] for r in records[1:3]] == [True, False] and records[2]["seed"] == 0
+    assert [json.loads(line)["command"] for line in out.read_text().splitlines()] == ["advantage"]
+
+
+def test_importing_kafw_cli_builds_no_parser_and_main_builds_one():
+    first, *calls, last = _cold_sequence([["bound", "--theorem", "1", "--n", "8", "--qf", "1", "--qe", "1"]] * 3)
+    assert first == {"numpy": False, "built": 0}
+    one_parser = calls[1]["built"]  # parsers and subparsers of one build_parser()
+    assert one_parser > 1 and [c["built"] for c in calls if "exit" in c] == [one_parser] * 3
+    assert last["built"] == 2 * one_parser  # build_parser() still builds afresh
+
+
+def _parse_exit(parse, argv, capsys):
+    """The exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["audit", "--help"],
+    ["bound", "-h"],
+    [],
+    ["nope"],
+    ["audit", "--check", "nope", "--schedule", "minimal4"],
+    ["encrypt", "--schedule", "minimal4", "--n", "eight", "--key", "0", "--block", "0"],
+    ["bound", "--theorem", "3", "--n", "8", "--qf", "1", "--qe", "1"],
+    ["bound", "--theorem", "1", "--n", "8", "--qf", "1", "--qe", "1", "--delta1", "1/0"],
+    ["schedule", "--schedule", "minimal4", "--key", "0", "--extra"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_help_and_usage_errors_match_a_fresh_parser_byte_for_byte(capsys, argv):
+    fresh = _parse_exit(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert fresh[0] in (0, 2) and (fresh[1] or fresh[2])
+    for _ in range(2):  # twice: using the kept parser must not change what it prints
+        assert _parse_exit(main, argv, capsys) == fresh

@@ -351,6 +351,22 @@ def test_rp_free_lists_match_the_per_sample_rule(first):
     assert both_built > 50
 
 
+@pytest.mark.parametrize("draws", [8, 16], ids=["half-full", "full"])
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+@pytest.mark.parametrize("v", [-1, 16, 1 << 64], ids=["-1", "16", "2^64"])
+def test_rp_out_of_domain_inputs_after_a_fill_change_nothing(draws, direction, v):
+    # n = 4, filled by seeded draws in both directions: at 8 pairs the next
+    # draw would take a free list, at 16 none is left to draw.
+    o = RandomPermutationOracle(4, 11)
+    rng = random.Random(draws)
+    while o.query_count < draws:
+        (o.forward, o.backward)[rng.randrange(2)](rng.randrange(16))
+    before = (o.query_count, dict(o.forward_map), dict(o.backward_map), {t: list(f) for t, f in o._free.items()})
+    with pytest.raises(DomainError):
+        (o.forward if direction == FORWARD else o.backward)(v)
+    assert (o.query_count, o.forward_map, o.backward_map, o._free) == before
+
+
 def test_rp_kept_keyed_state_draws_the_stream64_values():
     """At n = 6: a forward pass past half load (rejections, then the free
     list), then every output backward (a second free list) and every input
