@@ -13,17 +13,18 @@ uniform, an additive offset inside phi(k ^ offset) cancels, and the
 two-offset family collapses to the single relative offset a.  All audits
 enumerate the full key space; nothing is sampled.
 
-_delta_counts takes the XOR-universality and cross counts.  Every map a
+The XOR-universality and cross counts are one quantity, _count(u, v, first):
+max over offsets a >= first and y of |{k : v[k] ^ u[k ^ a] = y}|.  Since
+v[k] ^ u[k ^ a] = (u ^ v)[k] ^ u[k] ^ u[k ^ a], it is affine in k for every
+a when deg u <= 2 and deg(u ^ v) <= 1, degrees read exactly from the
+tables' algebraic normal form; each offset then counts 2^(n - rank) of an
+n x n matrix over GF(2), O(N n^2) word operations in all.  Every map a
 schedule file, a builtin or equivalence.random_subkey_map can state (zero,
-affine, m (x) k ^ k^3, and XORs of these) has algebraic degree <= 2, so its
-derivatives k -> phi(k) ^ phi(k ^ a) are affine, and each count is
-2^(n - rank) of an n x n matrix over GF(2), one matrix per offset.  A
-Definition 1 audit of such maps takes O(N n^2) word operations: about 5 ms
-at n = 12 and 0.11 s at n = 16 on a 2-core Xeon.  The degree is checked
-exactly first, from the tables' algebraic normal form.  Tables of higher
-degree, such as those of callables passed to measure_axu, go through the
-kernel _worst_counts at about N^2 bin increments per count: about 0.1 s
-for a Definition 1 audit at n = 12, growing 4x with each added bit.
+affine, m (x) k ^ k^3, and XORs of these) has degree <= 2: a Definition 1
+audit of a builtin takes about 5 ms at n = 12 and 0.11 s at n = 16 on a
+2-core Xeon.  Other tables, such as those of callables of higher degree,
+are counted by _shifted_count at up to N^2 bin increments per count: about
+0.16 s for a Definition 1 audit at n = 12, growing 4x with each added bit.
 
 numpy loads on the first count, not with this module, so a program that
 imports the auditor but never audits starts without it.
@@ -110,7 +111,7 @@ def measure_uniformity(phi: Callable[[int], int], n: int) -> int:
     return _max_preimage(_table(phi, n))
 
 
-# Offsets per gather in _worst_counts: blocks of 2 to 8 measure alike at
+# Offsets per gather in _shifted_count: blocks of 2 to 8 measure alike at
 # n = 12, 16 slower.  A gather holds b * N <= 2^14 values where it can, so
 # wider audits use smaller blocks: 2 offsets at n = 13, 1 from n = 14 on.
 # _derivative_count's temporaries hold about _BLOCK_VALUES values too.
@@ -118,48 +119,37 @@ _BLOCK = 4
 _BLOCK_VALUES = 1 << 14
 
 
-def _worst_counts(
-    tables: tuple[np.ndarray, ...], self_counts: bool = True, cross_counts: bool = True
-) -> tuple[int, int]:
-    """Worst self and cross counts of one or two tables t_i of length N = 2^n:
+def _shifted_count(u: np.ndarray, v: np.ndarray, first: int) -> int:
+    """max over offsets a >= first (0 or 1) and y of |{k : v[k] ^ u[k ^ a] = y}|,
+    for tables u, v of length N = 2^n, by counting.
 
-    self:  max_{i, a != 0, b} |{k : t_i[k] ^ t_i[k ^ a] = b}|
-    cross: max_{a, y} |{k : t_1[k] ^ t_2[k ^ a] = y}|   (two tables only)
-
-    A count not asked for reads 0.  For a != 0 with top bit h, the keys k
-    whose bit h is clear pair up with k ^ a: a self count is twice the count
-    over those N/2 keys, and a cross count adds t_2[k] ^ t_1[k ^ a] (the term
-    of key k ^ a) to t_1[k] ^ t_2[k ^ a].  Offsets run in aligned blocks of
-    b; one take reads every t_i[k ^ a] of a block, and each term carries its
-    table and its offset's row in the block above bit n, so one bincount
-    counts every offset of the block at once.
+    For a != 0 with top bit h, the keys k whose bit h is clear pair up with
+    k ^ a, whose term is u[k] ^ v[k ^ a]; when u is v the two terms are
+    equal, so one side is counted and doubled.  Offsets run in aligned
+    blocks of b; one take reads every u[k ^ a] and v[k ^ a] of a block, and
+    each term carries its offset's row in the block above bit n, so one
+    bincount counts every offset of the block at once.
     """
     import numpy as np
 
-    N = len(tables[0])
+    N = len(u)
     n = N.bit_length() - 1
-    m = len(tables)
-    flat = np.concatenate(tables)  # t_i at i * N
-    which = np.arange(m)[:, None, None]
+    same = u is v
+    flat = u if same else np.concatenate((u, v))  # u at 0, v at N
+    side = np.arange(1 if same else 2)[:, None, None] * N
     keys = np.arange(N)
-    worst_self = 0
-    worst_cross = int(np.bincount(tables[0] ^ tables[1]).max()) if cross_counts else 0
+    worst = int(np.bincount(v ^ u).max()) if first == 0 else 0
     for h in range(n):
         b = max(1, min(_BLOCK, 1 << h, _BLOCK_VALUES // N))
         low = keys[keys & (1 << h) == 0]
         rows = np.arange(b)[:, None]
-        # index ^ a0 is i * N + (k ^ a) for a = a0 + row, a0 being aligned to b.
-        index = (low ^ rows) + which * N
-        near = np.stack([t[low] for t in tables])[:, None, :]
-        self_near = near | ((which + m * rows) << n)
-        cross_near = near[::-1] | (rows << n)  # t_2[k] meets t_1[k ^ a], t_1[k] meets t_2[k ^ a]
+        # index ^ a0 is k ^ a on each side for a = a0 + row, a0 being aligned to b.
+        index = (low ^ rows) + side
+        near = np.stack((v[low],) if same else (v[low], u[low]))[:, None, :] | (rows << n)
         for a0 in range(1 << h, 2 << h, b):
-            far = flat.take(index ^ a0)
-            if self_counts:
-                worst_self = max(worst_self, int(np.bincount((self_near ^ far).ravel()).max()))
-            if cross_counts:
-                worst_cross = max(worst_cross, int(np.bincount((cross_near ^ far).ravel()).max()))
-    return 2 * worst_self, worst_cross
+            count = int(np.bincount((near ^ flat.take(index ^ a0)).ravel()).max())
+            worst = max(worst, 2 * count if same else count)
+    return worst
 
 
 def _anf(table: np.ndarray) -> np.ndarray:
@@ -218,41 +208,31 @@ def _derivative_count(u: np.ndarray, v: np.ndarray, first: int) -> int:
     return 1 << (n - least)
 
 
-def _delta_counts(
-    tables: tuple[np.ndarray, ...], self_counts: bool = True, cross_counts: bool = True
-) -> tuple[int, int]:
-    """What _worst_counts gives for the same arguments, from derivative ranks
-    where the tables allow it.
-
-    When every output bit of a table has degree <= 2, its derivative
-    k -> t[k] ^ t[k ^ a] is affine for each a, so the self count is the
-    largest affine count over a != 0.  When, further, t_1 ^ t_2 has degree
-    <= 1, each k -> t_1[k] ^ t_2[k ^ a] = (t_1 ^ t_2)[k] ^ t_2[k] ^ t_2[k ^ a]
-    is affine too, and the cross count is the largest affine count over
-    every a.  A count that does not qualify comes from the kernel.
-    """
+def _degree(anf: np.ndarray) -> int:
+    """The algebraic degree of a table from its ANF: the largest weight of a
+    monomial with a nonzero coefficient, -1 for the zero map."""
     import numpy as np
 
-    N = len(tables[0])
-    keys = np.arange(N)
-    weight = sum(keys >> j & 1 for j in range(N.bit_length() - 1))
-    anfs = [_anf(t) for t in tables]
-    quadratic = not any(anf[weight > 2].any() for anf in anfs)
-    by_rank_self = self_counts and quadratic
-    by_rank_cross = cross_counts and quadratic and not (anfs[0] ^ anfs[1])[weight > 1].any()
-    by_kernel = (self_counts and not by_rank_self, cross_counts and not by_rank_cross)
-    worst_self, worst_cross = _worst_counts(tables, *by_kernel) if any(by_kernel) else (0, 0)
-    if by_rank_self:
-        worst_self = max(_derivative_count(t, t, 1) for t in tables)
-    if by_rank_cross:
-        worst_cross = _derivative_count(tables[1], tables[0], 0)
-    return worst_self, worst_cross
+    monomials = np.flatnonzero(anf)
+    weight = sum(monomials >> j & 1 for j in range(len(anf).bit_length() - 1))
+    return int(np.max(weight, initial=-1))
+
+
+def _count(u: np.ndarray, v: np.ndarray, first: int, anf_u: np.ndarray, anf_v: np.ndarray) -> int:
+    """max over offsets a >= first and y of |{k : v[k] ^ u[k ^ a] = y}|, given
+    the ANF of each table: from derivative ranks when every k -> v[k] ^ u[k ^ a]
+    is affine, which holds when deg u <= 2 and deg(u ^ v) <= 1, else by counting."""
+    if _degree(anf_u) <= 2 and _degree(anf_u ^ anf_v) <= 1:
+        return _derivative_count(u, v, first)
+    return _shifted_count(u, v, first)
 
 
 def measure_axu(phi: Callable[[int], int], n: int) -> int:
     """Non-linearity count max_{a != 0, b} |{k : phi(k ^ a) ^ phi(k) = b}|."""
     n = _check_width(n)
-    return _delta_counts((_table(phi, n),), cross_counts=False)[0]
+    t = _table(phi, n)
+    a = _anf(t)
+    return _count(t, t, 1, a, a)
 
 
 def measure_cross_uniformity(
@@ -260,7 +240,8 @@ def measure_cross_uniformity(
 ) -> int:
     """max_{a, y} |{k : phi1(k) ^ phi4(k ^ a) = y}|, a ranging over all offsets."""
     n = _check_width(n)
-    return _delta_counts((_table(phi1, n), _table(phi4, n)), self_counts=False)[1]
+    t1, t4 = _table(phi1, n), _table(phi4, n)
+    return _count(t4, t1, 0, _anf(t4), _anf(t1))
 
 
 def _require(s, t: int, kind: type) -> None:
@@ -280,8 +261,10 @@ def _delta_report(check, s, threshold, outer) -> AuditReport:
     n = _check_width(s.params.n)
     # Each map is evaluated once per key; the three counts share the tables.
     t1, t4 = (_table(s.bind(m), n) for m in outer(s))
+    a1, a4 = _anf(t1), _anf(t4)
     d1 = max(_max_preimage(t1), _max_preimage(t4))
-    d2, d3 = _delta_counts((t1, t4))
+    d2 = max(_count(t1, t1, 1, a1, a1), _count(t4, t4, 1, a4, a4))
+    d3 = _count(t4, t1, 0, a4, a1)
     good = d1 <= threshold and d2 <= threshold and d3 <= threshold
     return AuditReport(check, n, good, delta1_times_n=d1, delta2_times_n=d2,
                        delta3_times_n=d3, good_like=good, threshold=threshold)

@@ -187,7 +187,7 @@ class BinMatrix:
 
     def __xor__(self, other: "BinMatrix") -> "BinMatrix":
         if self.n != other.n:
-            raise ValueError("matrix size mismatch")
+            raise DomainError("matrix size mismatch")
         return BinMatrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)))
 
     @classmethod
@@ -257,12 +257,12 @@ def mat_is_invertible(m: BinMatrix) -> bool:
 def joint_kernel_basis(ms: Sequence[BinMatrix]) -> tuple[int, ...]:
     """Basis of the intersection of the kernels of all given matrices."""
     if not ms:
-        raise ValueError("need at least one matrix")
+        raise DomainError("need at least one matrix")
     n = ms[0].n
     rows: list[int] = []
     for m in ms:
         if m.n != n:
-            raise ValueError("matrix size mismatch")
+            raise DomainError("matrix size mismatch")
         rows.extend(m.rows)
     return _kernel_basis_of_rows(rows, n)
 

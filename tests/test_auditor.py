@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kafw import auditor
 from kafw.errors import ArityMismatch, DomainError, DomainTooLarge, NotAffine, ScheduleArityMismatch
 from kafw.auditor import (
-    _worst_counts,
+    _shifted_count,
     check_corollary1_affine,
     check_corollary1_nl,
     check_corollary2,
@@ -27,6 +28,7 @@ from kafw.schedules import (
     KafvSchedule,
     KeySchedule,
     LuciferSchedule,
+    SubkeyMap,
     XorSubkey,
     ZeroMap,
     builtin,
@@ -155,19 +157,16 @@ def shifted_count(t1, t2, offsets):
     return worst
 
 
-def _loop_counts(t1, t4):
-    """What _worst_counts((t1, t4)) gives, by the per-offset loop."""
-    N = len(t1)
-    return max(shifted_count(t1, t1, range(1, N)), shifted_count(t4, t4, range(1, N))), shifted_count(t1, t4, range(N))
-
-
-def _assert_kernel_matches_the_loop(t1, t4, label=None):
-    """_worst_counts in each of its modes against the per-offset loop."""
-    self_count, cross_count = _loop_counts(t1, t4)
-    assert _worst_counts((t1, t4)) == (self_count, cross_count), label
-    assert _worst_counts((t1, t4), cross_counts=False) == (self_count, 0), label
-    assert _worst_counts((t1, t4), self_counts=False) == (0, cross_count), label
-    assert _worst_counts((t1,), cross_counts=False) == (shifted_count(t1, t1, range(1, len(t1))), 0), label
+def _assert_kernel_matches_the_loop(u, v, label=None):
+    """_shifted_count(u, v, first) for both values of first against the
+    per-offset loop, and so is its count with u in v's place, given as the
+    same object (the paired half-key shortcut) and as an equal copy."""
+    N = len(u)
+    for first in (0, 1):
+        assert _shifted_count(u, v, first) == shifted_count(v, u, range(first, N)), (label, first)
+        self_count = shifted_count(u, u, range(first, N))
+        assert _shifted_count(u, u, first) == self_count, (label, first)
+        assert _shifted_count(u, u.copy(), first) == self_count, (label, first)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -176,12 +175,12 @@ def test_self_count_matches_the_full_offset_loop(n):
     for seed in range(3):
         for kind, tab in _sample_tables(n, rng).items():
             t = np.array(tab, dtype=np.int64)
-            assert _worst_counts((t,), cross_counts=False)[0] == shifted_count(t, t, range(1, 1 << n)), (seed, kind)
+            assert _shifted_count(t, t, 1) == shifted_count(t, t, range(1, 1 << n)), (seed, kind)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_kernel_matches_the_offset_loop_on_every_pair_of_sample_tables(n):
-    # Every ordered pair of kinds: both argument orders, t1 = t4 on the
+    # Every ordered pair of kinds: both argument orders, equal tables on the
     # diagonal, and at n = 1, 2 fewer keys than a full block of offsets.
     tables = {kind: np.array(tab, dtype=np.int64) for kind, tab in _sample_tables(n, random.Random(f"kernel-{n}")).items()}
     for k1, t1 in tables.items():
@@ -192,8 +191,7 @@ def test_kernel_matches_the_offset_loop_on_every_pair_of_sample_tables(n):
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_kernel_matches_the_offset_loop_on_a_random_pair(n):
     rng = np.random.default_rng(n)
-    t1, t4 = rng.integers(0, 1 << n, size=(2, 1 << n))
-    assert _worst_counts((t1, t4)) == _loop_counts(t1, t4)
+    _assert_kernel_matches_the_loop(*rng.integers(0, 1 << n, size=(2, 1 << n)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -226,72 +224,96 @@ def _with_quadratic_term(n, rng):
     return _table_of_anf(n, rng, 2, nonzero=(0b11,))
 
 
-class _KernelCalls:
-    """Records the (self_counts, cross_counts) flags of each kernel call the
-    dispatcher makes."""
+def _plain_degree(table, n):
+    """The algebraic degree of a table, from each ANF coefficient taken as the
+    XOR of the table over the keys inside its monomial; -1 if all are 0."""
+    coefficients = {u: 0 for u in range(1 << n)}
+    for u in coefficients:
+        for k in range(1 << n):
+            if k & u == k:
+                coefficients[u] ^= int(table[k])
+    return max((bin(u).count("1") for u, c in coefficients.items() if c), default=-1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degree_matches_a_plain_anf(n):
+    rng = random.Random(f"degree-{n}")
+    tables = [np.zeros(1 << n, dtype=np.int64), np.array([rng.randrange(1 << n) for _ in range(1 << n)])]
+    for degree in range(n + 1):
+        top = rng.choice([u for u in range(1 << n) if bin(u).count("1") == degree])
+        tables += [_table_of_anf(n, rng, degree, nonzero=(top,)) for _ in range(3)]
+    degrees = [_plain_degree(t, n) for t in tables]
+    assert set(degrees) == set(range(-1, n + 1))
+    assert [auditor._degree(auditor._anf(t)) for t in tables] == degrees
+
+
+class _Paths:
+    """Records the path of each count _count makes: "rank" for
+    _derivative_count, "count" for _shifted_count."""
 
     def __init__(self, monkeypatch):
-        self.calls = []
-        monkeypatch.setattr(auditor, "_worst_counts", self.kernel)
+        for name, path in (("_derivative_count", "rank"), ("_shifted_count", "count")):
+            monkeypatch.setattr(auditor, name, self._spy(getattr(auditor, name), path))
+        self.paths = []
 
-    def kernel(self, tables, self_counts=True, cross_counts=True):
-        self.calls.append((self_counts, cross_counts))
-        return _worst_counts(tables, self_counts, cross_counts)
+    def _spy(self, count, path):
+        def spy(u, v, first):
+            self.paths.append(path)
+            return count(u, v, first)
 
-    def taken(self, *args):
-        """The dispatcher's counts for args, and the kernel calls they made."""
-        self.calls = []
-        return auditor._delta_counts(*args), self.calls
+        return spy
+
+    def taken(self, u, v, first):
+        """_count(u, v, first) from the tables' ANFs, and the paths it took."""
+        self.paths = []
+        return auditor._count(u, v, first, auditor._anf(u), auditor._anf(v)), self.paths
 
 
-def _assert_dispatcher_matches_the_kernel(spy, t1, t2, cross_kernel_calls, label):
-    """The dispatcher equals _worst_counts in each mode, calling the kernel
-    only for cross counts, and for those exactly as cross_kernel_calls says."""
-    cross = [(False, True)] if cross_kernel_calls else []
-    for args, calls in [
-        (((t1, t2),), cross),
-        (((t1, t2), True, False), []),
-        (((t1, t2), False, True), cross),
-        (((t1,), True, False), []),
-    ]:
-        assert spy.taken(*args) == (_worst_counts(*args), calls), (label, args[1:])
+def _assert_count_takes(spy, u, v, path, label):
+    """_count(u, v, first) equals _shifted_count for both values of first,
+    and takes `path` alone."""
+    for first in (0, 1):
+        assert spy.taken(u, v, first) == (_shifted_count(u, v, first), [path]), (label, first)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_path_matches_the_kernel_on_quadratic_tables(monkeypatch, n):
-    spy = _KernelCalls(monkeypatch)
+    spy = _Paths(monkeypatch)
     rng = random.Random(f"ranks-{n}")
     N = 1 << n
     for trial in range(4):
         t1 = _table_of_anf(n, rng, 2)
-        # Sharing t1's quadratic part, every derivative of the pair is affine.
+        # Sharing t1's quadratic part, every k -> v[k] ^ u[k ^ a] of the pair is affine.
         shared = t1 ^ _table_of_anf(n, rng, 1)
-        _assert_dispatcher_matches_the_kernel(spy, t1, shared, False, ("shared", trial))
-        _assert_dispatcher_matches_the_kernel(spy, shared, t1, False, ("shared, swapped", trial))
-        _assert_dispatcher_matches_the_kernel(spy, t1, t1, False, ("equal", trial))
+        _assert_count_takes(spy, t1, shared, "rank", ("shared", trial))
+        _assert_count_takes(spy, shared, t1, "rank", ("shared, swapped", trial))
+        _assert_count_takes(spy, t1, t1, "rank", ("same", trial))
+        _assert_count_takes(spy, t1, t1.copy(), "rank", ("equal", trial))
         if n >= 2:  # at n = 1 every table is affine
             other = t1 ^ _with_quadratic_term(n, rng)
-            _assert_dispatcher_matches_the_kernel(spy, t1, other, True, ("not shared", trial))
-            _assert_dispatcher_matches_the_kernel(spy, other, t1, True, ("not shared, swapped", trial))
+            _assert_count_takes(spy, other, other, "rank", ("other", trial))
+            _assert_count_takes(spy, t1, other, "count", ("not shared", trial))
+            _assert_count_takes(spy, other, t1, "count", ("not shared, swapped", trial))
         # An affine or constant table has a constant derivative: delta2 reads N.
         affine, constant = _table_of_anf(n, rng, 1), np.full(N, rng.randrange(N), dtype=np.int64)
         for t in (affine, constant):
-            assert spy.taken((t,), True, False) == ((N, 0), [])
+            assert spy.taken(t, t, 1) == (N, ["rank"])
             if n >= 2:
-                _assert_dispatcher_matches_the_kernel(spy, t, _with_quadratic_term(n, rng), True, ("affine", trial))
-        _assert_dispatcher_matches_the_kernel(spy, affine, constant, False, ("affine and constant", trial))
+                _assert_count_takes(spy, t, _with_quadratic_term(n, rng), "count", ("affine", trial))
+        _assert_count_takes(spy, affine, constant, "rank", ("affine and constant", trial))
 
 
 @pytest.mark.parametrize("block_values", [1, 7, 20])
 def test_rank_path_counts_do_not_depend_on_the_offset_blocks(monkeypatch, block_values):
     # Blocks of one, two or three offsets at n = 6: every block boundary
     # falls somewhere, and the counts must not see it.
-    spy = _KernelCalls(monkeypatch)
+    spy = _Paths(monkeypatch)
     monkeypatch.setattr(auditor, "_BLOCK_VALUES", block_values)
     rng = random.Random(f"blocks-{block_values}")
     for trial in range(8):
         t1 = _table_of_anf(6, rng, 2)
-        _assert_dispatcher_matches_the_kernel(spy, t1, t1 ^ _table_of_anf(6, rng, 1), False, trial)
+        _assert_count_takes(spy, t1, t1, "rank", trial)
+        _assert_count_takes(spy, t1, t1 ^ _table_of_anf(6, rng, 1), "rank", trial)
 
 
 def _plain_rank(vectors):
@@ -348,32 +370,59 @@ def test_derivative_count_at_n16_is_exact_at_every_offset():
     p = DomainParams.for_width(16)
     cube = auditor._table(FieldCubicSubkey(0).compiled(p), 16)
     assert auditor._derivative_count(cube, cube, 1) == 2
-    assert auditor._delta_counts((cube,), cross_counts=False) == (2, 0)
+    assert measure_axu(FieldCubicSubkey(0).compiled(p), 16) == 2
+
+
+def _seventh_power(k, p):
+    """k -> k^7 in GF(2^n), of degree 3, the weight of 7."""
+    return gf_mul(gf_cube(k, p), gf_mul(gf_mul(k, k, p), gf_mul(k, k, p), p), p)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_a_cubic_table_takes_the_kernel(monkeypatch, n):
-    # k -> k^7 in GF(2^n) has degree 3, the weight of 7.
     p = DomainParams.for_width(n)
-    spy = _KernelCalls(monkeypatch)
-    seventh = np.array([gf_mul(gf_cube(k, p), gf_mul(gf_mul(k, k, p), gf_mul(k, k, p), p), p) for k in range(p.N)])
+    spy = _Paths(monkeypatch)
+    seventh = np.array([_seventh_power(k, p) for k in range(p.N)])
     square = np.array([gf_mul(k, k, p) for k in range(p.N)])
-    for args, calls in [
-        (((seventh,), True, False), [(True, False)]),
-        (((seventh, square),), [(True, True)]),
-        (((square, seventh), False, True), [(False, True)]),
-        (((seventh, seventh ^ square), False, True), [(False, True)]),  # shared cubic part: no shortcut
-    ]:
-        assert spy.taken(*args) == (_worst_counts(*args), calls), args[1:]
+    _assert_count_takes(spy, seventh, seventh, "count", "seventh")
+    _assert_count_takes(spy, square, square, "rank", "square")
+    _assert_count_takes(spy, seventh, square, "count", "seventh, square")
+    _assert_count_takes(spy, square, seventh, "count", "square, seventh")
+    # A shared cubic part: deg(u ^ v) <= 1 does not help while deg u is 3.
+    _assert_count_takes(spy, seventh, seventh ^ square, "count", "shared cubic part")
+    _assert_count_takes(spy, seventh ^ square, seventh, "count", "shared cubic part, swapped")
+
+
+@dataclass(frozen=True)
+class _SeventhPower(SubkeyMap):
+    """k -> k^7, a map of degree 3 that no schedule file can state."""
+
+    def value(self, k, p):
+        return _seventh_power(k, p)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_quadratic_map_keeps_its_rank_path_beside_a_cubic_one(monkeypatch, n):
+    # phi1 = k^3 is quadratic and phi4 = k^7 cubic: phi1's delta2 goes by
+    # rank, phi4's delta2 and the cross count by counting.
+    p = DomainParams.for_width(n)
+    s = KeySchedule(p, (Z,) * 4, (FieldCubicSubkey(0), Z, Z, _SeventhPower()))
+    spy = _Paths(monkeypatch)
+    rep = check_corollary1_nl(s)
+    assert spy.paths == ["rank", "count", "count"]
+    t1, t4 = (auditor._table(s.bind(m), n) for m in (s.round_keys[0], s.round_keys[3]))
+    assert (rep.delta2_times_n, rep.delta3_times_n) == (
+        max(_shifted_count(t1, t1, 1), _shifted_count(t4, t4, 1)), _shifted_count(t4, t1, 0))
 
 
 @pytest.mark.parametrize("name", ["minimal4", "tweakem4"])
 def test_builtins_audit_by_rank_alone(monkeypatch, name):
-    spy = _KernelCalls(monkeypatch)
+    spy = _Paths(monkeypatch)
     for n in range(2, 14):
         s = builtin(name, DomainParams.for_width(n))
-        tables = tuple(auditor._table(s.bind(m), n) for m in (s.phi1_map(), s.phi_last_map()))
-        assert spy.taken(tables) == (_worst_counts(tables), []), n
+        t1, t4 = (auditor._table(s.bind(m), n) for m in (s.phi1_map(), s.phi_last_map()))
+        for u, v, first in ((t1, t1, 1), (t4, t4, 1), (t4, t1, 0)):
+            assert spy.taken(u, v, first) == (_shifted_count(u, v, first), ["rank"]), n
 
 
 def test_definition1_audit_at_n12_stays_within_2mb():

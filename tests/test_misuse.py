@@ -4,15 +4,18 @@ raises, at the call itself rather than on some later use."""
 import numpy as np
 import pytest
 
-from kafw.auditor import check_corollary1_nl, check_definition1, measure_axu, measure_cross_uniformity, measure_uniformity
+from kafw.auditor import (
+    check_corollary1_nl, check_definition1, check_definition3, measure_axu, measure_cross_uniformity, measure_uniformity,
+)
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, ScheduleArityMismatch
 from kafw.game import bound_formula
 from kafw.feistel import CipherInstance
-from kafw.gf2 import BinMatrix, DomainParams
+from kafw.gf2 import BinMatrix, DomainParams, joint_kernel_basis
 from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
 from kafw.schedules import (
-    MAX_BUILTIN_ROUNDS, KafvSchedule, KeySchedule, LuciferSchedule, ZeroMap, builtin, identity_map, kafv_to_kafw,
+    MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule, ZeroMap, builtin, identity_map,
+    kafv_to_kafw,
 )
 
 P8 = DomainParams.for_width(8)
@@ -57,6 +60,14 @@ MISUSE = [
     ("empty matrix", lambda: BinMatrix(()), DomainError),
     ("matrix row 2^n", lambda: BinMatrix((1, 4)), DomainError),
     ("negative matrix row", lambda: BinMatrix((1, -1)), DomainError),
+    ("XOR of matrices of sizes 2 and 3", lambda: BinMatrix.identity(2) ^ BinMatrix.identity(3), DomainError),
+    ("joint kernel of no matrix", lambda: joint_kernel_basis([]), DomainError),
+    ("joint kernel of matrices of sizes 2 and 3",
+     lambda: joint_kernel_basis([BinMatrix.identity(2), BinMatrix.identity(3)]), DomainError),
+    # Sub-key matrices of size 4 at width 8 used to raise a bare ValueError at M1 ^ M3.
+    ("definition 3 audit of 4 x 4 sub-key matrices at n = 8",
+     lambda: check_definition3(KeySchedule(P8, (ZeroMap(),) * 4, (AffineSubkey(BinMatrix.identity(4)),) * 6)),
+     DomainError),
     *[
         (f"theorem {theorem} bound with N = 0", lambda theorem=theorem: bound_formula(theorem, 1, 1, 0), DomainError)
         for theorem in (1, 2, 5, 6)

@@ -1,7 +1,7 @@
-"""The package surface: each public module-level function, class or
-assignment in src/kafw is named (whole word) in src/kafw, demos/ or bench/
-outside its own definition, or is exported in kafw.__all__ (methods are out
-of scope); and which cold runs load numpy."""
+"""The package surface: each module-level function, class or assignment in
+src/kafw, private or public, is named (whole word) in src/kafw, demos/ or
+bench/ outside its own definition, or is a public name exported in
+kafw.__all__ (methods are out of scope); and which cold runs load numpy."""
 
 import ast
 import os
@@ -20,7 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"psi_round"}
 
 
-def test_no_public_name_is_used_only_by_tests():
+def _used_only_by_tests(chosen):
+    """The chosen module-level function, class and assignment names of
+    src/kafw that src/kafw, demos/ and bench/ never name (whole word)
+    outside their own definition."""
     texts = {f: f.read_text() for d in ("src/kafw", "demos", "bench") for f in (ROOT / d).glob("*.py")}
     unused = []
     for path in (ROOT / "src" / "kafw").glob("*.py"):
@@ -28,11 +31,21 @@ def test_no_public_name_is_used_only_by_tests():
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
             names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else [
                 t.id for t in targets if isinstance(t, ast.Name)]
-            names = [n for n in names if not n.startswith("_") and n not in kafw.__all__ and n not in EXEMPT]
+            names = [n for n in names if chosen(n)]
             own = texts[path].replace(ast.get_source_segment(texts[path], node), "", 1) if names else ""
             rest = [own] + [text for f, text in texts.items() if f != path]
             unused += [f"{path.stem}.{n}" for n in names if not any(re.search(rf"\b{n}\b", t) for t in rest)]
-    assert unused == []
+    return unused
+
+
+def test_no_public_name_is_used_only_by_tests():
+    assert _used_only_by_tests(
+        lambda n: not n.startswith("_") and n not in kafw.__all__ and n not in EXEMPT) == []
+
+
+def test_no_private_name_is_used_only_by_tests():
+    # Dunders such as __all__ are read by Python itself.
+    assert _used_only_by_tests(lambda n: n.startswith("_") and not n.startswith("__")) == []
 
 
 # A cold interpreter imports kafw.cli, runs `main(argv)` if argv is given,
