@@ -43,13 +43,26 @@ from .schedules import (
 @dataclass
 class SweepResult:
     description: str
-    cases: int
-    mismatches: int
+    cases: int = 0
+    mismatches: int = 0
     first_mismatch: tuple | None = None  # (seed, key, word, ct_a, ct_b), plain ints
 
     @property
     def passed(self) -> bool:
         return self.mismatches == 0
+
+    def add(self, seed, key: int, words, a, b) -> None:
+        """Count one column of cases, keeping the first mismatch in the
+        scalar loop's (seed, key, plaintext) order."""
+        import numpy as np
+
+        bad = a != b
+        count = int(np.count_nonzero(bad))
+        self.cases += len(bad)
+        self.mismatches += count
+        if count and self.first_mismatch is None:
+            i = int(bad.argmax())
+            self.first_mismatch = (seed, key, int(words[i]), int(a[i]), int(b[i]))
 
 
 def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
@@ -89,28 +102,6 @@ def _plaintexts(n: int):
         yield np.arange(start, min(start + CHUNK, total), dtype=np.int64)
 
 
-class _Tally:
-    """Cases, mismatches and the first mismatch, in the scalar loop's order."""
-
-    def __init__(self):
-        self.cases = self.mismatches = 0
-        self.first = None
-
-    def add(self, seed, key: int, words, a, b) -> None:
-        import numpy as np
-
-        bad = a != b
-        count = int(np.count_nonzero(bad))
-        self.cases += len(bad)
-        self.mismatches += count
-        if count and self.first is None:
-            i = int(bad.argmax())
-            self.first = (seed, key, int(words[i]), int(a[i]), int(b[i]))
-
-    def result(self, description: str) -> SweepResult:
-        return SweepResult(description, self.cases, self.mismatches, self.first)
-
-
 def _check_sweep(n: int, t: int, seeds) -> DomainParams:
     """Each sweep draws about t maps and t tables before its first case, so
     t is capped as the builtins' round counts are."""
@@ -128,7 +119,7 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     p = _check_sweep(n, t, seeds)
     if t < 2:
         raise TooFewRounds("conversion needs t >= 2")
-    tally = _Tally()
+    result = SweepResult(f"kafv-kafw n={n} t={t}")
     for seed in seeds:
         rng = random.Random(derive_seed(seed, "kafv-schedule"))
         star = KafvSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t + 2)))
@@ -140,8 +131,8 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
             for words in _plaintexts(n):
                 a = kafv_encrypt(kafv_inst, key, words)
                 b = kafw_encrypt(kafw_inst, key, words)
-                tally.add(seed, key, words, a, b)
-    return tally.result(f"kafv-kafw n={n} t={t}")
+                result.add(seed, key, words, a, b)
+    return result
 
 
 def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
@@ -149,7 +140,7 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     p = _check_sweep(n, t, seeds)
     if t < 3:
         raise TooFewRounds("the sandwich needs t >= 3")
-    tally = _Tally()
+    result = SweepResult(f"lucifer-sandwich n={n} t={t}")
     for seed in seeds:
         rng = random.Random(derive_seed(seed, "lucifer-schedule"))
         key_maps = LuciferSchedule(p, tuple(random_subkey_map(p, rng) for _ in range(t)))
@@ -164,5 +155,5 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
                 left, right = psi_tilde_round((words >> n, words & p.mask), 0, parts.outer_first)
                 mid = kafv_encrypt(core_inst, key, (left << n) | right)
                 left, right = psi_tilde_round((mid >> n, mid & p.mask), 0, parts.outer_last)
-                tally.add(seed, key, words, direct, (left << n) | right)
-    return tally.result(f"lucifer-sandwich n={n} t={t}")
+                result.add(seed, key, words, direct, (left << n) | right)
+    return result

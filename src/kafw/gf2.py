@@ -13,18 +13,15 @@ objects).  Conventions, normative for the whole package:
 Field multiplication reduces modulo a fixed irreducible polynomial per
 width (lowest-lexicographic choice, see REDUCTION_POLYNOMIALS); the
 polynomial mask holds the low n coefficients, the x^n term is implicit.
-Up to MAX_EXHAUSTIVE_N bits, products and cubes are lookups in log/antilog
-tables over a generator of the multiplicative group, built on the first
-multiply at each width (never at import or DomainParams construction) and
-cached; wider fields use the shift-and-add product `_poly_mulmod`, which
-also builds the tables.
+Every width multiplies the same way, by shift-and-add (`_poly_mulmod`):
+nothing is built at import, at DomainParams construction or on the first
+multiply.  Hot field-cubic evaluation reads whole-field tables compiled
+by the schedules module instead.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, DomainTooLarge
@@ -57,54 +54,6 @@ def _poly_mulmod(a: int, b: int, full: int) -> int:
     return r
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _poly_powmod(a: int, e: int, full: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, a, full)
-        a = _poly_mulmod(a, a, full)
-        e >>= 1
-    return r
-
-
-@lru_cache(maxsize=None)
-def _log_tables(n: int, poly_mask: int) -> tuple[array, array]:
-    """(log, exp) tables of GF(2^n) under x^n + poly_mask, for n <= MAX_EXHAUSTIVE_N.
-
-    The base is the least g = 2, 3, ... whose order is exactly N - 1 (x
-    need not be primitive: under n = 8's 0x1B it has order 51).  log has N
-    entries (log[0] is unused); exp has 2(N - 1), exp[i] = g^(i mod N - 1),
-    so exp[log a + log b] needs no reduction.
-    """
-    order = (1 << n) - 1
-    full = (1 << n) | poly_mask
-    factors = _prime_divisors(order)
-    g = 2
-    while any(_poly_powmod(g, order // q, full) == 1 for q in factors):
-        g += 1
-    log = array("H", bytes(2 << n))
-    exp = array("H", bytes(4 * order))
-    x = 1
-    for i in range(order):
-        exp[i] = exp[i + order] = x
-        log[x] = i
-        x = _poly_mulmod(x, g, full)
-    return log, exp
-
-
 @dataclass(frozen=True)
 class DomainParams:
     """Half-block width n, and what it determines: domain size N = 2^n and
@@ -135,35 +84,17 @@ class DomainParams:
 
 
 def gf_mul(a: int, b: int, p: DomainParams) -> int:
-    """Product of a and b in GF(2^n) under p's reduction polynomial.
-
-    For n <= MAX_EXHAUSTIVE_N a log/antilog lookup (tables built lazily on
-    the first call at that width); above it, shift-and-add.
-    """
+    """Product of a and b in GF(2^n) under p's reduction polynomial, by
+    shift-and-add at every width."""
     n = p.n
     if (a | b) >> n:  # also nonzero for a negative operand
         raise DomainError(f"gf_mul operands {a:#x}, {b:#x} are not elements of GF(2^{n})")
-    if n > MAX_EXHAUSTIVE_N:
-        return _poly_mulmod(a, b, (1 << n) | p.reduction_polynomial)
-    if not (a and b):
-        return 0
-    log, exp = _log_tables(n, p.reduction_polynomial)
-    return exp[log[a] + log[b]]
+    return _poly_mulmod(a, b, (1 << n) | p.reduction_polynomial)
 
 
 def gf_cube(a: int, p: DomainParams) -> int:
-    """a*a*a in GF(2^n).
-
-    For n <= MAX_EXHAUSTIVE_N one lookup, exp[3 log a mod (N - 1)], in the
-    tables gf_mul builds lazily; above it, two products.
-    """
-    n = p.n
-    if n > MAX_EXHAUSTIVE_N or a >> n:  # gf_mul also rejects a non-element
-        return gf_mul(gf_mul(a, a, p), a, p)
-    if not a:
-        return 0
-    log, exp = _log_tables(n, p.reduction_polynomial)
-    return exp[3 * log[a] % ((1 << n) - 1)]
+    """a*a*a in GF(2^n): two products."""
+    return gf_mul(gf_mul(a, a, p), a, p)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
     TooFewRounds,
     UnknownName,
 )
-from .gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams, _log_tables, gf_cube, gf_mul, mat_vec
+from .gf2 import MAX_EXHAUSTIVE_N, BinMatrix, DomainParams, gf_mul, mat_vec
 
 
 class SubkeyMap:
@@ -97,7 +97,9 @@ class FieldCubicSubkey(SubkeyMap):
     multiplier: int
 
     def value(self, k, p):
-        return gf_mul(self.multiplier, k, p) ^ gf_cube(k, p)
+        # m (x) k ^ k^3 = k (x) (m ^ k^2): two products.  m ^ k^2 lies
+        # outside the field exactly when m does, so gf_mul rejects both.
+        return gf_mul(k, self.multiplier ^ gf_mul(k, k, p), p)
 
     def compiled(self, p):
         """A lookup in a uint16 table of all N values for n <= MAX_EXHAUSTIVE_N.
@@ -115,24 +117,28 @@ class FieldCubicSubkey(SubkeyMap):
 def _field_cubic_table(multiplier: int, n: int, poly: int) -> array:
     """multiplier (x) k ^ k^3 for every k in GF(2^n), n <= MAX_EXHAUSTIVE_N.
 
-    Built with numpy from the log/antilog tables behind gf_mul and gf_cube,
-    on the first evaluation of such a map (never at import), and kept for
-    the next instance: 2^(n+1) bytes each.  Blocks of 4096 keys keep the
-    temporaries small: whole-range ones cost a run at n = 16 over 1 MB of
-    peak memory.
+    Built as k (x) (multiplier ^ k^2) by gf_mul's shift-and-add on numpy
+    uint32 columns (a shifted operand stays below 2^(n+1)), on the first
+    evaluation of such a map (never at import), and kept for the next
+    instance: 2^(n+1) bytes each.  Blocks of 4096 keys keep the temporaries
+    small: whole-range ones cost a run at n = 16 over 1 MB of peak memory.
     """
     import numpy as np  # on first use; `import kafw.cli` does not load it
 
-    log, exp = _log_tables(n, poly)
-    logs = np.frombuffer(log, dtype=np.uint16)
-    antilog = np.frombuffer(exp, dtype=np.uint16)
-    table = array("H", bytes(2))  # k = 0 maps to 0
-    for lo in range(1, 1 << n, 4096):
-        k_logs = logs[lo : lo + 4096].astype(np.int32)
-        values = antilog[3 * k_logs % ((1 << n) - 1)]
-        if multiplier:
-            values ^= antilog[k_logs + log[multiplier]]
-        table.frombytes(values.tobytes())
+    full = (1 << n) | poly
+
+    def mulmod(a, b):
+        r = np.zeros_like(a)
+        for i in range(n):
+            r ^= a & -(b >> i & 1)
+            a = a << 1
+            a ^= full & -(a >> n)
+        return r
+
+    table = array("H")
+    for lo in range(0, 1 << n, 4096):
+        k = np.arange(lo, min(lo + 4096, 1 << n), dtype=np.uint32)
+        table.frombytes(mulmod(k, mulmod(k, k) ^ multiplier).astype(np.uint16).tobytes())
     return table
 
 
@@ -187,6 +193,19 @@ def ortho_map(n: int) -> AffineSubkey:
     rows = [((1 << (h + j)) | (1 << j)) for j in range(h)]  # low half: kL ^ kR
     rows += [(1 << j) for j in range(h)]  # high half: kR
     return AffineSubkey(BinMatrix(tuple(rows)))
+
+
+def _check_affine_widths(p: DomainParams, maps) -> None:
+    """Raise DomainError unless every AffineSubkey among `maps`, XOR parts
+    included, has an n x n matrix and a constant in [0, N)."""
+    n = p.n
+    todo = list(maps)
+    for m in todo:  # the loop also visits the XOR parts appended to todo
+        if isinstance(m, AffineSubkey):
+            if m.m.n != n or m.c >> n:  # also nonzero for a negative constant
+                raise DomainError(f"affine sub-key map of size {m.m.n}, constant {m.c:#x}, in an n={n} schedule")
+        elif isinstance(m, XorSubkey):
+            todo += m.parts
 
 
 # Per-key and per-offset entries go into a schedule's memo only up to this
@@ -248,6 +267,7 @@ class KeySchedule(_Memo):
             raise ArityMismatch("exactly four whitening maps required")
         if not self.round_keys:
             raise ArityMismatch("at least one round-key map required")
+        _check_affine_widths(self.params, self.slots)
 
     @property
     def t(self) -> int:
@@ -311,6 +331,7 @@ class KafvSchedule(_Memo):
     def __post_init__(self):
         if len(self.maps) < 2:
             raise ArityMismatch("a KAFv schedule needs at least t+2 = 2 maps")
+        _check_affine_widths(self.params, self.maps)
 
     @property
     def t(self) -> int:
@@ -342,6 +363,7 @@ class LuciferSchedule(_Memo):
     def __post_init__(self):
         if len(self.maps) < 2:
             raise TooFewRounds("lucifer needs t >= 2")
+        _check_affine_widths(self.params, self.maps)
 
     @property
     def t(self) -> int:

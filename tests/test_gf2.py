@@ -24,7 +24,6 @@ from kafw.gf2 import (
     mat_is_invertible,
     mat_kernel_basis,
     mat_vec,
-    _log_tables,
 )
 
 P3 = DomainParams.for_width(3)
@@ -52,7 +51,8 @@ def schoolbook_cube(a, n, poly_mask):
     return schoolbook_mul(schoolbook_mul(a, a, n, poly_mask), a, n, poly_mask)
 
 
-# The table path (n <= MAX_EXHAUSTIVE_N) against the schoolbook oracle.
+# gf_mul and gf_cube against the schoolbook oracle: every pair up to n = 8,
+# samples above.
 @pytest.mark.parametrize("n", range(2, 9))
 def test_table_path_matches_schoolbook_exhaustively(n):
     p = DomainParams.for_width(n)
@@ -86,42 +86,18 @@ def test_wide_path_matches_schoolbook_sampled(n):
         assert gf_cube(a, p) == schoolbook_cube(a, n, poly)
 
 
-@pytest.mark.parametrize("n", range(2, MAX_EXHAUSTIVE_N + 1))
-def test_log_table_generator_has_full_order(n):
-    poly = REDUCTION_POLYNOMIALS[n]
-    log, exp = _log_tables(n, poly)
-    order = (1 << n) - 1
-    assert len(log) == order + 1 and len(exp) == 2 * order
-    # g = exp[1] has order exactly N - 1: its first N - 1 powers are all distinct.
-    assert sorted(exp[:order]) == list(range(1, order + 1))
-    assert list(exp[order:]) == list(exp[:order])
-    assert exp[0] == 1 and schoolbook_mul(exp[order - 1], exp[1], n, poly) == 1
-    assert all(exp[log[a]] == a for a in range(1, order + 1))
-
-
-def test_log_table_base_when_x_is_not_primitive():
-    # Under n = 8's AES polynomial 0x1B, x has order 51, so the base must be another element.
-    assert REDUCTION_POLYNOMIALS[8] == 0x1B
-    powers, x = [], 1
-    while x != 1 or not powers:
-        x = schoolbook_mul(x, 0b10, 8, 0x1B)
-        powers.append(x)
-    assert len(powers) == 51
-    log, exp = _log_tables(8, 0x1B)
-    assert exp[1] == 3
-    assert sorted(exp[:255]) == list(range(1, 256))
-
-
-def test_domain_params_build_no_log_table():
-    # An eager n = 16 build costs tens of milliseconds of start-up; the tables
-    # must wait for the first multiply.
+def test_scalar_encryption_builds_no_field_cubic_table():
+    # The first n = 16 table build costs milliseconds and loads numpy; a
+    # schedule and a scalar encryption must not make one.
     src = str(Path(kafw.__file__).resolve().parents[1])
     code = (
         "import kafw\n"
-        "from kafw.gf2 import DomainParams, _log_tables\n"
-        "from kafw.schedules import builtin\n"
-        "builtin('minimal4', DomainParams.for_width(16))\n"
-        "print(_log_tables.cache_info().currsize)\n"
+        "from kafw.feistel import CipherInstance\n"
+        "from kafw.gf2 import DomainParams\n"
+        "from kafw.schedules import _field_cubic_table, builtin\n"
+        "schedule = builtin('minimal4', DomainParams.for_width(16))\n"
+        "CipherInstance(schedule, (lambda x: x,)).encrypt_block(0x1234, 0x56789)\n"
+        "print(_field_cubic_table.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

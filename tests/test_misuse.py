@@ -14,8 +14,8 @@ from kafw.feistel import CipherInstance
 from kafw.gf2 import BinMatrix, DomainParams, joint_kernel_basis
 from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
 from kafw.schedules import (
-    MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule, ZeroMap, builtin, identity_map,
-    kafv_to_kafw,
+    MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule, XorSubkey, ZeroMap, builtin,
+    identity_map, kafv_to_kafw,
 )
 
 P8 = DomainParams.for_width(8)
@@ -68,6 +68,21 @@ MISUSE = [
     ("definition 3 audit of 4 x 4 sub-key matrices at n = 8",
      lambda: check_definition3(KeySchedule(P8, (ZeroMap(),) * 4, (AffineSubkey(BinMatrix.identity(4)),) * 6)),
      DomainError),
+    ("KAFw schedule with a 4 x 4 round-key matrix at n = 8",
+     lambda: KeySchedule(P8, (ZeroMap(),) * 4, (AffineSubkey(BinMatrix.identity(4)),) * 4), DomainError),
+    ("KAFw schedule with a 4 x 4 matrix inside an XOR whitening map",
+     lambda: KeySchedule(P8, (ZeroMap(), XorSubkey((identity_map(8), identity_map(4))), ZeroMap(), ZeroMap()),
+                         (identity_map(8),)), DomainError),
+    ("KAFv schedule with a 9 x 9 matrix at n = 8",
+     lambda: KafvSchedule(P8, (identity_map(8), identity_map(9))), DomainError),
+    ("KAFv schedule with an affine constant 2^n", lambda: KafvSchedule(P8, (identity_map(8),) * 2 + (
+        AffineSubkey(BinMatrix.identity(8), 256),)), DomainError),
+    ("Lucifer schedule with a 4 x 4 matrix in a nested XOR",
+     lambda: LuciferSchedule(P8, (identity_map(8),
+                                  XorSubkey((ZeroMap(), XorSubkey((identity_map(8), identity_map(4))))))),
+     DomainError),
+    ("Lucifer schedule with an affine constant -1",
+     lambda: LuciferSchedule(P8, (identity_map(8), AffineSubkey(BinMatrix.identity(8), -1))), DomainError),
     *[
         (f"theorem {theorem} bound with N = 0", lambda theorem=theorem: bound_formula(theorem, 1, 1, 0), DomainError)
         for theorem in (1, 2, 5, 6)

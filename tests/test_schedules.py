@@ -1,11 +1,14 @@
 """Schedule representations, transformations, and the builtin catalog."""
 
+import hashlib
 import random
 
 import pytest
 
 from kafw.errors import DomainError, NotAffine, OddN, TooFewRounds, UnknownName
-from kafw.gf2 import BinMatrix, DomainParams, is_orthomorphism, mat_is_invertible, mat_vec
+from kafw.gf2 import (
+    REDUCTION_POLYNOMIALS, BinMatrix, DomainParams, gf_cube, gf_mul, is_orthomorphism, mat_is_invertible, mat_vec,
+)
 from kafw import schedules
 from kafw.schedules import (
     BUILTIN_NAMES,
@@ -283,3 +286,42 @@ def test_is_builtin():
     assert all(is_builtin(name) for name in BUILTIN_NAMES)
     assert is_builtin("identity_bad(9)") and is_builtin("minimal4(3)")
     assert not is_builtin("data/strong5.sched")
+
+
+def _multipliers(p, rng):
+    return (0, 1, 2, p.N - 1, rng.randrange(p.N))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_field_cubic_value_is_the_cubic_at_every_key(n):
+    # value computes k (x) (m ^ k^2); the definition reads m (x) k ^ k^3.
+    p, rng = DomainParams.for_width(n), random.Random(n)
+    for m in _multipliers(p, rng):
+        f = FieldCubicSubkey(m)
+        assert [f.value(k, p) for k in range(p.N)] == [gf_mul(m, k, p) ^ gf_cube(k, p) for k in range(p.N)]
+
+
+@pytest.mark.parametrize("n", range(11, 33))
+def test_field_cubic_value_is_the_cubic_on_samples(n):
+    p, rng = DomainParams.for_width(n), random.Random(n)
+    keys = [0, 1, p.N - 1] + [rng.randrange(p.N) for _ in range(300)]
+    for m in _multipliers(p, rng):
+        f = FieldCubicSubkey(m)
+        assert [f.value(k, p) for k in keys] == [gf_mul(m, k, p) ^ gf_cube(k, p) for k in keys]
+
+
+def test_field_cubic_value_rejects_a_multiplier_or_key_outside_the_field():
+    for m, k in ((P8.N, 3), (-1, 3), (2, P8.N), (2, -1), (P8.N, 0)):
+        with pytest.raises(DomainError):
+            FieldCubicSubkey(m).value(k, P8)
+
+
+def test_field_cubic_tables_keep_their_digest():
+    # Every table for n = 2..16 and a spread of multipliers, pinned byte for
+    # byte: any changed entry changes the digest.
+    digest = hashlib.sha256()
+    for n in range(2, 17):
+        N = 1 << n
+        for m in sorted({0, 1, 2, 3, N - 1, N // 3}):
+            digest.update(bytes(schedules._field_cubic_table(m, n, REDUCTION_POLYNOMIALS[n])))
+    assert digest.hexdigest() == "5c22b0eda6008d9a1233c378034d7ab78de4a9684e337e446a339cf3e75b1f98"
