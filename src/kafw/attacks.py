@@ -26,6 +26,7 @@ A precondition that fails keeps nothing, and raises again on the next call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, DomainError, NoWeakDelta, TooFewRounds
@@ -310,23 +311,19 @@ def birthday_collision_attack(
                 return 1
         return 0
     uncounted, budget = CipherInstance(schedule, view[0]), view[1]
-
-    def charge(inputs: list[list[int]], lo: int, hi: int) -> None:
-        """Spend what encrypting guesses lo..hi-1 of a chunk through fs would, in order."""
-        if lo < hi:
-            budget.spend_many([(f.index, x[lo:hi]) for f, x in zip(offline.round_functions, inputs)])
-
-    wanted = {ct >> schedule.params.n for ct in seen}  # a guess can match only with one of these left halves
+    indices = [f.index for f in offline.round_functions]
+    wanted = set(map(schedule.params.n.__rrshift__, seen))  # a guess can match only with one of these left halves
     step = -(-N // q_e) if q_e else N
     for start in range(0, len(guesses), step):
         chunk = guesses[start : start + step]
         inputs: list[list[int]] = []
-        charged = 0
-        for j, ct in enumerate(uncounted.encrypt_many(chunk, w1, inputs, wanted)):
-            if ct in seen:
-                charge(inputs, charged, j + 1)
-                charged = j + 1
-                if confirmed(chunk[j], seen[ct]):
-                    return 1
-        charge(inputs, charged, len(chunk))
+        cts = uncounted.encrypt_many(chunk, w1, inputs, wanted)
+        charged = 0  # chunk[:charged] is charged, as the loop through fs would spend it
+        for j in compress(range(len(cts)), map(seen.__contains__, cts)):
+            budget.spend_many(indices, [x[charged : j + 1] for x in inputs])
+            charged = j + 1
+            if confirmed(chunk[j], seen[cts[j]]):
+                return 1
+        if charged < len(chunk):
+            budget.spend_many(indices, [x[charged:] for x in inputs] if charged else inputs)
     return 0

@@ -41,6 +41,7 @@ key or many.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Callable, Sequence
@@ -124,6 +125,28 @@ def _layout(s, key: int) -> tuple:
     return layout
 
 
+def _layout_columns(s, keys: list[int]) -> list:
+    """Slot i of the layout under every key in [0, N), as an int64 column:
+    0 for a zero map, one gather of the keys from a field-cubic map's table
+    (its compiled form is the table's __getitem__; the gather reads it
+    through a uint16 view that copies nothing), and the compiled map
+    across the keys otherwise."""
+    import numpy as np  # on first use; `import kafw.cli` does not load it
+
+    count = len(keys)
+    column = np.fromiter(keys, np.int64, count)
+    layout = []
+    for f in s.compiled_slots:
+        table = getattr(f, "__self__", None)
+        if f is None:
+            layout.append(0)
+        elif isinstance(table, array):
+            layout.append(np.frombuffer(table, np.uint16)[column].astype(np.int64))
+        else:
+            layout.append(np.fromiter(map(f, keys), np.int64, count))
+    return layout
+
+
 @dataclass
 class CipherInstance:
     """A concrete construction: a schedule and its round functions.
@@ -174,16 +197,16 @@ class CipherInstance:
         [0, N), over order-free round functions, `_chain` runs once over
         all keys instead, on numpy int64 columns, each round one
         query_many, with the same results.  Layout slot i is 0 for a zero
-        map and otherwise its compiled map's column over the keys
-        (field-cubic maps at n <= MAX_EXHAUSTIVE_N read from tables).  Any
-        other call runs the loop, so a key outside [0, N) raises as the
-        reference layout does.  `inputs`, on either path, receives one list
-        per round of that round's f inputs across the keys; the birthday
-        attack charges its f budget from them.  With `wanted`, a set of
-        left halves, a key whose ciphertext's left half is not in it gets
-        None instead: that half is fixed before the last round, so the
-        column path never asks f for such a key's last round (its input is
-        still recorded).
+        map, one gather of the keys from the table of a field-cubic map at
+        n <= MAX_EXHAUSTIVE_N, and otherwise its compiled map's column over
+        the keys (`_layout_columns`).  Any other call runs the loop, so a
+        key outside [0, N) raises as the reference layout does.  `inputs`,
+        on either path, receives one list per round of that round's f
+        inputs across the keys; the birthday attack charges its f budget
+        from them.  With `wanted`, a set of left halves, a key whose
+        ciphertext's left half is not in it gets None instead: that half is
+        fixed before the last round, so the column path never asks f for
+        such a key's last round (its input is still recorded).
         """
         s = self.schedule
         n, count = s.params.n, len(keys)
@@ -206,7 +229,7 @@ class CipherInstance:
 
         s, count = self.schedule, len(keys)
         t, n = s.t, s.params.n
-        layout = [0 if f is None else np.fromiter(map(f, keys), np.int64, count) for f in s.compiled_slots]
+        layout = _layout_columns(s, keys)
 
         def column(f, filtered: bool):
             def f_column(x):

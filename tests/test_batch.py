@@ -7,6 +7,7 @@ exactly what their scalar loops give: outputs, counters and the exception
 """
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from kafw.oracles import (
     derive_seed,
     stream64,
 )
+from kafw.schedfile import parse_schedule_text
 from kafw.schedules import (
+    BUILTIN_NAMES,
     AffineSubkey,
     FieldCubicSubkey,
     KafvSchedule,
@@ -211,6 +214,48 @@ def test_compiled_maps_drop_zeros_and_keep_the_values():
     assert XorSubkey((Z, ident)).compiled(P8)(0x5A) == 0x5A
     wide = DomainParams.for_width(MAX_EXHAUSTIVE_N + 1)
     assert FieldCubicSubkey(3).compiled(wide)(12345) == FieldCubicSubkey(3).value(12345, wide)
+
+
+DATA = Path(__file__).parent / "data"
+GATHER_CASES = {
+    **{
+        f"{name}-n{n}": (lambda name=name, n=n: builtin(name, DomainParams.for_width(n)))
+        for n in (8, 12, 16)
+        for name in (name.replace("(t)", "(3)") for name in BUILTIN_NAMES)
+    },
+    **{
+        path.name: (lambda path=path: parse_schedule_text(path.read_text()).schedule)
+        for path in sorted(DATA.glob("*.sched"))
+    },
+    **{
+        f"random-{construction}-n{n}": (
+            lambda construction=construction, n=n: _schedule(
+                construction, DomainParams.for_width(n), 4, random.Random(f"gather-{construction}-{n}")
+            )
+        )
+        for n in (8, 12, 16)
+        for construction in ("kafw", "kaf", "kafv", "lucifer")
+    },
+}
+
+
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_layout_columns_are_the_reference_slots(case):
+    """Each slot column the column path reads, a field-cubic table's gather
+    included, holds `_reference_layout(s, k)[i]` for every key, 0 and
+    N - 1 among them."""
+    s = GATHER_CASES[case]()
+    N = s.params.N
+    rng = random.Random(case)
+    keys = [0, N - 1, *(rng.randrange(N) for _ in range(200)), N - 1]
+    want = list(zip(*(_reference_layout(s, k) for k in keys)))
+    columns = feistel._layout_columns(s, keys)
+    assert len(columns) == len(want)
+    for i, (column, slot) in enumerate(zip(columns, want)):
+        if isinstance(column, int):
+            assert column == 0 and set(slot) == {0}, i
+        else:
+            assert column.dtype == np.int64 and column.tolist() == list(slot), i
 
 
 def test_encrypt_many_falls_back_to_the_scalar_loop():
@@ -427,7 +472,7 @@ def test_spend_many_equals_the_spend_loop(limit):
     except QueryBudgetExceeded as e:
         want = str(e)
     try:
-        batch.spend_many(columns)
+        batch.spend_many([index for index, _ in columns], [xs for _, xs in columns])
         got = None
     except QueryBudgetExceeded as e:
         got = str(e)
@@ -529,6 +574,18 @@ def test_birthday_batched_replays_the_scalar_trials(world, monkeypatch):
     assert batched == scalar
     if world == game.REAL:
         assert {bit for bit, _, _ in batched} == {0, 1}
+
+
+@pytest.mark.parametrize("world", [game.REAL, game.IDEAL])
+def test_birthday_batched_replays_the_scalar_trials_at_the_bench_setting(world, monkeypatch):
+    """The benchmark's birthday-n16 setting: minimal4 at n = 16 with
+    q_e = q_g = 512, so 512-wide probe batches, chunks of 128 guesses and,
+    in the ideal world, one first-draw batch of 512 keys."""
+    spec = game.ConstructionSpec(P16, 4, builtin("minimal4", P16), "kafw", "function", True)
+    batched = _trials(spec, 512, 512, world, 8, 916)
+    _force_scalar(monkeypatch)
+    assert _trials(spec, 512, 512, world, 8, 916) == batched
+    assert any(bit for bit, _, _ in batched) == (world == game.REAL)
 
 
 @pytest.mark.parametrize("world", [game.REAL, game.IDEAL])

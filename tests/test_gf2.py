@@ -52,9 +52,9 @@ def schoolbook_cube(a, n, poly_mask):
 
 
 # gf_mul and gf_cube against the schoolbook oracle: every pair up to n = 8,
-# samples above.
+# 2000 sampled pairs per width up to MAX_EXHAUSTIVE_N, 200 up to n = 32.
 @pytest.mark.parametrize("n", range(2, 9))
-def test_table_path_matches_schoolbook_exhaustively(n):
+def test_gf_mul_matches_schoolbook_on_every_pair(n):
     p = DomainParams.for_width(n)
     poly = p.reduction_polynomial
     for a in range(p.N):
@@ -64,7 +64,7 @@ def test_table_path_matches_schoolbook_exhaustively(n):
 
 
 @pytest.mark.parametrize("n", range(9, MAX_EXHAUSTIVE_N + 1))
-def test_table_path_matches_schoolbook_sampled(n):
+def test_gf_mul_matches_schoolbook_on_dense_samples(n):
     p = DomainParams.for_width(n)
     poly = p.reduction_polynomial
     rng = random.Random(n)
@@ -76,7 +76,7 @@ def test_table_path_matches_schoolbook_sampled(n):
 
 
 @pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE_N + 1, 33))
-def test_wide_path_matches_schoolbook_sampled(n):
+def test_gf_mul_matches_schoolbook_on_sparse_samples(n):
     p = DomainParams.for_width(n)
     poly = p.reduction_polynomial
     rng = random.Random(n)
@@ -122,7 +122,7 @@ def test_gf_mul_rejects_non_field_operands(a, b):
 
 
 @pytest.mark.parametrize("n", [3, 8, 16, 20, 32])
-def test_operand_range_errors_on_both_paths(n):
+def test_gf_mul_and_gf_cube_reject_operands_out_of_range(n):
     p = DomainParams.for_width(n)
     for bad in (p.N, -1, -p.N):
         with pytest.raises(DomainError):

@@ -56,28 +56,36 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print('numpy' in sys.modules)
 sys.exit(code)"""
 N8 = ("--n", "8", "--seed", "7")
-COLD_RUNS = [  # (argv, numpy loaded)
-    ((), False),
-    (("encrypt", "--schedule", "minimal4", *N8, "--key", "2a", "--block", "1234"), False),
-    (("schedule", "--schedule", "minimal4", "--n", "8", "--key", "ab"), False),
-    (("bound", "--theorem", "1", "--n", "16", "--qf", "300", "--qe", "100"), False),
-    (("attack", "--name", "thm3", "--schedule", "identity_bad(4)", *N8, "--world", "real",
-      "--trials", "1"), False),
-    (("advantage", "--attack", "comp-any", "--schedule", "identity_bad(8)", *N8, "--trials", "3"), False),
-    (("audit", "--check", "def1", "--schedule", "minimal4", "--n", "8"), True),
-    (("equivalence", "--pair", "lucifer", "--n", "4", "--rounds", "3", "--seeds", "1", "--seed", "5"), True),
+COLD_RUNS = [  # (test id, argv, numpy loaded)
+    ("import kafw.cli", (), False),
+    ("encrypt", ("encrypt", "--schedule", "minimal4", *N8, "--key", "2a", "--block", "1234"), False),
+    ("schedule", ("schedule", "--schedule", "minimal4", "--n", "8", "--key", "ab"), False),
+    ("bound", ("bound", "--theorem", "1", "--n", "16", "--qf", "300", "--qe", "100"), False),
+    ("attack", ("attack", "--name", "thm3", "--schedule", "identity_bad(4)", *N8, "--world", "real",
+                "--trials", "1"), False),
+    ("advantage", ("advantage", "--attack", "comp-any", "--schedule", "identity_bad(8)", *N8, "--trials", "3"), False),
+    ("audit", ("audit", "--check", "def1", "--schedule", "minimal4", "--n", "8"), True),
+    ("equivalence", ("equivalence", "--pair", "lucifer", "--n", "4", "--rounds", "3", "--seeds", "1", "--seed", "5"),
+     True),
+    # Birthday trials in the ideal world: two guesses go through the
+    # encrypt_block loop, 64 guesses in chunks of 16 through the column
+    # path; both convert the ideal cipher's first draws with numpy.
+    ("attack birthday loop", ("attack", "--name", "birthday", "--schedule", "minimal4", *N8, "--world", "ideal",
+                              "--trials", "2"), True),
+    ("attack birthday columns", ("attack", "--name", "birthday", "--schedule", "minimal4", *N8, "--world", "ideal",
+                                 "--function-kind", "function", "--qe", "16", "--qg", "64", "--trials", "2"), True),
 ]
 
 
-@pytest.mark.parametrize("argv, loads_numpy", COLD_RUNS,
-                         ids=[" ".join(argv[:1]) or "import kafw.cli" for argv, _ in COLD_RUNS])
+@pytest.mark.parametrize("argv, loads_numpy", [run[1:] for run in COLD_RUNS], ids=[run[0] for run in COLD_RUNS])
 def test_importing_kafw_loads_no_numpy(argv, loads_numpy, capsys, monkeypatch):
     """numpy is imported on first use, never by `import kafw` or `import
     kafw.cli`: on an audit's first count, an equivalence sweep's first
-    column, `encrypt_many`'s column path and a field-cubic table's first
-    build.  So encrypt, schedule, bound and the quartet and complementation
-    attacks start without it; audits and sweeps load it, and print in a cold
-    process the record they print in this one."""
+    column, `encrypt_many`'s column path, a field-cubic table's first build
+    and the first batch of random-function or ideal-cipher draws.  So
+    encrypt, schedule, bound and the quartet and complementation attacks
+    start without it; audits, sweeps and ideal-world birthday attacks load
+    it, and print in a cold process the record they print in this one."""
     monkeypatch.delenv("KAFW_SEED", raising=False)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", COLD, *argv], env=env, capture_output=True, text=True, check=True)
