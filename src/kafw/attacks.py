@@ -8,7 +8,9 @@ entering round i makes the round-function inputs collide, so the round
 deterministically emits (M_i.d, M_{i+1}.d).  Chaining two such rounds
 down from the plaintext and two up from the ciphertext closes a quartet
 of four related-key queries whose final XOR is predictable; against an
-ideal cipher the closing equality holds with probability 1/(N^2 - 1).
+ideal cipher, with both block shifts nonzero, the closing equality holds
+with probability exactly 2/N^2: 1/N^2 from the two forward answers meeting
+the ciphertext shift, and (1 - 1/N^2)/(N^2 - 1) from the two backward ones.
 
 The complementation attacks push the same differential through every
 round at once, which needs all odd-round matrices to agree on the offset

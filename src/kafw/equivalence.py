@@ -8,10 +8,17 @@ oracle seeds and randomized schedules:
 - a t-round Lucifer chain equals keyless first/last rounds wrapped around
   the stripped (t-2)-round KAFv core.
 
-Round functions are numpy tables, so each side of an identity is one
-`encrypt_block` call per key on a numpy column of plaintext words, CHUNK of
-them at a time.  Counts and the first mismatch are those of the
-case-by-case loop in (seed, key, plaintext) order.
+Round functions are numpy tables, each filled by one `query_many` batch,
+so each side of an identity is one `encrypt_block` call per block of at
+most CHUNK cases: a (K, 1) int64 column of keys against a (1, W) row of
+plaintext words, broadcast to K x W cases in one chain.  Blocks hold whole
+keys' words (CHUNK // N^2 keys) when N^2 <= CHUNK, and one key's words
+split into rows of CHUNK otherwise, that key then passed as an int, whose
+layout the schedule keeps across its rows (n <= 12).  Blocks run
+key-major, so counts and the first mismatch are those of the case-by-case
+loop in (seed, key, plaintext) order.  The plaintext rows are made once
+per seed, with the Lucifer sandwich's keyless first outer round over them,
+when there are at most KEPT words; past that, once per key.
 
 numpy loads on the first sweep, not with this module, so a program that
 imports the sweeps but never runs one starts without it.
@@ -51,18 +58,20 @@ class SweepResult:
     def passed(self) -> bool:
         return self.mismatches == 0
 
-    def add(self, seed, key: int, words, a, b) -> None:
-        """Count one column of cases, keeping the first mismatch in the
+    def add(self, seed, keys, words, a, b) -> None:
+        """Count one block of cases, keys (an int, or a (K, 1) column)
+        against the (1, W) row of words, keeping the first mismatch in the
         scalar loop's (seed, key, plaintext) order."""
         import numpy as np
 
         bad = a != b
         count = int(np.count_nonzero(bad))
-        self.cases += len(bad)
+        self.cases += bad.size
         self.mismatches += count
         if count and self.first_mismatch is None:
-            i = int(bad.argmax())
-            self.first_mismatch = (seed, key, int(words[i]), int(a[i]), int(b[i]))
+            row, i = divmod(int(bad.argmax()), bad.shape[1])
+            key = keys if isinstance(keys, int) else int(keys[row, 0])
+            self.first_mismatch = (seed, key, int(words[0, i]), int(a[row, i]), int(b[row, i]))
 
 
 def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
@@ -78,28 +87,45 @@ def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
 
 
 def _function_table(n: int, seed: int):
-    """The random function with this seed as a lookup that takes int columns."""
+    """The random function with this seed as a lookup that takes int arrays."""
     import numpy as np
 
-    oracle = RandomFunctionOracle(n, seed)
-    table = np.array([oracle.query(x) for x in range(1 << n)], dtype=np.int64)
-    return table.__getitem__
+    table = RandomFunctionOracle(n, seed).query_many(range(1 << n))
+    return np.array(table, dtype=np.int64).__getitem__
 
 
 # The benchmark's tracer counts sweep encryptions by patching these names.
 kafw_encrypt = kafv_encrypt = lucifer_encrypt = CipherInstance.encrypt_block
 
-# Plaintexts per column: bounds a sweep's memory at any n <= MAX_EXHAUSTIVE_N.
-CHUNK = 1 << 16
+# Cases per block, about 0.4 MB of int64 temporaries in a chain: bounds a
+# sweep's memory at any n <= MAX_EXHAUSTIVE_N.
+CHUNK = 1 << 13
+
+# Plaintext words kept across a seed's keys (n <= 8: 1 MB with the
+# sandwich's first outer round).
+KEPT = 1 << 16
 
 
-def _plaintexts(n: int):
-    """Columns of all 2n-bit words, CHUNK at a time."""
+def _blocks(n: int, first_round=None):
+    """(keys, words, first_round(words)) for every block of a sweep, in
+    (key, plaintext) order: keys a (K, 1) int64 column, or one key as an
+    int, and words a (1, W) int64 row, at most CHUNK cases in all.
+    first_round=None passes the words themselves."""
     import numpy as np
 
-    total = 1 << (2 * n)
-    for start in range(0, total, CHUNK):
-        yield np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+    N, total = 1 << n, 1 << (2 * n)
+
+    def rows():
+        for start in range(0, total, CHUNK):
+            words = np.arange(start, min(start + CHUNK, total), dtype=np.int64)[None]
+            yield words, words if first_round is None else first_round(words)
+
+    kept = list(rows()) if total <= KEPT else None
+    step = max(CHUNK // total, 1)
+    for first in range(0, N, step):
+        keys = first if step == 1 else np.arange(first, min(first + step, N), dtype=np.int64)[:, None]
+        for words, inner in kept or rows():
+            yield keys, words, inner
 
 
 def _check_sweep(n: int, t: int, seeds) -> DomainParams:
@@ -127,11 +153,10 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         f = _function_table(n, derive_seed(seed, "f"))
         kafv_inst = CipherInstance(star, (f,))
         kafw_inst = CipherInstance(converted, (f,))
-        for key in range(p.N):
-            for words in _plaintexts(n):
-                a = kafv_encrypt(kafv_inst, key, words)
-                b = kafw_encrypt(kafw_inst, key, words)
-                result.add(seed, key, words, a, b)
+        for keys, words, _ in _blocks(n):
+            a = kafv_encrypt(kafv_inst, keys, words)
+            b = kafw_encrypt(kafw_inst, keys, words)
+            result.add(seed, keys, words, a, b)
     return result
 
 
@@ -149,11 +174,14 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         # The Lucifer's round-key maps are the KAFv core's sub-key maps.
         parts = lucifer_strip(fs, key_maps.maps)
         core_inst = CipherInstance(KafvSchedule(p, parts.core_subkeys), parts.core_functions)
-        for key in range(p.N):
-            for words in _plaintexts(n):
-                direct = lucifer_encrypt(lucifer_inst, key, words)
-                left, right = psi_tilde_round((words >> n, words & p.mask), 0, parts.outer_first)
-                mid = kafv_encrypt(core_inst, key, (left << n) | right)
-                left, right = psi_tilde_round((mid >> n, mid & p.mask), 0, parts.outer_last)
-                result.add(seed, key, words, direct, (left << n) | right)
+
+        def first_round(words, outer=parts.outer_first):
+            left, right = psi_tilde_round((words >> n, words & p.mask), 0, outer)
+            return (left << n) | right
+
+        for keys, words, inner in _blocks(n, first_round):
+            direct = lucifer_encrypt(lucifer_inst, keys, words)
+            mid = kafv_encrypt(core_inst, keys, inner)
+            left, right = psi_tilde_round((mid >> n, mid & p.mask), 0, parts.outer_last)
+            result.add(seed, keys, words, direct, (left << n) | right)
     return result

@@ -23,12 +23,16 @@ A `CipherInstance` is a schedule plus round functions; its construction,
 width and round count are the schedule's.
 `encrypt_block`/`decrypt_block(key, block)` are the one block interface.
 A block is a 2n-bit word, left half high: a plain int in [0, 2^2n) (any
-other raises DomainError), or a numpy int64 column of many words when every
-round function maps a column to a column (a table lookup does).  A tweak is
-folded into the key: encrypt_block(key ^ tweak, block).
+other raises DomainError), or a numpy int64 array of many words when every
+round function maps an array to an array (a table lookup does).  A key is
+an int, or a numpy integer array of keys in [0, N) (any other raises
+DomainError) that broadcasts against the block: the equivalence sweeps
+encrypt a (K, 1) column of keys against a (1, W) row of words in one
+chain.  A tweak is folded into the key: encrypt_block(key ^ tweak, block).
 
-A key's layout is computed once and kept where the schedule's `per_key`
-says, so every instance over that schedule reads it from then on.
+An int key's layout is computed once and kept where the schedule's
+`per_key` says, so every instance over that schedule reads it from then
+on; a key array's is computed afresh (`_layout_columns`) on each call.
 
 `CipherInstance.encrypt_many` encrypts one block under many keys and alone
 decides how: for enough in-range keys over order-free random functions it
@@ -41,6 +45,7 @@ key or many.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -82,11 +87,11 @@ def _chain(fs, layout: tuple, key_into_f: bool, left: int, right: int, inverse=F
     collects (x_i, y_i, (left, right) after round i).
 
     The halves and the layout's slots are plain ints, or numpy integer
-    columns when every f maps a column to a column: many blocks under one
-    key (a table lookup f), or one block under many keys (encrypt_many's
-    map over query_many).  The chain only uses ^ and f, and never writes
-    into its operands: callers may pass one plaintext column to several
-    chains.
+    arrays when every f maps an array to an array: many blocks under one
+    key or under a column of keys (a table lookup f), or one block under
+    many keys (encrypt_many's map over query_many).  The chain only uses ^
+    and f, and never writes into its operands: callers may pass one
+    plaintext array to several chains.
     """
     if inverse:
         fs, layout = fs[::-1], layout[::-1]
@@ -111,30 +116,48 @@ def _reference_layout(s, key: int) -> tuple:
     return tuple([m.value(key, p) for m in s.slots])
 
 
-def _layout(s, key: int) -> tuple:
+def _layout(s, key) -> tuple:
     """The reference layout under key, kept in s.per_key for keys in
     [0, N).  Any other key is computed afresh each time, so it raises (or
     not) exactly as the reference does, and a failing layout is never
-    kept."""
+    kept.  A numpy integer scalar key is its int; an unhashable key is a
+    numpy array of keys (`_key_columns`)."""
     memo = s.per_key
-    layout = memo.get(key)
+    try:
+        layout = memo.get(key)
+    except TypeError:
+        return _key_columns(s, key)
     if layout is None:
+        if type(key) is not int:
+            key = _int_key(key)
         layout = _reference_layout(s, key)
         if 0 <= key < s.params.N:
             memo[key] = layout
     return layout
 
 
-def _layout_columns(s, keys: list[int]) -> list:
-    """Slot i of the layout under every key in [0, N), as an int64 column:
-    0 for a zero map, one gather of the keys from a field-cubic map's table
-    (its compiled form is the table's __getitem__; the gather reads it
-    through a uint16 view that copies nothing), and the compiled map
-    across the keys otherwise."""
+def _int_key(key) -> int:
+    """key as an int: a numpy integer scalar is its int, anything else
+    raises DomainError."""
+    try:
+        return operator.index(key)
+    except TypeError:
+        raise DomainError("a key is an int or a numpy integer array") from None
+
+
+def _layout_columns(s, keys) -> list:
+    """Slot i of the layout under every key in [0, N), as an int64 array
+    of the keys' shape: 0 for a zero map, one gather of the keys from a
+    field-cubic map's table (its compiled form is the table's __getitem__;
+    the gather reads it through a uint16 view that copies nothing), and the
+    compiled map across the keys otherwise.  keys is a list or an int64
+    array."""
     import numpy as np  # on first use; `import kafw.cli` does not load it
 
-    count = len(keys)
-    column = np.fromiter(keys, np.int64, count)
+    if isinstance(keys, list):
+        column = np.fromiter(keys, np.int64, len(keys))
+    else:
+        column, keys = keys, None
     layout = []
     for f in s.compiled_slots:
         table = getattr(f, "__self__", None)
@@ -143,7 +166,24 @@ def _layout_columns(s, keys: list[int]) -> list:
         elif isinstance(table, array):
             layout.append(np.frombuffer(table, np.uint16)[column].astype(np.int64))
         else:
-            layout.append(np.fromiter(map(f, keys), np.int64, count))
+            keys = column.ravel().tolist() if keys is None else keys
+            layout.append(np.fromiter(map(f, keys), np.int64, column.size).reshape(column.shape))
+    return layout
+
+
+def _key_columns(s, keys) -> list:
+    """The layout under a numpy integer array of keys, every one in [0, N)
+    (else DomainError: nothing wraps), as `_layout_columns`.  Its input
+    whitening slots are arrays even where the maps are zero, so a chain
+    over them spans the broadcast of the keys and the block."""
+    import numpy as np
+
+    if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):
+        raise DomainError("a key is an int or a numpy integer array")
+    if keys.size and not (0 <= keys.min() and keys.max() < s.params.N):
+        raise DomainError("key out of range")
+    layout = _layout_columns(s, keys.astype(np.int64, copy=False))
+    layout[:2] = [np.zeros(keys.shape, np.int64) ^ w for w in layout[:2]]
     return layout
 
 
@@ -171,16 +211,21 @@ class CipherInstance:
             raise ScheduleArityMismatch(f"{t} rounds but {len(fs)} round functions")
 
     # The block interface, so oracles can treat any instance as E_k.
-    def encrypt_block(self, key: int, block, trace: list | None = None):
-        """E_key(block); `trace` collects (x_i, y_i, (left, right)) per round."""
+    def encrypt_block(self, key, block, trace: list | None = None):
+        """E_key(block); `trace` collects (x_i, y_i, (left, right)) per round.
+
+        key is an int (a numpy integer scalar acts as one) or a numpy
+        integer array of keys in [0, N), which broadcasts against the
+        block: a (K, 1) column of keys against a (1, W) row of words gives
+        the (K, W) ciphertexts in one chain."""
         return self._block_op(key, block, False, trace)
 
-    def decrypt_block(self, key: int, block):
+    def decrypt_block(self, key, block):
         return self._block_op(key, block, True)
 
-    def _block_op(self, key: int, block, inverse: bool, trace=None):
-        """block is an int in [0, 2^2n) or a numpy int64 column of words:
-        only >>, &, << and | touch it, and the column is never written into
+    def _block_op(self, key, block, inverse: bool, trace=None):
+        """block is an int in [0, 2^2n) or a numpy int64 array of words:
+        only >>, &, << and | touch it, and the array is never written into
         (nor checked)."""
         s = self.schedule
         n, mask = s.params.n, s.params.mask

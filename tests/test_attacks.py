@@ -281,7 +281,7 @@ def test_ideal_world_rates_are_near_zero():
         game.run_trial(d, WorldSpec(game.IDEAL, spec), derive_seed(77, "ideal", i))
         for i in range(3000)
     )
-    assert hits <= 2  # expected rate 1/(N^2 - 1) ~ 1.5e-5
+    assert hits <= 2  # expected rate 2/N^2 ~ 3.1e-5
 
 
 def _rotations(*amounts):

@@ -13,7 +13,9 @@ from kafw.errors import DomainError, DomainTooLarge, TooFewRounds
 from kafw.feistel import CipherInstance, psi_tilde_round
 from kafw.gf2 import BinMatrix, DomainParams
 from kafw.oracles import RandomFunctionOracle, derive_seed
-from kafw.schedules import MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule
+from kafw.schedules import (
+    MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule, XorSubkey, identity_map,
+)
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -134,6 +136,19 @@ def _break_conversion(monkeypatch):
     monkeypatch.setattr(equivalence, "kafv_to_kafw", broken)
 
 
+def _offset_round_key_1(monkeypatch):
+    """Round key 1 XORed with the key itself: right at key 0 only, so the
+    first mismatch lies in the second row of a block of keys."""
+    convert = equivalence.kafv_to_kafw
+
+    def broken(star):
+        s = convert(star)
+        g = s.round_keys
+        return KeySchedule(s.params, s.whitening, (XorSubkey((g[0], identity_map(s.params.n))), *g[1:]))
+
+    monkeypatch.setattr(equivalence, "kafv_to_kafw", broken)
+
+
 def _break_strip(monkeypatch):
     """The last outer function wrong at one input: only some plaintexts fail."""
     strip = equivalence.lucifer_strip
@@ -151,7 +166,10 @@ def _assert_plain_ints(first):
     assert all(type(v) is int for v in (seed, key, word, ct_a, ct_b))
 
 
-CHUNK = 4
+# (CHUNK, KEPT): words split within one key at every n, kept across keys at
+# n = 3 and made afresh for each key at n = 4; and at n = 3 blocks of 3, 3 and
+# 2 keys (N^2 = 64), at n = 4 a row of 192 words and a ragged one of 64.
+BLOCK_SETTINGS = ((4, 64), (3 * 64, equivalence.KEPT))
 
 
 @pytest.mark.parametrize("broken", [False, True])
@@ -160,41 +178,57 @@ CHUNK = 4
     [
         # Swapped round keys fail on most plaintexts: some sweep first fails past key 0.
         (kafv_vs_kafw_sweep, _scalar_kafv_vs_kafw, _break_conversion, lambda first: first[1] > 0),
-        # A one-point fault fails on few: some sweep first fails past the first column.
-        (lucifer_sandwich_sweep, _scalar_lucifer_sandwich, _break_strip, lambda first: first[2] >= CHUNK),
+        # Right at key 0 only: every sweep first fails at key 1, in a block's second row when blocks hold keys.
+        (kafv_vs_kafw_sweep, _scalar_kafv_vs_kafw, _offset_round_key_1, lambda first: first[1] == 1),
+        # A one-point fault fails on few: some sweep first fails past word 3 (the first row at CHUNK = 4).
+        (lucifer_sandwich_sweep, _scalar_lucifer_sandwich, _break_strip, lambda first: first[2] >= 4),
     ],
 )
 def test_column_sweeps_equal_the_case_by_case_loop(monkeypatch, sweep, scalar, breaker, telling, broken):
-    monkeypatch.setattr(equivalence, "CHUNK", CHUNK)
     if broken:
         breaker(monkeypatch)
     seeds = [derive_seed(1, "sweep", i) for i in range(3)]
     firsts = []
-    for n, t in ((3, 3), (3, 4), (4, 5)):
-        result = sweep(n, t, seeds)
-        assert (result.cases, result.mismatches, result.first_mismatch) == scalar(n, t, seeds)
-        assert result.passed is not broken
-        if broken:
-            _assert_plain_ints(result.first_mismatch)
-            firsts.append(result.first_mismatch)
+    for chunk, kept in BLOCK_SETTINGS:
+        monkeypatch.setattr(equivalence, "CHUNK", chunk)
+        monkeypatch.setattr(equivalence, "KEPT", kept)
+        for n, t in ((3, 3), (3, 4), (4, 5)):
+            result = sweep(n, t, seeds)
+            assert (result.cases, result.mismatches, result.first_mismatch) == scalar(n, t, seeds), chunk
+            assert result.passed is not broken
+            if broken:
+                _assert_plain_ints(result.first_mismatch)
+                firsts.append(result.first_mismatch)
     assert not broken or any(map(telling, firsts))
 
 
-def test_sweeps_call_the_traced_names_once_per_seed_key_and_side(monkeypatch):
+# (CHUNK, blocks per seed) at n = 3: one block of all 8 keys; blocks of 3, 3
+# and 2 keys; each key's 64 words in rows of 40 and 24.
+BLOCKINGS = [(None, 1), (3 * 64, 3), (40, 16)]
+
+
+@pytest.mark.parametrize("chunk, blocks", BLOCKINGS)
+def test_sweeps_call_the_traced_names_once_per_seed_block_and_side(monkeypatch, chunk, blocks):
     """The benchmark's tracer counts sweep encryptions through these three
-    names: each sweep calls them once per (seed, key, side) on one chunk."""
+    names: each sweep calls them once per (seed, block, side), each block a
+    column of keys (or one int key) against a row of at most CHUNK cases."""
     n, t, seeds = 3, 4, (0, 1)
     N = 1 << n
-    calls = Counter()
+    if chunk is not None:
+        monkeypatch.setattr(equivalence, "CHUNK", chunk)
+    chunk = equivalence.CHUNK
+    calls, cases = Counter(), Counter()
 
     def spy(name):
         original = getattr(equivalence, name)
         assert original is CipherInstance.encrypt_block
 
-        def counted(inst, key, words):
-            assert len(words) == N * N
+        def counted(inst, keys, words):
+            rows = 1 if isinstance(keys, int) else len(keys)
+            assert words.shape[0] == 1 and rows * words.shape[1] <= chunk
             calls[name] += 1
-            return original(inst, key, words)
+            cases[name] += rows * words.shape[1]
+            return original(inst, keys, words)
 
         monkeypatch.setattr(equivalence, name, counted)
 
@@ -205,5 +239,7 @@ def test_sweeps_call_the_traced_names_once_per_seed_key_and_side(monkeypatch):
         (lucifer_sandwich_sweep, ("lucifer_encrypt", "kafv_encrypt")),
     ):
         calls.clear()
+        cases.clear()
         assert sweep(n, t, seeds).passed
-        assert calls == {name: len(seeds) * N for name in sides}
+        assert calls == {name: len(seeds) * blocks for name in sides}
+        assert cases == {name: len(seeds) * N**3 for name in sides}

@@ -442,19 +442,31 @@ def test_block_ops_match_a_fresh_instance_per_call():
 
 
 def test_sweep_evaluates_each_layout_once_per_schedule_and_key(monkeypatch):
+    """A block of whole keys evaluates their layouts in one `_layout_columns`
+    call; a key whose words split into several blocks (CHUNK = 4) passes as
+    an int, whose layout is kept after its first block."""
     calls = Counter()
-    reference = feistel._reference_layout
+    reference, columns = feistel._reference_layout, feistel._layout_columns
 
     def counted(s, key):
         calls[(type(s).__name__, id(s), key)] += 1
         return reference(s, key)
 
+    def counted_columns(s, keys):
+        for key in np.ravel(keys).tolist():
+            calls[(type(s).__name__, id(s), key)] += 1
+        return columns(s, keys)
+
     monkeypatch.setattr(feistel, "_reference_layout", counted)
+    monkeypatch.setattr(feistel, "_layout_columns", counted_columns)
     n, t = 3, 2
-    assert equivalence.kafv_vs_kafw_sweep(n, t, seeds=(0,)).passed
-    assert set(calls.values()) == {1}
     N = 1 << n
-    assert Counter(kind for kind, *_ in calls) == {"KafvSchedule": N, "KeySchedule": N}
+    for chunk in (equivalence.CHUNK, 4):
+        monkeypatch.setattr(equivalence, "CHUNK", chunk)
+        calls.clear()
+        assert equivalence.kafv_vs_kafw_sweep(n, t, seeds=(0,)).passed
+        assert set(calls.values()) == {1}
+        assert Counter(kind for kind, *_ in calls) == {"KafvSchedule": N, "KeySchedule": N}
 
 
 def test_sweep_with_a_broken_conversion_still_mismatches(monkeypatch):
@@ -494,3 +506,31 @@ def test_block_ops_take_word_columns(construction, n):
             assert np.array_equal(words, saved)
             assert out.tolist() == [getattr(ints, op)(key, w) for w in range(p.N * p.N)]
             assert np.array_equal(getattr(columns, back)(key, out), saved)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer", "keyless"])
+def test_block_ops_take_key_columns(construction, n):
+    """A (K, 1) column of keys against a (1, W) row of words, as the sweeps
+    run them, is the int loop over (key, word) in both directions, K x W
+    ciphertexts even when no sub-key depends on the key; neither operand
+    is written into."""
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"key-columns-{construction}-{n}")
+    table = [rng.randrange(p.N) for _ in range(p.N)]
+    keys = np.array([[0], *([rng.randrange(p.N)] for _ in range(5)), [p.N - 1]], dtype=np.int64)
+    words = np.arange(p.N * p.N, dtype=np.int64)[None]
+    saved_keys, saved_words = keys.copy(), words.copy()
+    for t in (2, 4) if construction == "lucifer" else (1, 2, 4):
+        if construction == "keyless":
+            sched = KeySchedule(p, (Z,) * 4, (Z,) * t)
+        else:
+            sched = _schedule(construction, p, t, rng)
+        ints = CipherInstance(sched, (table.__getitem__,))
+        columns = CipherInstance(sched, (np.array(table, dtype=np.int64).__getitem__,))
+        for op, back in (("encrypt_block", "decrypt_block"), ("decrypt_block", "encrypt_block")):
+            out = getattr(columns, op)(keys, words)
+            assert np.array_equal(keys, saved_keys) and np.array_equal(words, saved_words)
+            assert out.shape == (len(keys), p.N * p.N)
+            assert out.tolist() == [[getattr(ints, op)(k, w) for w in range(p.N * p.N)] for k in keys[:, 0].tolist()]
+            assert np.array_equal(getattr(columns, back)(keys, out), np.broadcast_to(saved_words, out.shape))

@@ -37,11 +37,14 @@ def _wide():
     return CipherInstance(builtin("minimal4", P32), (RandomFunctionOracle(32, 1),))
 
 
-def _table_lookup():
-    """minimal4 over a table-lookup f: 1 << 17 used to raise IndexError."""
-    table = [RandomFunctionOracle(8, 2).query(x) for x in range(256)]
+def _table_lookup(table_type=list):
+    """minimal4 over a table-lookup f: 1 << 17 used to raise IndexError.
+    An array table takes numpy arrays of blocks."""
+    table = table_type([RandomFunctionOracle(8, 2).query(x) for x in range(256)])
     return CipherInstance(builtin("minimal4", P8), (table.__getitem__,))
 
+
+ROW = np.arange(4)[None]  # a (1, W) row of blocks, as the equivalence sweeps pass them
 
 MISUSE = [
     ("function oracle of width -1", lambda: RandomFunctionOracle(-1, 0), DomainError),
@@ -96,6 +99,18 @@ MISUSE = [
     ("unbatched block 2^16", lambda: _cipher().encrypt_many([1], 1 << 16), DomainError),
     ("table-lookup batch of block 2^17", lambda: _table_lookup().encrypt_many([1, 2, 3, 4], 1 << 17), DomainError),
     ("batched block 2^64 at n = 32", lambda: _wide().encrypt_many([1, 2, 3, 4], 1 << 64), DomainError),
+    # A field-cubic slot gathers from a table of N entries: key -1 would read
+    # its last entry, N raise IndexError, and 2^64 - 1 wrap to -1 in int64.
+    *[
+        (f"{dtype.__name__} key column holding {bad}",
+         lambda bad=bad, dtype=dtype: _table_lookup(np.array).encrypt_block(np.array([[3], [bad]], dtype), ROW),
+         DomainError)
+        for bad, dtype in ((-1, np.int64), (256, np.int64), (2**64 - 1, np.uint64), (-1, np.int8))
+    ],
+    ("key column decrypting under key 256",
+     lambda: _table_lookup(np.array).decrypt_block(np.array([[256]]), ROW), DomainError),
+    ("float key column", lambda: _table_lookup(np.array).encrypt_block(np.array([[3.0]]), ROW), DomainError),
+    ("list of keys", lambda: _table_lookup().encrypt_block([3, 4], 0), DomainError),
     ("kafv_to_kafw of a KAFw schedule", lambda: kafv_to_kafw(builtin("minimal4", P8)), ScheduleArityMismatch),
     ("kafv_to_kafw of no schedule", lambda: kafv_to_kafw(None), ScheduleArityMismatch),
     # _table used to truncate each float, auditing k + 0.5 as the identity
@@ -151,6 +166,21 @@ def test_the_edge_of_each_domain_still_works():
     assert cipher.encrypt_many([3] * 4, (1 << 16) - 1) == [top] * 4
     assert cipher.encrypt_many([], 1 << 16) == []  # nothing asked, nothing checked
     assert measure_uniformity(lambda k: np.int64(k), np.int64(4)) == 1
+    # A numpy integer scalar key is its int, on a fresh schedule (field-cubic
+    # maps used to fail on np.int64) and on one that keeps its layout.
+    for key in (np.int64(5), np.uint8(5), np.int64(255)):
+        fresh, kept = _table_lookup(), _table_lookup()
+        want = kept.encrypt_block(int(key), 0x1234)
+        for cipher in (fresh, kept):
+            got = cipher.encrypt_block(key, 0x1234)
+            assert type(got) is int and got == want
+            assert cipher.decrypt_block(key, want) == 0x1234
+    # A key column broadcasts against a row of blocks; keys 0 and N - 1 included.
+    cipher, keys, blocks = _table_lookup(np.array), np.array([[0], [7], [255]]), np.array([[0, 0x1234, 0xFFFF]])
+    got = cipher.encrypt_block(keys, blocks)
+    assert got.tolist() == [[cipher.encrypt_block(k, b) for b in (0, 0x1234, 0xFFFF)] for k in (0, 7, 255)]
+    assert cipher.decrypt_block(keys, got).tolist() == [[0, 0x1234, 0xFFFF]] * 3
+    assert cipher.encrypt_block(np.array([], np.int64)[:, None], blocks).shape == (0, 3)
     assert measure_axu(lambda k: np.uint16(k) if k % 2 else k, 4) == 16
     assert check_definition1(builtin("tweakem4", P8), np.int64(3)).good_like
     assert builtin(f"identity_bad({MAX_BUILTIN_ROUNDS})", P8).t == MAX_BUILTIN_ROUNDS
