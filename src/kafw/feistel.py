@@ -21,31 +21,33 @@ non-invertible ones still give permutations of the full 2n-bit block.
 
 A `CipherInstance` is a schedule plus round functions; its construction,
 width and round count are the schedule's.
-`encrypt_block`/`decrypt_block(key, block)` are the one block interface.
-A block is a 2n-bit word, left half high: a plain int in [0, 2^2n) (any
-other raises DomainError), or a numpy int64 array of many words when every
-round function maps an array to an array (a table lookup does).  A key is
-an int, or a numpy integer array of keys in [0, N) (any other raises
-DomainError) that broadcasts against the block: the equivalence sweeps
-encrypt a (K, 1) column of keys against a (1, W) row of words in one
-chain.  A tweak is folded into the key: encrypt_block(key ^ tweak, block).
+`encrypt_block`/`decrypt_block(key, block)` are the one block interface,
+and one rule, checked before any f is asked, says what each operand is.
+A key is an int, a numpy integer scalar (which acts as its int), or a
+numpy integer array of keys in [0, N); a block is a 2n-bit word, left
+half high: an int in [0, 2^2n), a numpy integer scalar (acting as its
+int), or a numpy int64 array of words when every round function maps an
+array to an array (a table lookup does).  Anything else, a bool, float or
+list among them, raises DomainError.  A key array broadcasts against the
+block: the equivalence sweeps encrypt a (K, 1) column of keys against a
+(1, W) row of words in one chain.  A tweak is folded into the key:
+encrypt_block(key ^ tweak, block).
 
 An int key's layout is computed once and kept where the schedule's
 `per_key` says, so every instance over that schedule reads it from then
-on; a key array's is computed afresh (`_layout_columns`) on each call.
+on; a key array's is computed afresh by `_key_columns` on each call.
 
 `CipherInstance.encrypt_many` encrypts one block under many keys and alone
-decides how: for enough in-range keys over order-free random functions it
-runs the same chain once on int64 columns across the keys, one batched f
-query per round; otherwise it is the loop over `encrypt_block`, which
-stays the spec.  Either way it can record every round's f inputs.
-`_chain` is the one multi-round loop, for one block or many, under one
-key or many.
+decides how: for enough int keys in [0, N) and an int block, over
+order-free random functions, it runs the same chain once across the keys,
+on `_key_columns`' layout, one batched f query per round; otherwise it is
+the loop over `encrypt_block`, which stays the spec.  Either way it can
+record every round's f inputs.  `_chain` is the one multi-round loop, for
+one block or many, under one key or many.
 """
 
 from __future__ import annotations
 
-import operator
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -117,47 +119,46 @@ def _reference_layout(s, key: int) -> tuple:
 
 
 def _layout(s, key) -> tuple:
-    """The reference layout under key, kept in s.per_key for keys in
-    [0, N).  Any other key is computed afresh each time, so it raises (or
-    not) exactly as the reference does, and a failing layout is never
-    kept.  A numpy integer scalar key is its int; an unhashable key is a
-    numpy array of keys (`_key_columns`)."""
+    """The layout under key by the key rule.  An int's is the reference
+    layout, kept in s.per_key for keys in [0, N); any other int is computed
+    afresh each time, so it raises (or not) exactly as the reference does,
+    and a failing layout is never kept.  The key's type is tested before
+    the memo is read: a numpy integer scalar acts as its int, a numpy array
+    goes to `_key_columns`, and anything else (5.0, True) raises
+    DomainError, whatever the memo holds."""
+    if type(key) is not int:
+        import numpy as np
+
+        if isinstance(key, np.ndarray):
+            return _key_columns(s, key)
+        if not isinstance(key, np.integer):
+            raise DomainError("a key is an int or a numpy integer array")
+        key = int(key)
     memo = s.per_key
-    try:
-        layout = memo.get(key)
-    except TypeError:
-        return _key_columns(s, key)
+    layout = memo.get(key)
     if layout is None:
-        if type(key) is not int:
-            key = _int_key(key)
         layout = _reference_layout(s, key)
         if 0 <= key < s.params.N:
             memo[key] = layout
     return layout
 
 
-def _int_key(key) -> int:
-    """key as an int: a numpy integer scalar is its int, anything else
-    raises DomainError."""
-    try:
-        return operator.index(key)
-    except TypeError:
-        raise DomainError("a key is an int or a numpy integer array") from None
-
-
-def _layout_columns(s, keys) -> list:
-    """Slot i of the layout under every key in [0, N), as an int64 array
-    of the keys' shape: 0 for a zero map, one gather of the keys from a
+def _key_columns(s, keys) -> list:
+    """The layout under a numpy integer array of keys, every one in [0, N)
+    (else DomainError: nothing wraps), slot i as an int64 array of the
+    keys' shape: 0 for a zero map, one gather of the keys from a
     field-cubic map's table (its compiled form is the table's __getitem__;
     the gather reads it through a uint16 view that copies nothing), and the
-    compiled map across the keys otherwise.  keys is a list or an int64
-    array."""
-    import numpy as np  # on first use; `import kafw.cli` does not load it
+    compiled map across the keys otherwise.  The input whitening slots are
+    arrays even where the maps are zero, so a chain over them spans the
+    broadcast of the keys and the block, whose halves may be ints."""
+    import numpy as np
 
-    if isinstance(keys, list):
-        column = np.fromiter(keys, np.int64, len(keys))
-    else:
-        column, keys = keys, None
+    if keys.dtype.kind not in "iu":
+        raise DomainError("a key is an int or a numpy integer array")
+    if keys.size and not (0 <= keys.min() and keys.max() < s.params.N):
+        raise DomainError("key out of range")
+    column, listed = keys.astype(np.int64, copy=False), None
     layout = []
     for f in s.compiled_slots:
         table = getattr(f, "__self__", None)
@@ -166,23 +167,8 @@ def _layout_columns(s, keys) -> list:
         elif isinstance(table, array):
             layout.append(np.frombuffer(table, np.uint16)[column].astype(np.int64))
         else:
-            keys = column.ravel().tolist() if keys is None else keys
-            layout.append(np.fromiter(map(f, keys), np.int64, column.size).reshape(column.shape))
-    return layout
-
-
-def _key_columns(s, keys) -> list:
-    """The layout under a numpy integer array of keys, every one in [0, N)
-    (else DomainError: nothing wraps), as `_layout_columns`.  Its input
-    whitening slots are arrays even where the maps are zero, so a chain
-    over them spans the broadcast of the keys and the block."""
-    import numpy as np
-
-    if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):
-        raise DomainError("a key is an int or a numpy integer array")
-    if keys.size and not (0 <= keys.min() and keys.max() < s.params.N):
-        raise DomainError("key out of range")
-    layout = _layout_columns(s, keys.astype(np.int64, copy=False))
+            listed = column.ravel().tolist() if listed is None else listed
+            layout.append(np.fromiter(map(f, listed), np.int64, column.size).reshape(column.shape))
     layout[:2] = [np.zeros(keys.shape, np.int64) ^ w for w in layout[:2]]
     return layout
 
@@ -214,50 +200,56 @@ class CipherInstance:
     def encrypt_block(self, key, block, trace: list | None = None):
         """E_key(block); `trace` collects (x_i, y_i, (left, right)) per round.
 
-        key is an int (a numpy integer scalar acts as one) or a numpy
-        integer array of keys in [0, N), which broadcasts against the
-        block: a (K, 1) column of keys against a (1, W) row of words gives
-        the (K, W) ciphertexts in one chain."""
+        key and block follow the module's rules: a key array broadcasts
+        against the block, so a (K, 1) column of keys against a (1, W) row
+        of words gives the (K, W) ciphertexts in one chain."""
         return self._block_op(key, block, False, trace)
 
     def decrypt_block(self, key, block):
         return self._block_op(key, block, True)
 
     def _block_op(self, key, block, inverse: bool, trace=None):
-        """block is an int in [0, 2^2n) or a numpy int64 array of words:
-        only >>, &, << and | touch it, and the array is never written into
-        (nor checked)."""
+        """The block rule, then the chain: an int block is range-checked, a
+        numpy integer scalar acts as its int, and an int64 array of words
+        is neither checked nor written into (only >>, &, << and | touch
+        it)."""
         s = self.schedule
         n, mask = s.params.n, s.params.mask
-        left = block >> n
-        if isinstance(block, int) and not 0 <= left <= mask:
-            raise DomainError("block out of range")
-        left, right = _chain(self.round_functions, _layout(s, key), s.key_into_f, left, block & mask, inverse, trace)
+        if type(block) is int:
+            if not 0 <= block >> n <= mask:
+                raise DomainError("block out of range")
+        else:
+            import numpy as np
+
+            if isinstance(block, np.integer):
+                return self._block_op(key, int(block), inverse, trace)
+            if not (isinstance(block, np.ndarray) and block.dtype == np.int64):
+                raise DomainError("a block is an int or a numpy int64 array")
+        left, right = _chain(self.round_functions, _layout(s, key), s.key_into_f, block >> n, block & mask,
+                             inverse, trace)
         return (left << n) | right
 
     def encrypt_many(self, keys: list[int], block: int, inputs: list | None = None, wanted: set | None = None) -> list:
         """[self.encrypt_block(key, block) for key in keys].
 
-        That loop is the spec.  With at least BATCH_MIN keys, all in
-        [0, N), over order-free round functions, `_chain` runs once over
-        all keys instead, on numpy int64 columns, each round one
-        query_many, with the same results.  Layout slot i is 0 for a zero
-        map, one gather of the keys from the table of a field-cubic map at
-        n <= MAX_EXHAUSTIVE_N, and otherwise its compiled map's column over
-        the keys (`_layout_columns`).  Any other call runs the loop, so a
-        key outside [0, N) raises as the reference layout does.  `inputs`,
-        on either path, receives one list per round of that round's f
-        inputs across the keys; the birthday attack charges its f budget
-        from them.  With `wanted`, a set of left halves, a key whose
+        That loop is the spec, and the rules and errors are its own: a bad
+        block raises at the first key, and a bad key where the loop reaches
+        it, after the same f queries.  With at least BATCH_MIN keys, all
+        ints in [0, N), and an int block in range, over order-free round
+        functions, `_chain` runs once across the keys instead, on the
+        `_key_columns` layout of their int64 column with the block's halves
+        as ints, each round one query_many, with the same results.
+        `inputs`, on either path, receives one list per round of that
+        round's f inputs across the keys; the birthday attack charges its f
+        budget from them.  With `wanted`, a set of left halves, a key whose
         ciphertext's left half is not in it gets None instead: that half is
         fixed before the last round, so the column path never asks f for
         such a key's last round (its input is still recorded).
         """
-        s = self.schedule
-        n, count = s.params.n, len(keys)
-        if keys and not 0 <= block >> n <= s.params.mask:
-            raise DomainError("block out of range")
-        if count >= BATCH_MIN and order_free(self.round_functions) and 0 <= min(keys) and max(keys) < s.params.N:
+        p = self.schedule.params
+        if (len(keys) >= BATCH_MIN and type(block) is int and 0 <= block >> p.n <= p.mask
+                and order_free(self.round_functions) and set(map(type, keys)) == {int}
+                and 0 <= min(keys) and max(keys) < p.N):
             cts = self._encrypt_columns(keys, block, inputs, wanted)
         elif inputs is None:
             cts = [self.encrypt_block(key, block) for key in keys]
@@ -265,7 +257,7 @@ class CipherInstance:
             traces = [[] for _ in keys]
             cts = [self.encrypt_block(key, block, trace) for key, trace in zip(keys, traces)]
             inputs += ([x for x, _y, _after in rounds] for rounds in zip(*traces))
-        return cts if wanted is None else [ct if ct >> n in wanted else None for ct in cts]
+        return cts if wanted is None else [ct if ct >> p.n in wanted else None for ct in cts]
 
     def _encrypt_columns(self, keys: list[int], block: int, inputs, wanted) -> list[int]:
         """encrypt_many's column path; a key whose left half is not
@@ -274,7 +266,7 @@ class CipherInstance:
 
         s, count = self.schedule, len(keys)
         t, n = s.t, s.params.n
-        layout = _layout_columns(s, keys)
+        layout = _key_columns(s, np.fromiter(keys, np.int64, count))
 
         def column(f, filtered: bool):
             def f_column(x):
@@ -293,6 +285,5 @@ class CipherInstance:
             return f_column
 
         fs = [column(f, i == t and wanted is not None) for i, f in enumerate(self.round_functions, 1)]
-        halves = (np.full(count, block >> n, np.int64), np.full(count, block & s.params.mask, np.int64))
-        left, right = _chain(fs, layout, s.key_into_f, *halves)
+        left, right = _chain(fs, layout, s.key_into_f, block >> n, block & s.params.mask)
         return (left.view(np.uint64) << n | right.view(np.uint64)).tolist()

@@ -243,19 +243,21 @@ GATHER_CASES = {
 def test_layout_columns_are_the_reference_slots(case):
     """Each slot column the column path reads, a field-cubic table's gather
     included, holds `_reference_layout(s, k)[i]` for every key, 0 and
-    N - 1 among them."""
+    N - 1 among them, in the shape of the int64 key array, a row or a
+    (K, 1) column; the input whitening slots are arrays even where zero."""
     s = GATHER_CASES[case]()
     N = s.params.N
     rng = random.Random(case)
     keys = [0, N - 1, *(rng.randrange(N) for _ in range(200)), N - 1]
     want = list(zip(*(_reference_layout(s, k) for k in keys)))
-    columns = feistel._layout_columns(s, keys)
-    assert len(columns) == len(want)
-    for i, (column, slot) in enumerate(zip(columns, want)):
-        if isinstance(column, int):
-            assert column == 0 and set(slot) == {0}, i
-        else:
-            assert column.dtype == np.int64 and column.tolist() == list(slot), i
+    for shape in ((len(keys),), (len(keys), 1)):
+        columns = feistel._key_columns(s, np.array(keys, np.int64).reshape(shape))
+        assert len(columns) == len(want)
+        for i, (column, slot) in enumerate(zip(columns, want)):
+            if isinstance(column, int):
+                assert column == 0 and set(slot) == {0} and i >= 2, i
+            else:
+                assert column.dtype == np.int64 and column.shape == shape and column.ravel().tolist() == list(slot), i
 
 
 def test_encrypt_many_falls_back_to_the_scalar_loop():
@@ -597,8 +599,8 @@ def test_a_birthday_trials_instances_compile_the_schedules_slots_once(world, mon
     compiled, batches = [], []
     for cls in (SubkeyMap, FieldCubicSubkey):
         monkeypatch.setattr(cls, "compiled", lambda m, p, original=cls.compiled: compiled.append(m) or original(m, p))
-    chain = feistel._chain
-    monkeypatch.setattr(feistel, "_chain", lambda *a: isinstance(a[3], np.ndarray) and batches.append(a) or chain(*a))
+    chain = feistel._chain  # a batched chain reads the input whitening of `_key_columns` as an array
+    monkeypatch.setattr(feistel, "_chain", lambda *a: isinstance(a[1][0], np.ndarray) and batches.append(a) or chain(*a))
     d = game.birthday_distinguisher(16, 64, 4)
     fixed = game.ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True)
     fresh = game.ConstructionSpec(P8, 4, lambda rng: builtin("minimal4", P8), "kafw", "function", True)

@@ -442,11 +442,11 @@ def test_block_ops_match_a_fresh_instance_per_call():
 
 
 def test_sweep_evaluates_each_layout_once_per_schedule_and_key(monkeypatch):
-    """A block of whole keys evaluates their layouts in one `_layout_columns`
+    """A block of whole keys evaluates their layouts in one `_key_columns`
     call; a key whose words split into several blocks (CHUNK = 4) passes as
     an int, whose layout is kept after its first block."""
     calls = Counter()
-    reference, columns = feistel._reference_layout, feistel._layout_columns
+    reference, columns = feistel._reference_layout, feistel._key_columns
 
     def counted(s, key):
         calls[(type(s).__name__, id(s), key)] += 1
@@ -458,7 +458,7 @@ def test_sweep_evaluates_each_layout_once_per_schedule_and_key(monkeypatch):
         return columns(s, keys)
 
     monkeypatch.setattr(feistel, "_reference_layout", counted)
-    monkeypatch.setattr(feistel, "_layout_columns", counted_columns)
+    monkeypatch.setattr(feistel, "_key_columns", counted_columns)
     n, t = 3, 2
     N = 1 << n
     for chunk in (equivalence.CHUNK, 4):

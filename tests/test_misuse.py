@@ -1,6 +1,8 @@
 """Misuse of public entry points: each row is a call and the typed error it
 raises, at the call itself rather than on some later use."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from kafw.auditor import (
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, ScheduleArityMismatch
 from kafw.game import bound_formula
-from kafw.feistel import CipherInstance
+from kafw.feistel import BATCH_MIN, CipherInstance
 from kafw.gf2 import BinMatrix, DomainParams, joint_kernel_basis
 from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
 from kafw.schedules import (
@@ -35,6 +37,12 @@ def _one_round():
 def _wide():
     """At n = 32 a block of 2^64 would overflow encrypt_many's int64 columns."""
     return CipherInstance(builtin("minimal4", P32), (RandomFunctionOracle(32, 1),))
+
+
+def _four_functions(schedule=None):
+    """minimal4 over four random functions: enough keys take encrypt_many's column path."""
+    schedule = builtin("minimal4", P8) if schedule is None else schedule
+    return CipherInstance(schedule, tuple(RandomFunctionOracle(8, seed) for seed in range(4)))
 
 
 def _table_lookup(table_type=list):
@@ -111,6 +119,20 @@ MISUSE = [
      lambda: _table_lookup(np.array).decrypt_block(np.array([[256]]), ROW), DomainError),
     ("float key column", lambda: _table_lookup(np.array).encrypt_block(np.array([[3.0]]), ROW), DomainError),
     ("list of keys", lambda: _table_lookup().encrypt_block([3, 4], 0), DomainError),
+    # The column path used to truncate each key to int64, encrypting 1.5 as 1.
+    *[
+        (f"batch of keys led by {bad!r}", lambda bad=bad: _four_functions().encrypt_many([bad, 2, 3, 4], 0x1234),
+         DomainError)
+        for bad in (1.5, Fraction(3, 2), np.float64(1.5), "a", None)
+    ],
+    ("unbatched keys led by 1.5", lambda: _four_functions().encrypt_many([1.5, 2], 0x1234), DomainError),
+    *[
+        (f"{op} of block 1.0", lambda op=op: getattr(_cipher(), op)(1, 1.0), DomainError)
+        for op in ("encrypt_block", "decrypt_block")
+    ],
+    ("batched block 1.0", lambda: _four_functions().encrypt_many([1, 2, 3, 4], 1.0), DomainError),
+    ("int64 block 2^20", lambda: _cipher().encrypt_block(1, np.int64(1 << 20)), DomainError),
+    ("float64 array of blocks", lambda: _table_lookup(np.array).encrypt_block(3, ROW.astype(np.float64)), DomainError),
     ("kafv_to_kafw of a KAFw schedule", lambda: kafv_to_kafw(builtin("minimal4", P8)), ScheduleArityMismatch),
     ("kafv_to_kafw of no schedule", lambda: kafv_to_kafw(None), ScheduleArityMismatch),
     # _table used to truncate each float, auditing k + 0.5 as the identity
@@ -175,6 +197,9 @@ def test_the_edge_of_each_domain_still_works():
             got = cipher.encrypt_block(key, 0x1234)
             assert type(got) is int and got == want
             assert cipher.decrypt_block(key, want) == 0x1234
+    # encrypt_many of a key array (it used to ask `if keys`) is its loop.
+    cipher = _four_functions()
+    assert cipher.encrypt_many(np.arange(5), 0x1234) == [cipher.encrypt_block(k, 0x1234) for k in range(5)]
     # A key column broadcasts against a row of blocks; keys 0 and N - 1 included.
     cipher, keys, blocks = _table_lookup(np.array), np.array([[0], [7], [255]]), np.array([[0, 0x1234, 0xFFFF]])
     got = cipher.encrypt_block(keys, blocks)
@@ -184,6 +209,68 @@ def test_the_edge_of_each_domain_still_works():
     assert measure_axu(lambda k: np.uint16(k) if k % 2 else k, 4) == 16
     assert check_definition1(builtin("tweakem4", P8), np.int64(3)).good_like
     assert builtin(f"identity_bad({MAX_BUILTIN_ROUNDS})", P8).t == MAX_BUILTIN_ROUNDS
+
+
+# Operands of other kinds, each put where the int 5 would go.  A numpy
+# integer scalar acts as its int; every other kind raises DomainError.
+KINDS = [True, np.int64(5), np.uint8(5), 5.0, Fraction(5), "5", None, [5]]
+
+def _entry_points(key, block):
+    """(name, call(cipher), its spec(cipher) or None) for each entry point.
+    encrypt_many's key lists put key second among ints, and its spec is
+    the encrypt_block loop; the longer list takes the column path when
+    every key is an int."""
+    yield "encrypt_block", lambda c: c.encrypt_block(key, block), None
+    yield "decrypt_block", lambda c: c.decrypt_block(key, block), None
+    for count in (BATCH_MIN - 1, 2 * BATCH_MIN):
+        keys = [1, key, *range(2, count)]
+        yield (f"encrypt_many of {count} keys", lambda c, keys=keys: c.encrypt_many(keys, block),
+               lambda c, keys=keys: [c.encrypt_block(k, block) for k in keys])
+
+
+def _outcome(call, schedule):
+    """(result or the DomainError's message, each f's query count) of
+    call on a fresh cipher over schedule; any other exception propagates."""
+    cipher = _four_functions(schedule)
+    try:
+        got = call(cipher)
+    except DomainError as error:
+        got = ("DomainError", str(error))
+    return got, [f.query_count for f in cipher.round_functions]
+
+
+def _schedule(kept: bool):
+    """minimal4 fresh, or with every key's layout kept and its slots compiled."""
+    schedule = builtin("minimal4", P8)
+    if kept:
+        warm = _four_functions(schedule)
+        for key in range(P8.N):
+            warm.encrypt_block(key, 0)
+        warm.encrypt_many(list(range(2 * BATCH_MIN)), 0)
+    return schedule
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["fresh", "kept"])
+@pytest.mark.parametrize("operand", ["key", "block"])
+@pytest.mark.parametrize("value", KINDS, ids=[repr(value) for value in KINDS])
+def test_an_operand_of_another_kind_acts_as_its_int_or_raises_domain_error(value, operand, kept):
+    """Whatever the memo holds: 5.0 used to be served key 5's kept layout.
+    encrypt_many equals its encrypt_block loop on both of its paths, so a
+    bad key raises at the same key after the same f queries."""
+    args, ints = ((value, 0x1234), (5, 0x1234)) if operand == "key" else ((3, value), (3, 5))
+    many = []
+    for (name, call, spec), (_, int_call, _) in zip(_entry_points(*args), _entry_points(*ints)):
+        got = _outcome(call, _schedule(kept))
+        if isinstance(value, np.integer):
+            assert got == _outcome(int_call, _schedule(kept)), name
+        else:
+            assert got[0][0] == "DomainError", name
+        if spec is not None:
+            assert got == _outcome(spec, _schedule(kept)), name
+            many.append(got)
+    if not isinstance(value, np.integer):
+        # Both raise at the second key, after the first key's four rounds; at a bad block, before any.
+        assert many[0] == many[1] and many[0][1] == ([1] * 4 if operand == "key" else [0] * 4)
 
 
 def test_a_bad_block_raises_before_any_f_query():
