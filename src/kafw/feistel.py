@@ -26,16 +26,17 @@ and one rule, checked before any f is asked, says what each operand is.
 A key is an int, a numpy integer scalar (which acts as its int), or a
 numpy integer array of keys in [0, N); a block is a 2n-bit word, left
 half high: an int in [0, 2^2n), a numpy integer scalar (acting as its
-int), or a numpy int64 array of words when every round function maps an
-array to an array (a table lookup does).  Anything else, a bool, float or
-list among them, raises DomainError.  A key array broadcasts against the
-block: the equivalence sweeps encrypt a (K, 1) column of keys against a
-(1, W) row of words in one chain.  A tweak is folded into the key:
+int), or a numpy int64 array of words.  An array key or block needs
+round functions that map arrays to arrays (a table lookup does, the
+package's oracles do not).  Anything else, a bool, float or list among
+them, raises DomainError.  A key array broadcasts against the block: the
+equivalence sweeps encrypt a (K, 1) column of keys against a (1, W) row
+of words in one chain.  A tweak is folded into the key:
 encrypt_block(key ^ tweak, block).
 
 An int key's layout is computed once and kept where the schedule's
 `per_key` says, so every instance over that schedule reads it from then
-on; a key array's is computed afresh by `_key_columns` on each call.
+on; a key array's, each slot's `values`, afresh on each call.
 
 `CipherInstance.encrypt_many` encrypts one block under many keys and alone
 decides how: for enough int keys in [0, N) and an int block, over
@@ -48,13 +49,12 @@ one block or many, under one key or many.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Callable, Sequence
 
 from .errors import DomainError, ScheduleArityMismatch
-from .oracles import order_free
+from .oracles import int_only, order_free
 from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
 
 
@@ -123,14 +123,17 @@ def _layout(s, key) -> tuple:
     layout, kept in s.per_key for keys in [0, N); any other int is computed
     afresh each time, so it raises (or not) exactly as the reference does,
     and a failing layout is never kept.  The key's type is tested before
-    the memo is read: a numpy integer scalar acts as its int, a numpy array
-    goes to `_key_columns`, and anything else (5.0, True) raises
-    DomainError, whatever the memo holds."""
+    the memo is read: a numpy integer scalar acts as its int, a numpy
+    integer array of keys in [0, N) goes to `_key_columns` (any other array
+    raises DomainError: nothing wraps), and anything else (5.0, True)
+    raises DomainError, whatever the memo holds."""
     if type(key) is not int:
         import numpy as np
 
-        if isinstance(key, np.ndarray):
-            return _key_columns(s, key)
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            if key.size and not (0 <= key.min() and key.max() < s.params.N):
+                raise DomainError("key out of range")
+            return _key_columns(s, key.astype(np.int64, copy=False))
         if not isinstance(key, np.integer):
             raise DomainError("a key is an int or a numpy integer array")
         key = int(key)
@@ -144,31 +147,14 @@ def _layout(s, key) -> tuple:
 
 
 def _key_columns(s, keys) -> list:
-    """The layout under a numpy integer array of keys, every one in [0, N)
-    (else DomainError: nothing wraps), slot i as an int64 array of the
-    keys' shape: 0 for a zero map, one gather of the keys from a
-    field-cubic map's table (its compiled form is the table's __getitem__;
-    the gather reads it through a uint16 view that copies nothing), and the
-    compiled map across the keys otherwise.  The input whitening slots are
-    arrays even where the maps are zero, so a chain over them spans the
-    broadcast of the keys and the block, whose halves may be ints."""
+    """The layout under an int64 array of keys in [0, N): each slot's
+    `values` over the keys, an int64 array of their shape or the int 0 for
+    a zero map.  The input whitening slots are arrays even where the maps
+    are zero, so a chain over them spans the broadcast of the keys and the
+    block, whose halves may be ints."""
     import numpy as np
 
-    if keys.dtype.kind not in "iu":
-        raise DomainError("a key is an int or a numpy integer array")
-    if keys.size and not (0 <= keys.min() and keys.max() < s.params.N):
-        raise DomainError("key out of range")
-    column, listed = keys.astype(np.int64, copy=False), None
-    layout = []
-    for f in s.compiled_slots:
-        table = getattr(f, "__self__", None)
-        if f is None:
-            layout.append(0)
-        elif isinstance(table, array):
-            layout.append(np.frombuffer(table, np.uint16)[column].astype(np.int64))
-        else:
-            listed = column.ravel().tolist() if listed is None else listed
-            layout.append(np.fromiter(map(f, listed), np.int64, column.size).reshape(column.shape))
+    layout = [m.values(keys, s.params) for m in s.slots]
     layout[:2] = [np.zeros(keys.shape, np.int64) ^ w for w in layout[:2]]
     return layout
 
@@ -212,7 +198,8 @@ class CipherInstance:
         """The block rule, then the chain: an int block is range-checked, a
         numpy integer scalar acts as its int, and an int64 array of words
         is neither checked nor written into (only >>, &, << and | touch
-        it)."""
+        it).  An array key or block over a round function that takes ints
+        only (`oracles.int_only`) raises DomainError before any f query."""
         s = self.schedule
         n, mask = s.params.n, s.params.mask
         if type(block) is int:
@@ -225,6 +212,11 @@ class CipherInstance:
                 return self._block_op(key, int(block), inverse, trace)
             if not (isinstance(block, np.ndarray) and block.dtype == np.int64):
                 raise DomainError("a block is an int or a numpy int64 array")
+        if type(key) is not int or type(block) is not int:
+            import numpy as np
+
+            if (isinstance(key, np.ndarray) or isinstance(block, np.ndarray)) and int_only(self.round_functions):
+                raise DomainError("an array key or block needs round functions that take arrays")
         left, right = _chain(self.round_functions, _layout(s, key), s.key_into_f, block >> n, block & mask,
                              inverse, trace)
         return (left << n) | right

@@ -15,8 +15,9 @@ width (lowest-lexicographic choice, see REDUCTION_POLYNOMIALS); the
 polynomial mask holds the low n coefficients, the x^n term is implicit.
 Every width multiplies the same way, by shift-and-add (`_poly_mulmod`):
 nothing is built at import, at DomainParams construction or on the first
-multiply.  Hot field-cubic evaluation reads whole-field tables compiled
-by the schedules module instead.
+multiply.  A field-cubic map evaluated over many keys at once
+(`FieldCubicSubkey.values`) gathers from a whole-field table that the
+schedules module builds instead.
 """
 
 from __future__ import annotations

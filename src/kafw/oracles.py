@@ -158,6 +158,11 @@ def order_free(fs) -> bool:
     return all(isinstance(f, RandomFunctionOracle) for f in fs)
 
 
+def int_only(fs) -> bool:
+    """Whether some f is one of this module's oracles, which take int inputs only."""
+    return any(isinstance(f, (RandomFunctionOracle, RandomPermutationOracle, CountedFunction)) for f in fs)
+
+
 class RandomPermutationOracle:
     """Lazily-sampled random permutation over `bits`-bit words.
 

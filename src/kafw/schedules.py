@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     ArityMismatch,
@@ -44,15 +43,17 @@ class SubkeyMap:
     def is_zero(self, p: DomainParams) -> bool:
         return False
 
-    def compiled(self, p: DomainParams) -> Callable[[int], int] | None:
-        """k -> value(k, p) for keys in [0, N), or None for a zero map.
+    def values(self, keys, p: DomainParams):
+        """value(k, p) for each k of an int64 array of keys in [0, N), as an
+        int64 array of the keys' shape, or the int 0 for a zero map.
 
         Callers evaluate keys outside [0, N) with value() itself.
         """
         if self.is_zero(p):
-            return None
-        value = self.value
-        return lambda k: value(k, p)
+            return 0
+        import numpy as np
+
+        return np.fromiter(map(self.value, keys.ravel().tolist(), repeat(p)), np.int64, keys.size).reshape(keys.shape)
 
 
 @dataclass(frozen=True)
@@ -101,28 +102,31 @@ class FieldCubicSubkey(SubkeyMap):
         # outside the field exactly when m does, so gf_mul rejects both.
         return gf_mul(k, self.multiplier ^ gf_mul(k, k, p), p)
 
-    def compiled(self, p):
-        """A lookup in a uint16 table of all N values for n <= MAX_EXHAUSTIVE_N.
-
-        The multiplier passes gf_mul's operand check first, so one outside
-        the field raises DomainError on the first evaluation, as value() does.
-        """
+    def values(self, keys, p):
+        """One gather from the map's table of all N values for n <=
+        MAX_EXHAUSTIVE_N, key by key above.  A multiplier outside the field
+        raises DomainError either way, as value() does."""
         if p.n > MAX_EXHAUSTIVE_N:
-            return super().compiled(p)
-        gf_mul(self.multiplier, 1, p)
-        return _field_cubic_table(self.multiplier, p.n, p.reduction_polynomial).__getitem__
+            return super().values(keys, p)
+        import numpy as np
+
+        return _field_cubic_table(self.multiplier, p.n, p.reduction_polynomial)[keys].astype(np.int64)
 
 
 @lru_cache(maxsize=32)
-def _field_cubic_table(multiplier: int, n: int, poly: int) -> array:
-    """multiplier (x) k ^ k^3 for every k in GF(2^n), n <= MAX_EXHAUSTIVE_N.
+def _field_cubic_table(multiplier: int, n: int, poly: int):
+    """multiplier (x) k ^ k^3 for every k in GF(2^n), n <= MAX_EXHAUSTIVE_N,
+    as a read-only numpy uint16 array indexed by k; a multiplier outside
+    GF(2^n) raises DomainError, and no table is kept for it.
 
     Built as k (x) (multiplier ^ k^2) by gf_mul's shift-and-add on numpy
     uint32 columns (a shifted operand stays below 2^(n+1)), on the first
-    evaluation of such a map (never at import), and kept for the next
+    `values` of such a map (never at import), and kept for the next
     instance: 2^(n+1) bytes each.  Blocks of 4096 keys keep the temporaries
     small: whole-range ones cost a run at n = 16 over 1 MB of peak memory.
     """
+    if multiplier >> n:  # also nonzero for a negative multiplier
+        raise DomainError(f"field-cubic multiplier {multiplier:#x} is not an element of GF(2^{n})")
     import numpy as np  # on first use; `import kafw.cli` does not load it
 
     full = (1 << n) | poly
@@ -135,10 +139,11 @@ def _field_cubic_table(multiplier: int, n: int, poly: int) -> array:
             a ^= full & -(a >> n)
         return r
 
-    table = array("H")
+    table = np.empty(1 << n, np.uint16)
     for lo in range(0, 1 << n, 4096):
         k = np.arange(lo, min(lo + 4096, 1 << n), dtype=np.uint32)
-        table.frombytes(mulmod(k, mulmod(k, k) ^ multiplier).astype(np.uint16).tobytes())
+        table[lo : lo + 4096] = mulmod(k, mulmod(k, k) ^ multiplier)
+    table.flags.writeable = False
     return table
 
 
@@ -167,18 +172,11 @@ class XorSubkey(SubkeyMap):
     def is_zero(self, p):
         return all(part.is_zero(p) for part in self.parts)
 
-    def compiled(self, p):
-        parts = [f for f in (part.compiled(p) for part in self.parts) if f is not None]
-        if len(parts) <= 1:
-            return parts[0] if parts else None
-
-        def value(k):
-            out = 0
-            for part in parts:
-                out ^= part(k)
-            return out
-
-        return value
+    def values(self, keys, p):
+        out = 0
+        for part in self.parts:
+            out ^= part.values(keys, p)
+        return out
 
 
 def identity_map(n: int) -> AffineSubkey:
@@ -221,13 +219,11 @@ class _Memo:
     entries made per master key (feistel's sub-key layouts, under int keys)
     or per key offset (attacks' block shifts) go: `memo` itself for n <=
     MEMO_MAX_N, otherwise a fresh dict that nothing keeps, so a wide
-    schedule never grows one entry per key.  `compiled_slots` holds each
-    slot's compiled map for every instance's encrypt_many.  Nothing derived
-    from an oracle goes in, and nothing refers back to the schedule.
-    cached_property writes `memo` and `compiled_slots` straight to the
-    instance's __dict__, past the frozen dataclass's __setattr__, so no
-    field, comparison or hash sees them; a compilation that raises keeps
-    nothing.  An equal copy (dataclasses.replace) starts afresh.
+    schedule never grows one entry per key.  Nothing derived from an
+    oracle goes in, and nothing refers back to the schedule.
+    cached_property writes `memo` straight to the instance's __dict__, past
+    the frozen dataclass's __setattr__, so no field, comparison or hash
+    sees it.  An equal copy (dataclasses.replace) starts afresh.
 
     Each subclass states once, in `slots`, which map fills each of its
     construction's t + 4 sub-key slots in chain order (input whitening
@@ -245,12 +241,6 @@ class _Memo:
     @property
     def per_key(self) -> dict:
         return self.memo if self.params.n <= MEMO_MAX_N else {}
-
-    @cached_property
-    def compiled_slots(self) -> tuple:
-        """Each slot's `compiled` form: a k -> value callable for keys in
-        [0, N), or None for a zero map."""
-        return tuple(m.compiled(self.params) for m in self.slots)
 
 
 @dataclass(frozen=True)
@@ -309,12 +299,18 @@ class KeySchedule(_Memo):
     def bind(self, m: SubkeyMap):
         """Plain int -> int callable for enumeration code.
 
-        Keys in [0, N) read m's compiled form (0 for a zero map); any other
-        key goes through m.value, so a negative key never indexes a table.
+        For n <= MAX_EXHAUSTIVE_N, keys in [0, N) index a table of m's
+        `values` over every key; any other key, and every key above that
+        n, goes through m.value, so a negative key never indexes a table.
         """
-        p, size, value = self.params, self.params.N, m.value
-        fast = m.compiled(p) or (lambda k: 0)
-        return lambda k: fast(k) if 0 <= k < size else value(k, p)
+        p, value = self.params, m.value
+        if p.n > MAX_EXHAUSTIVE_N:
+            return lambda k: value(k, p)
+        import numpy as np
+
+        size = p.N
+        table = (np.zeros(size, np.int64) ^ m.values(np.arange(size, dtype=np.int64), p)).tolist()
+        return lambda k: table[k] if 0 <= k < size else value(k, p)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kafw import attacks, feistel, game
+from kafw import attacks, feistel, game, schedules
 from kafw.attacks import birthday_collision_attack
 from kafw.equivalence import random_subkey_map
 from kafw.errors import DomainError, KafwError, QueryBudgetExceeded
@@ -36,10 +36,10 @@ from kafw.schedules import (
     KafvSchedule,
     KeySchedule,
     LuciferSchedule,
-    SubkeyMap,
     XorSubkey,
     ZeroMap,
     builtin,
+    random_affine_map,
 )
 
 MAX_N = max(REDUCTION_POLYNOMIALS)
@@ -103,7 +103,7 @@ def _check_against_the_scalar_chain(p, t, schedule, construction, seeds, keys, b
     # Order-free: the same fresh inputs, whatever the order they came in.
     for f, g in zip(batch.round_functions, scalar.round_functions):
         assert f.query_count == g.query_count and f.table == g.table
-    assert got == [batch.encrypt_block(key, block) for key in keys]  # compiled scalar layout
+    assert got == [batch.encrypt_block(key, block) for key in keys]  # kept scalar layouts
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -193,27 +193,67 @@ def test_encrypt_many_spot_checks_at_n16(construction, n, filtered):
             _check_against_the_scalar_chain(p, 4, schedule, construction, seeds, keys, block, filtered)
 
 
-def test_field_cubic_tables_equal_the_map():
-    for n in range(2, 13):
-        p = DomainParams.for_width(n)
-        for m in {0, 1, 2, p.N - 1}:
-            table = FieldCubicSubkey(m).compiled(p)
-            assert [table(k) for k in range(p.N)] == [FieldCubicSubkey(m).value(k, p) for k in range(p.N)]
-    rng = random.Random(16)
-    for m in (0, 2, 3, rng.randrange(P16.N)):
-        table = FieldCubicSubkey(m).compiled(P16)
-        for k in [0, 1, P16.N - 1] + [rng.randrange(P16.N) for _ in range(2000)]:
-            assert table(k) == FieldCubicSubkey(m).value(k, P16)
+def _map_kinds(p, rng):
+    """One map of each kind at p: zero, affine, field-cubic and XORs of them."""
+    affine = random_affine_map(p, rng)
+    cubic = FieldCubicSubkey(rng.randrange(p.N))
+    return [
+        Z,
+        AffineSubkey(BinMatrix.zero(p.n)),
+        affine,
+        AffineSubkey(affine.m, p.N - 1),
+        *(FieldCubicSubkey(m) for m in sorted({0, 1, 2, p.N - 1})),
+        cubic,
+        XorSubkey((affine, cubic)),
+        XorSubkey((Z, cubic)),
+        XorSubkey((Z, AffineSubkey(BinMatrix.zero(p.n)))),
+        XorSubkey(()),
+    ]
 
 
-def test_compiled_maps_drop_zeros_and_keep_the_values():
-    ident = AffineSubkey(BinMatrix.identity(8))
-    assert Z.compiled(P8) is None
-    assert AffineSubkey(BinMatrix.zero(8)).compiled(P8) is None
-    assert XorSubkey((Z, AffineSubkey(BinMatrix.zero(8)))).compiled(P8) is None
-    assert XorSubkey((Z, ident)).compiled(P8)(0x5A) == 0x5A
-    wide = DomainParams.for_width(MAX_EXHAUSTIVE_N + 1)
-    assert FieldCubicSubkey(3).compiled(wide)(12345) == FieldCubicSubkey(3).value(12345, wide)
+@pytest.mark.parametrize("n", [*range(2, 13), MAX_EXHAUSTIVE_N, MAX_EXHAUSTIVE_N + 1])
+def test_values_equal_value_for_every_map_kind(n):
+    """`values` over a row and over a (K, 1) column of keys is `value` key by
+    key: every key up to n = 12, sampled keys at n = 16 (the last width
+    with field-cubic tables) and n = 17 (key by key)."""
+    p = DomainParams.for_width(n)
+    rng = random.Random(f"values-{n}")
+    keys = range(p.N) if n <= 12 else [0, 1, p.N - 1, *(rng.randrange(p.N) for _ in range(300))]
+    for m in _map_kinds(p, rng):
+        want = [m.value(k, p) for k in keys]
+        for shape in ((len(keys),), (len(keys), 1)):
+            got = m.values(np.array(keys, np.int64).reshape(shape), p)
+            if m.is_zero(p):
+                assert type(got) is int and got == 0 and set(want) == {0}, m
+            else:
+                assert got.dtype == np.int64 and got.shape == shape and got.ravel().tolist() == want, m
+
+
+def test_a_zero_map_gives_the_int_zero():
+    keys = np.arange(P8.N, dtype=np.int64)
+    for m in (Z, AffineSubkey(BinMatrix.zero(8)), XorSubkey((Z, AffineSubkey(BinMatrix.zero(8)))), XorSubkey(())):
+        got = m.values(keys, P8)
+        assert type(got) is int and got == 0
+
+
+@pytest.mark.parametrize("n", [8, MAX_EXHAUSTIVE_N + 1])
+def test_a_multiplier_outside_the_field_raises_through_values_as_through_value(n):
+    p = DomainParams.for_width(n)
+    affine = random_affine_map(p, random.Random(n))
+    for bad in (FieldCubicSubkey(p.N), FieldCubicSubkey(-1), XorSubkey((affine, FieldCubicSubkey(p.N)))):
+        with pytest.raises(DomainError):
+            bad.value(1, p)
+        with pytest.raises(DomainError):
+            bad.values(np.array([1, 2], np.int64), p)
+
+
+def test_a_field_cubic_table_is_read_only():
+    """Every map over the same multiplier and width shares one cached table."""
+    table = schedules._field_cubic_table(3, 8, P8.reduction_polynomial)
+    assert table.dtype == np.uint16 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[5] = 0
+    assert table.tolist() == [FieldCubicSubkey(3).value(k, P8) for k in range(P8.N)]
 
 
 DATA = Path(__file__).parent / "data"
@@ -326,8 +366,9 @@ def test_out_of_range_keys_fail_as_the_reference_layout(key):
         inst = CipherInstance(schedule, (RandomFunctionOracle(8, 3),))
         want = _error(lambda: _reference_layout(schedule, key))
         assert want[0] is DomainError and "gf_mul" in want[1]
-        for compiled in (False, True):  # before and after encrypt_many compiles
-            assert ("compiled_slots" in vars(schedule)) == compiled
+        ran = _columns_ran(inst)
+        for batched in (False, True):  # before and after encrypt_many's column path
+            assert len(ran) == batched
             assert _error(lambda: inst.encrypt_block(key, 5)) == want
             assert _error(lambda: inst.decrypt_block(key, 5)) == want
             inst.encrypt_many([1, 2, 3, 4], 5)
@@ -389,8 +430,9 @@ def test_out_of_range_keys_of_affine_schedules_fail_as_the_reference_layout(key)
     inst = _twins(P8, 4, schedule, [5])[0]
     want = _error(lambda: _reference_layout(schedule, key))
     assert want[0] is DomainError and "F2^8" in want[1]
-    for compiled in (False, True):  # before and after encrypt_many compiles
-        assert ("compiled_slots" in vars(schedule)) == compiled
+    ran = _columns_ran(inst)
+    for batched in (False, True):  # before and after encrypt_many's column path
+        assert len(ran) == batched
         assert _error(lambda: inst.encrypt_block(key, 9)) == want
         assert _error(lambda: inst.decrypt_block(key, 9)) == want
         inst.encrypt_many([0, 1, 2, 255], 9)
@@ -591,25 +633,24 @@ def test_birthday_batched_replays_the_scalar_trials_at_the_bench_setting(world, 
 
 
 @pytest.mark.parametrize("world", [game.REAL, game.IDEAL])
-def test_a_birthday_trials_instances_compile_the_schedules_slots_once(world, monkeypatch):
+def test_birthday_trials_build_each_field_cubic_table_once(world, monkeypatch):
     """The real world's cipher (its related-key probes) and the attack's
-    uncounted copy (its offline guesses) both batch over the trial's
-    schedule: its t + 4 slots compile once between them, and once for all
-    trials over a fixed schedule."""
-    compiled, batches = [], []
-    for cls in (SubkeyMap, FieldCubicSubkey):
-        monkeypatch.setattr(cls, "compiled", lambda m, p, original=cls.compiled: compiled.append(m) or original(m, p))
+    uncounted copy (its offline guesses) both run column chains over the
+    trial's schedule: trials over a fresh minimal4 each and over a fixed
+    one miss the field-cubic table cache at most once per multiplier (2
+    and 3) between them."""
+    batches = []
     chain = feistel._chain  # a batched chain reads the input whitening of `_key_columns` as an array
     monkeypatch.setattr(feistel, "_chain", lambda *a: isinstance(a[1][0], np.ndarray) and batches.append(a) or chain(*a))
     d = game.birthday_distinguisher(16, 64, 4)
     fixed = game.ConstructionSpec(P8, 4, builtin("minimal4", P8), "kafw", "function", True)
     fresh = game.ConstructionSpec(P8, 4, lambda rng: builtin("minimal4", P8), "kafw", "function", True)
-    for spec, compiles in ((fresh, [8] * 5), (fixed, [8, 0, 0, 0, 0])):
-        for seed, want in enumerate(compiles):
-            compiled.clear()
+    for spec in (fresh, fixed):
+        schedules._field_cubic_table.cache_clear()
+        for seed in range(5):
             batches.clear()
             game.run_trial(d, game.WorldSpec(world, spec), seed)
-            assert len(compiled) == want
+            assert schedules._field_cubic_table.cache_info().misses == 2
             assert len(batches) >= (2 if world == game.REAL else 1)
 
 

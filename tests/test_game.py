@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kafw import game
+from kafw import feistel, game
 from kafw.errors import DomainError, QueryBudgetExceeded, ScheduleArityMismatch
 from kafw.game import (
     ConstructionSpec,
@@ -197,13 +197,14 @@ def test_single_f_world_shares_one_function_view():
     run_trial(Distinguisher("probe", probe, None, None), WorldSpec(game.REAL, spec), 11)
 
 
-def test_a_trials_schedule_dies_with_the_trial():
-    """Neither the schedule's memo nor its compiled slots hold a reference
-    back to the schedule, its instances or its oracles: with the cycle
-    collector off, a fresh random_affine schedule is freed as soon as
-    run_trial returns, after quartet trials and after batched birthday
-    trials alike."""
-    refs, compiled = [], []
+def test_a_trials_schedule_dies_with_the_trial(monkeypatch):
+    """The schedule's memo holds no reference back to the schedule, its
+    instances or its oracles: with the cycle collector off, a fresh
+    random_affine schedule is freed as soon as run_trial returns, after
+    quartet trials and after birthday trials whose column chains ran."""
+    refs, chains, batched_runs = [], [], []
+    key_columns = feistel._key_columns
+    monkeypatch.setattr(feistel, "_key_columns", lambda s, keys: chains.append(None) or key_columns(s, keys))
 
     def fresh(rng):
         s = random_affine(P8, 4, rng)
@@ -211,8 +212,9 @@ def test_a_trials_schedule_dies_with_the_trial():
         return s
 
     def batched(ctx):
+        before = len(chains)
         bit = game.birthday_distinguisher(16, 64, 4).run(ctx)
-        compiled.append("compiled_slots" in vars(ctx.schedule))
+        batched_runs.append(len(chains) > before)
         return bit
 
     runs = [
@@ -231,7 +233,7 @@ def test_a_trials_schedule_dies_with_the_trial():
         if enabled:
             gc.enable()
     assert len(refs) == 80
-    assert compiled == [True] * 40
+    assert batched_runs == [True] * 40
 
 
 def test_a_fixed_schedules_memo_stays_within_n_layouts():

@@ -14,7 +14,9 @@ from kafw.errors import DomainError, ScheduleArityMismatch
 from kafw.game import bound_formula
 from kafw.feistel import BATCH_MIN, CipherInstance
 from kafw.gf2 import BinMatrix, DomainParams, joint_kernel_basis
-from kafw.oracles import IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle
+from kafw.oracles import (
+    CountedFunction, FunctionBudget, IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle,
+)
 from kafw.schedules import (
     MAX_BUILTIN_ROUNDS, AffineSubkey, KafvSchedule, KeySchedule, LuciferSchedule, XorSubkey, ZeroMap, builtin,
     identity_map, kafv_to_kafw,
@@ -53,6 +55,20 @@ def _table_lookup(table_type=list):
 
 
 ROW = np.arange(4)[None]  # a (1, W) row of blocks, as the equivalence sweeps pass them
+
+# The package's round-function oracles take ints only: an array key or
+# block used to reach them and raise ValueError, TypeError or OverflowError.
+INT_ONLY = {
+    "function oracle": lambda: RandomFunctionOracle(8, 1),
+    "permutation oracle": lambda: RandomPermutationOracle(8, 1),
+    "counted function view": lambda: CountedFunction(RandomFunctionOracle(8, 1), FunctionBudget()),
+}
+ARRAY_OPERANDS = {  # encrypt_block's (key, block)
+    "array of blocks": (3, np.array([1, 2])),
+    "array of keys": (np.array([3, 4]), 5),
+    "0-d key array": (np.array(3), 5),
+    "key column against a row of blocks": (np.array([[3], [4]]), ROW),
+}
 
 MISUSE = [
     ("function oracle of width -1", lambda: RandomFunctionOracle(-1, 0), DomainError),
@@ -133,6 +149,13 @@ MISUSE = [
     ("batched block 1.0", lambda: _four_functions().encrypt_many([1, 2, 3, 4], 1.0), DomainError),
     ("int64 block 2^20", lambda: _cipher().encrypt_block(1, np.int64(1 << 20)), DomainError),
     ("float64 array of blocks", lambda: _table_lookup(np.array).encrypt_block(3, ROW.astype(np.float64)), DomainError),
+    *[
+        (f"{operand} over a {f}",
+         lambda make=make, args=args: CipherInstance(builtin("minimal4", P8), (make(),)).encrypt_block(*args),
+         DomainError)
+        for f, make in INT_ONLY.items()
+        for operand, args in ARRAY_OPERANDS.items()
+    ],
     ("kafv_to_kafw of a KAFw schedule", lambda: kafv_to_kafw(builtin("minimal4", P8)), ScheduleArityMismatch),
     ("kafv_to_kafw of no schedule", lambda: kafv_to_kafw(None), ScheduleArityMismatch),
     # _table used to truncate each float, auditing k + 0.5 as the identity
@@ -240,7 +263,7 @@ def _outcome(call, schedule):
 
 
 def _schedule(kept: bool):
-    """minimal4 fresh, or with every key's layout kept and its slots compiled."""
+    """minimal4 fresh, or with every key's layout kept and a column chain run over it."""
     schedule = builtin("minimal4", P8)
     if kept:
         warm = _four_functions(schedule)
@@ -284,6 +307,20 @@ def test_a_bad_block_raises_before_any_f_query():
         with pytest.raises(DomainError, match="block out of range"):
             call(cipher)
         assert cipher.round_functions[0].query_count == 0
+
+
+@pytest.mark.parametrize("f", INT_ONLY)
+def test_an_array_over_an_int_only_oracle_raises_before_any_f_query(f):
+    for key, block in ARRAY_OPERANDS.values():
+        for op in ("encrypt_block", "decrypt_block"):
+            oracle = INT_ONLY[f]()
+            cipher = CipherInstance(builtin("minimal4", P8), (oracle,))
+            with pytest.raises(DomainError, match="round functions that take arrays"):
+                getattr(cipher, op)(key, block)
+            if isinstance(oracle, CountedFunction):
+                assert oracle.budget.count == 0
+                oracle = oracle.oracle
+            assert oracle.query_count == 0
 
 
 def test_a_bad_threshold_raises_before_any_map_is_tabulated(monkeypatch):

@@ -1,7 +1,8 @@
 """The package surface: each module-level function, class or assignment in
-src/kafw, private or public, is named (whole word) in src/kafw, demos/ or
-bench/ outside its own definition, or is a public name exported in
-kafw.__all__ (methods are out of scope); and which cold runs load numpy."""
+src/kafw, and each non-dunder method of its classes, private or public, is
+named (whole word) in src/kafw, demos/ or bench/ outside its own
+definitions, or is a public module-level name exported in kafw.__all__;
+and which cold runs load numpy."""
 
 import ast
 import os
@@ -20,32 +21,63 @@ ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"psi_round"}
 
 
-def _used_only_by_tests(chosen):
-    """The chosen module-level function, class and assignment names of
-    src/kafw that src/kafw, demos/ and bench/ never name (whole word)
-    outside their own definition."""
+def _definitions(module: str, tree):
+    """(qualified name, name, node) of each module-level function, class and
+    assignment in a module's tree, and of each non-dunder method of its
+    classes."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else [
+            t.id for t in targets if isinstance(t, ast.Name)]
+        yield from ((f"{module}.{name}", name, node) for name in names)
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
+                yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _used_only_by_tests(chosen, methods: bool):
+    """The chosen module-level names of src/kafw (or, with `methods`, the
+    chosen method names) that src/kafw, demos/ and bench/ never name (whole
+    word) outside their definitions: a method counts as used only if named
+    outside every definition of a method of its name, so overrides do not
+    vouch for each other."""
     texts = {f: f.read_text() for d in ("src/kafw", "demos", "bench") for f in (ROOT / d).glob("*.py")}
+    defs = [(path, *d) for path in (ROOT / "src" / "kafw").glob("*.py")
+            for d in _definitions(path.stem, ast.parse(texts[path]))]
     unused = []
-    for path in (ROOT / "src" / "kafw").glob("*.py"):
-        for node in ast.parse(texts[path]).body:
-            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-            names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else [
-                t.id for t in targets if isinstance(t, ast.Name)]
-            names = [n for n in names if chosen(n)]
-            own = texts[path].replace(ast.get_source_segment(texts[path], node), "", 1) if names else ""
-            rest = [own] + [text for f, text in texts.items() if f != path]
-            unused += [f"{path.stem}.{n}" for n in names if not any(re.search(rf"\b{n}\b", t) for t in rest)]
+    for path, qualified, name, node in defs:
+        if qualified.count(".") != 1 + methods or not chosen(name):
+            continue
+        own = [(path, node)] if not methods else [
+            (where, other) for where, q, n, other in defs if n == name and q.count(".") == 2]
+        rest = dict(texts)
+        for where, other in own:
+            rest[where] = rest[where].replace(ast.get_source_segment(texts[where], other), "", 1)
+        if not any(re.search(rf"\b{name}\b", text) for text in rest.values()):
+            unused.append(qualified)
     return unused
 
 
+def _public(n):
+    return not n.startswith("_")
+
+
+def _private(n):
+    # Dunders such as __all__ are read by Python itself.
+    return n.startswith("_") and not n.startswith("__")
+
+
 def test_no_public_name_is_used_only_by_tests():
-    assert _used_only_by_tests(
-        lambda n: not n.startswith("_") and n not in kafw.__all__ and n not in EXEMPT) == []
+    assert _used_only_by_tests(lambda n: _public(n) and n not in kafw.__all__ and n not in EXEMPT, False) == []
 
 
 def test_no_private_name_is_used_only_by_tests():
-    # Dunders such as __all__ are read by Python itself.
-    assert _used_only_by_tests(lambda n: n.startswith("_") and not n.startswith("__")) == []
+    assert _used_only_by_tests(_private, False) == []
+
+
+@pytest.mark.parametrize("chosen", [_public, _private], ids=["public", "private"])
+def test_no_method_is_used_only_by_tests(chosen):
+    assert _used_only_by_tests(chosen, True) == []
 
 
 # A cold interpreter imports kafw.cli, runs `main(argv)` if argv is given,
