@@ -307,7 +307,7 @@ def cmd_advantage(args, out) -> int:
 
 def cmd_equivalence(args, out) -> int:
     seed = _default_seed(args)
-    seeds = [derive_seed(seed, "sweep", i) for i in range(args.seeds)]
+    seeds = (derive_seed(seed, "sweep", i) for i in range(args.seeds))  # read after the sweep's checks
     if args.pair == "kafv-kafw":
         result = kafv_vs_kafw_sweep(args.n, args.rounds, seeds)
     elif args.pair == "lucifer":

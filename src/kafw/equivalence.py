@@ -9,16 +9,18 @@ oracle seeds and randomized schedules:
   the stripped (t-2)-round KAFv core.
 
 Round functions are numpy tables, each filled by one `query_many` batch,
-so each side of an identity is one `encrypt_block` call per block of at
-most CHUNK cases: a (K, 1) int64 column of keys against a (1, W) row of
-plaintext words, broadcast to K x W cases in one chain.  Blocks hold whole
-keys' words (CHUNK // N^2 keys) when N^2 <= CHUNK, and one key's words
-split into rows of CHUNK otherwise, that key then passed as an int, whose
-layout the schedule keeps across its rows (n <= 12).  Blocks run
-key-major, so counts and the first mismatch are those of the case-by-case
-loop in (seed, key, plaintext) order.  The plaintext rows are made once
-per seed, with the Lucifer sandwich's keyless first outer round over them,
-when there are at most KEPT words; past that, once per key.
+so each side of an identity is one `feistel._sweep_chain` call per block
+of at most CHUNK cases: a (K, 1) int64 column of keys against the halves
+of a (1, W) row of plaintext words, broadcast to K x W cases in one chain.
+Blocks hold whole keys' words (CHUNK // N^2 keys) when N^2 <= CHUNK, and
+one key's words split into rows of CHUNK otherwise, that key then passed
+as an int, whose layout the schedule keeps across its rows (n <= 12).
+Blocks run key-major, so counts and the first mismatch are those of the
+case-by-case loop in (seed, key, plaintext) order.  Everything runs on
+halves, the sandwich's keyless outer rounds included; only a first
+mismatch is packed into words.  The rows are made once per seed, with the
+sandwich's first outer round over them, when there are at most KEPT
+words; past that, once per key.
 
 numpy loads on the first sweep, not with this module, so a program that
 imports the sweeps but never runs one starts without it.
@@ -30,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError, DomainTooLarge, TooFewRounds
-from .feistel import CipherInstance, psi_tilde_round
+from .feistel import CipherInstance, _sweep_chain, psi_tilde_round
 from .gf2 import MAX_EXHAUSTIVE_N, DomainParams
 from .oracles import RandomFunctionOracle, derive_seed
 from .schedules import (
@@ -58,20 +60,25 @@ class SweepResult:
     def passed(self) -> bool:
         return self.mismatches == 0
 
-    def add(self, seed, keys, words, a, b) -> None:
+    def add(self, seed, keys, n, plain, a, b) -> None:
         """Count one block of cases, keys (an int, or a (K, 1) column)
-        against the (1, W) row of words, keeping the first mismatch in the
-        scalar loop's (seed, key, plaintext) order."""
+        against the (1, W) rows of plaintext halves `plain`, a and b each
+        side's output halves, keeping the first mismatch, packed into
+        words, in the scalar loop's (seed, key, plaintext) order."""
         import numpy as np
 
-        bad = a != b
+        bad = (a[0] != b[0]) | (a[1] != b[1])
         count = int(np.count_nonzero(bad))
         self.cases += bad.size
         self.mismatches += count
         if count and self.first_mismatch is None:
             row, i = divmod(int(bad.argmax()), bad.shape[1])
             key = keys if isinstance(keys, int) else int(keys[row, 0])
-            self.first_mismatch = (seed, key, int(words[0, i]), int(a[row, i]), int(b[row, i]))
+
+            def word(halves, r):
+                return int(halves[0][r, i]) << n | int(halves[1][r, i])
+
+            self.first_mismatch = (seed, key, word(plain, 0), word(a, row), word(b, row))
 
 
 def random_subkey_map(p: DomainParams, rng: random.Random) -> SubkeyMap:
@@ -95,22 +102,23 @@ def _function_table(n: int, seed: int):
 
 
 # The benchmark's tracer counts sweep encryptions by patching these names.
-kafw_encrypt = kafv_encrypt = lucifer_encrypt = CipherInstance.encrypt_block
+kafw_encrypt = kafv_encrypt = lucifer_encrypt = _sweep_chain
 
 # Cases per block, about 0.4 MB of int64 temporaries in a chain: bounds a
 # sweep's memory at any n <= MAX_EXHAUSTIVE_N.
 CHUNK = 1 << 13
 
-# Plaintext words kept across a seed's keys (n <= 8: 1 MB with the
-# sandwich's first outer round).
+# Plaintext words kept across a seed's keys, as halves (n <= 8: 1 MB, and
+# 1.5 MB with the sandwich's first outer round, which shares a half).
 KEPT = 1 << 16
 
 
-def _blocks(n: int, first_round=None):
-    """(keys, words, first_round(words)) for every block of a sweep, in
-    (key, plaintext) order: keys a (K, 1) int64 column, or one key as an
-    int, and words a (1, W) int64 row, at most CHUNK cases in all.
-    first_round=None passes the words themselves."""
+def _blocks(n: int, outer=None):
+    """(keys, plain, inner) for every block of a sweep, in (key, plaintext)
+    order: keys a (K, 1) int64 column, or one key as an int, plain the
+    (left, right) halves of a (1, W) int64 row of words, at most CHUNK
+    cases in all, and inner the keyless round psi_tilde_round(plain, 0,
+    outer), or plain itself when outer is None."""
     import numpy as np
 
     N, total = 1 << n, 1 << (2 * n)
@@ -118,23 +126,23 @@ def _blocks(n: int, first_round=None):
     def rows():
         for start in range(0, total, CHUNK):
             words = np.arange(start, min(start + CHUNK, total), dtype=np.int64)[None]
-            yield words, words if first_round is None else first_round(words)
+            plain = words >> n, words & (N - 1)
+            yield plain, plain if outer is None else psi_tilde_round(plain, 0, outer)
 
     kept = list(rows()) if total <= KEPT else None
     step = max(CHUNK // total, 1)
     for first in range(0, N, step):
         keys = first if step == 1 else np.arange(first, min(first + step, N), dtype=np.int64)[:, None]
-        for words, inner in kept or rows():
-            yield keys, words, inner
+        for plain, inner in kept or rows():
+            yield keys, plain, inner
 
 
-def _check_sweep(n: int, t: int, seeds) -> DomainParams:
+def _check_sweep(n: int, t: int) -> DomainParams:
     """Each sweep draws about t maps and t tables before its first case, so
-    t is capped as the builtins' round counts are."""
+    t is capped as the builtins' round counts are.  A sweep reads its seeds
+    once, after every check, so an iterator may derive them."""
     if n > MAX_EXHAUSTIVE_N:
         raise DomainTooLarge("exhaustive sweep capped")
-    if not seeds:
-        raise DomainError("a sweep needs at least one oracle seed")
     if t > MAX_BUILTIN_ROUNDS:
         raise DomainError(f"a sweep takes at most {MAX_BUILTIN_ROUNDS} rounds")
     return DomainParams.for_width(n)
@@ -142,7 +150,7 @@ def _check_sweep(n: int, t: int, seeds) -> DomainParams:
 
 def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Converted-schedule KAFw vs the original KAFv, exhaustively per seed."""
-    p = _check_sweep(n, t, seeds)
+    p = _check_sweep(n, t)
     if t < 2:
         raise TooFewRounds("conversion needs t >= 2")
     result = SweepResult(f"kafv-kafw n={n} t={t}")
@@ -153,16 +161,18 @@ def kafv_vs_kafw_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         f = _function_table(n, derive_seed(seed, "f"))
         kafv_inst = CipherInstance(star, (f,))
         kafw_inst = CipherInstance(converted, (f,))
-        for keys, words, _ in _blocks(n):
-            a = kafv_encrypt(kafv_inst, keys, words)
-            b = kafw_encrypt(kafw_inst, keys, words)
-            result.add(seed, keys, words, a, b)
+        for keys, plain, _ in _blocks(n):
+            a = kafv_encrypt(kafv_inst, keys, *plain)
+            b = kafw_encrypt(kafw_inst, keys, *plain)
+            result.add(seed, keys, n, plain, a, b)
+    if not result.cases:  # no seed read, nothing checked
+        raise DomainError("a sweep needs at least one oracle seed")
     return result
 
 
 def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
     """Lucifer chain vs keyless outer rounds around the stripped KAFv core."""
-    p = _check_sweep(n, t, seeds)
+    p = _check_sweep(n, t)
     if t < 3:
         raise TooFewRounds("the sandwich needs t >= 3")
     result = SweepResult(f"lucifer-sandwich n={n} t={t}")
@@ -175,13 +185,10 @@ def lucifer_sandwich_sweep(n: int, t: int, seeds=(0, 1, 2)) -> SweepResult:
         parts = lucifer_strip(fs, key_maps.maps)
         core_inst = CipherInstance(KafvSchedule(p, parts.core_subkeys), parts.core_functions)
 
-        def first_round(words, outer=parts.outer_first):
-            left, right = psi_tilde_round((words >> n, words & p.mask), 0, outer)
-            return (left << n) | right
-
-        for keys, words, inner in _blocks(n, first_round):
-            direct = lucifer_encrypt(lucifer_inst, keys, words)
-            mid = kafv_encrypt(core_inst, keys, inner)
-            left, right = psi_tilde_round((mid >> n, mid & p.mask), 0, parts.outer_last)
-            result.add(seed, keys, words, direct, (left << n) | right)
+        for keys, plain, inner in _blocks(n, parts.outer_first):
+            direct = lucifer_encrypt(lucifer_inst, keys, *plain)
+            sandwich = psi_tilde_round(kafv_encrypt(core_inst, keys, *inner), 0, parts.outer_last)
+            result.add(seed, keys, n, plain, direct, sandwich)
+    if not result.cases:  # no seed read, nothing checked
+        raise DomainError("a sweep needs at least one oracle seed")
     return result

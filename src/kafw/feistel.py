@@ -22,29 +22,26 @@ non-invertible ones still give permutations of the full 2n-bit block.
 A `CipherInstance` is a schedule plus round functions; its construction,
 width and round count are the schedule's.
 `encrypt_block`/`decrypt_block(key, block)` are the one block interface,
-and one rule, checked before any f is asked, says what each operand is.
-A key is an int, a numpy integer scalar (which acts as its int), or a
-numpy integer array of keys in [0, N); a block is a 2n-bit word, left
-half high: an int in [0, 2^2n), a numpy integer scalar (acting as its
-int), or a numpy int64 array of words.  An array key or block needs
-round functions that map arrays to arrays (a table lookup does, the
-package's oracles do not).  Anything else, a bool, float or list among
-them, raises DomainError.  A key array broadcasts against the block: the
-equivalence sweeps encrypt a (K, 1) column of keys against a (1, W) row
-of words in one chain.  A tweak is folded into the key:
+E_key on 2n-bit blocks, and they take ints only: a key is an int, a block
+a 2n-bit word in [0, 2^2n), left half high, and a numpy integer scalar
+acts as its int.  Anything else, a numpy array, bool, float or list among
+them, raises DomainError before any f is asked, whatever the round
+functions are.  A tweak is folded into the key:
 encrypt_block(key ^ tweak, block).
 
 An int key's layout is computed once and kept where the schedule's
 `per_key` says, so every instance over that schedule reads it from then
-on; a key array's, each slot's `values`, afresh on each call.
+on.
 
 `CipherInstance.encrypt_many` encrypts one block under many keys and alone
 decides how: for enough int keys in [0, N) and an int block, over
 order-free random functions, it runs the same chain once across the keys,
 on `_key_columns`' layout, one batched f query per round; otherwise it is
 the loop over `encrypt_block`, which stays the spec.  Either way it can
-record every round's f inputs.  `_chain` is the one multi-round loop, for
-one block or many, under one key or many.
+record every round's f inputs.  The equivalence sweeps, whose round
+functions are table lookups, chain rows of halves under one key or a
+column of keys through `_sweep_chain`.  `_chain` is the one multi-round
+loop, for one block or many, under one key or many.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from itertools import compress, repeat
 from typing import Callable, Sequence
 
 from .errors import DomainError, ScheduleArityMismatch
-from .oracles import int_only, order_free
+from .oracles import as_int, order_free
 from .schedules import CONSTRUCTIONS, KafvSchedule, KeySchedule, LuciferSchedule
 
 
@@ -88,12 +85,12 @@ def _chain(fs, layout: tuple, key_into_f: bool, left: int, right: int, inverse=F
     The inverse runs the reversed layout between two half swaps; `trace`
     collects (x_i, y_i, (left, right) after round i).
 
-    The halves and the layout's slots are plain ints, or numpy integer
-    arrays when every f maps an array to an array: many blocks under one
-    key or under a column of keys (a table lookup f), or one block under
-    many keys (encrypt_many's map over query_many).  The chain only uses ^
-    and f, and never writes into its operands: callers may pass one
-    plaintext array to several chains.
+    The halves and the layout's slots are plain ints, or numpy int64
+    arrays when every f maps an array to an array: rows of halves under
+    one key or a column of keys (`_sweep_chain` over table lookups), or one
+    block under many keys (encrypt_many's map over query_many).  The chain
+    only uses ^ and f, and never writes into its operands: callers may
+    pass one row of halves to several chains.
     """
     if inverse:
         fs, layout = fs[::-1], layout[::-1]
@@ -119,24 +116,13 @@ def _reference_layout(s, key: int) -> tuple:
 
 
 def _layout(s, key) -> tuple:
-    """The layout under key by the key rule.  An int's is the reference
-    layout, kept in s.per_key for keys in [0, N); any other int is computed
-    afresh each time, so it raises (or not) exactly as the reference does,
-    and a failing layout is never kept.  The key's type is tested before
-    the memo is read: a numpy integer scalar acts as its int, a numpy
-    integer array of keys in [0, N) goes to `_key_columns` (any other array
-    raises DomainError: nothing wraps), and anything else (5.0, True)
-    raises DomainError, whatever the memo holds."""
-    if type(key) is not int:
-        import numpy as np
-
-        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-            if key.size and not (0 <= key.min() and key.max() < s.params.N):
-                raise DomainError("key out of range")
-            return _key_columns(s, key.astype(np.int64, copy=False))
-        if not isinstance(key, np.integer):
-            raise DomainError("a key is an int or a numpy integer array")
-        key = int(key)
+    """The reference layout under an int key, kept in s.per_key for keys in
+    [0, N); any other int is computed afresh each time, so it raises (or
+    not) exactly as the reference does, and a failing layout is never kept.
+    The key's type is tested before the memo is read: a numpy integer
+    scalar acts as its int, and anything else (5.0, True, an array) raises
+    DomainError, whatever the memo holds."""
+    key = key if type(key) is int else as_int(key, "a key")
     memo = s.per_key
     layout = memo.get(key)
     if layout is None:
@@ -147,16 +133,26 @@ def _layout(s, key) -> tuple:
 
 
 def _key_columns(s, keys) -> list:
-    """The layout under an int64 array of keys in [0, N): each slot's
-    `values` over the keys, an int64 array of their shape or the int 0 for
-    a zero map.  The input whitening slots are arrays even where the maps
-    are zero, so a chain over them spans the broadcast of the keys and the
-    block, whose halves may be ints."""
+    """The layout under an int64 array of keys in [0, N), unchecked: each
+    slot's `values` over the keys, an int64 array of their shape or the int
+    0 for a zero map.  The input whitening slots are arrays even where the
+    maps are zero, so a chain over them spans the broadcast of the keys and
+    the block, whose halves may be ints."""
     import numpy as np
 
     layout = [m.values(keys, s.params) for m in s.slots]
     layout[:2] = [np.zeros(keys.shape, np.int64) ^ w for w in layout[:2]]
     return layout
+
+
+def _sweep_chain(instance, keys, left, right) -> tuple:
+    """The equivalence sweeps' encryption: halves (left, right), (1, W)
+    int64 rows, under one int key (`_layout`) or an int64 (K, 1) column of
+    keys in [0, N) (`_key_columns`, unchecked), over round functions that
+    map arrays to arrays.  Returns the output halves, (1, W) or (K, W)."""
+    s = instance.schedule
+    layout = _layout(s, keys) if type(keys) is int else _key_columns(s, keys)
+    return _chain(instance.round_functions, layout, s.key_into_f, left, right)
 
 
 @dataclass
@@ -183,40 +179,23 @@ class CipherInstance:
             raise ScheduleArityMismatch(f"{t} rounds but {len(fs)} round functions")
 
     # The block interface, so oracles can treat any instance as E_k.
-    def encrypt_block(self, key, block, trace: list | None = None):
-        """E_key(block); `trace` collects (x_i, y_i, (left, right)) per round.
-
-        key and block follow the module's rules: a key array broadcasts
-        against the block, so a (K, 1) column of keys against a (1, W) row
-        of words gives the (K, W) ciphertexts in one chain."""
+    def encrypt_block(self, key: int, block: int, trace: list | None = None) -> int:
+        """E_key(block); `trace` collects (x_i, y_i, (left, right)) per round."""
         return self._block_op(key, block, False, trace)
 
-    def decrypt_block(self, key, block):
+    def decrypt_block(self, key: int, block: int) -> int:
         return self._block_op(key, block, True)
 
-    def _block_op(self, key, block, inverse: bool, trace=None):
-        """The block rule, then the chain: an int block is range-checked, a
-        numpy integer scalar acts as its int, and an int64 array of words
-        is neither checked nor written into (only >>, &, << and | touch
-        it).  An array key or block over a round function that takes ints
-        only (`oracles.int_only`) raises DomainError before any f query."""
+    def _block_op(self, key, block, inverse: bool, trace=None) -> int:
+        """The block rule, then the chain: a block is an int in [0, 2^2n) or
+        a numpy integer scalar acting as its int, and anything else raises
+        DomainError before any f query, as a key does that breaks `_layout`'s
+        key rule."""
         s = self.schedule
         n, mask = s.params.n, s.params.mask
-        if type(block) is int:
-            if not 0 <= block >> n <= mask:
-                raise DomainError("block out of range")
-        else:
-            import numpy as np
-
-            if isinstance(block, np.integer):
-                return self._block_op(key, int(block), inverse, trace)
-            if not (isinstance(block, np.ndarray) and block.dtype == np.int64):
-                raise DomainError("a block is an int or a numpy int64 array")
-        if type(key) is not int or type(block) is not int:
-            import numpy as np
-
-            if (isinstance(key, np.ndarray) or isinstance(block, np.ndarray)) and int_only(self.round_functions):
-                raise DomainError("an array key or block needs round functions that take arrays")
+        block = block if type(block) is int else as_int(block, "a block")
+        if not 0 <= block >> n <= mask:
+            raise DomainError("block out of range")
         left, right = _chain(self.round_functions, _layout(s, key), s.key_into_f, block >> n, block & mask,
                              inverse, trace)
         return (left << n) | right

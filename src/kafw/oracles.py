@@ -69,6 +69,17 @@ def _packable(values: list[int], size: int) -> bool:
     return 0 <= min(values) and max(values) < min(size, _SEED_MASK + 1)
 
 
+def as_int(x, what: str) -> int:
+    """The one operand rule for an x that callers found is not an int (they
+    test `type(x) is int` inline): a numpy integer scalar acts as its int,
+    and anything else (a bool, float, str, list or array) raises DomainError."""
+    import numpy as np  # only for an operand that is not an int
+
+    if isinstance(x, np.integer):
+        return int(x)
+    raise DomainError(f"{what} is an int, not a {type(x).__name__}")
+
+
 def stream64(seed: int, *parts: int) -> int:
     """Deterministic 64-bit value for (seed, parts); the package-wide stream."""
     return _digest(_keyed(seed), parts)
@@ -113,6 +124,7 @@ class RandomFunctionOracle:
         return _digest(self._state.copy(), (x,)) & ((1 << self.n) - 1)
 
     def query(self, x: int) -> int:
+        x = x if type(x) is int else as_int(x, "an input")
         if not 0 <= x < (1 << self.n):
             raise DomainError(f"input {x:#x} out of domain")
         y = self.table.get(x)
@@ -124,8 +136,8 @@ class RandomFunctionOracle:
     __call__ = query
 
     def query_many(self, xs: list[int]) -> list[int]:
-        """[self.query(x) for x in xs], which it is with an input out of the
-        domain (or past 2^64).
+        """[self.query(x) for x in xs], which it is with an input that is
+        not an int, or out of the domain (or past 2^64).
 
         Otherwise the inputs not yet in the table are drawn in one batch,
         in the order they come: digests from `_digests`, cut to n bits by
@@ -138,6 +150,8 @@ class RandomFunctionOracle:
         int.from_bytes and & 1.17x.  The tests pin these values to
         stream64.
         """
+        if set(map(type, xs)) != {int}:
+            return [self.query(x) for x in xs]
         table = self.table
         fresh = list(filterfalse(table.__contains__, xs))
         if fresh:
@@ -156,11 +170,6 @@ def order_free(fs) -> bool:
     answered in any order unobserved: each value is stream64(seed, x),
     whatever came before."""
     return all(isinstance(f, RandomFunctionOracle) for f in fs)
-
-
-def int_only(fs) -> bool:
-    """Whether some f is one of this module's oracles, which take int inputs only."""
-    return any(isinstance(f, (RandomFunctionOracle, RandomPermutationOracle, CountedFunction)) for f in fs)
 
 
 class RandomPermutationOracle:
@@ -233,10 +242,12 @@ class RandomPermutationOracle:
         return out
 
     def forward(self, x: int) -> int:
+        x = x if type(x) is int else as_int(x, "an input")
         y = self.forward_map.get(x)
         return self._draw(0, x, self.forward_map, self.backward_map) if y is None else y
 
     def backward(self, y: int) -> int:
+        y = y if type(y) is int else as_int(y, "an input")
         x = self.backward_map.get(y)
         return self._draw(1, y, self.backward_map, self.forward_map) if x is None else x
 
@@ -269,6 +280,8 @@ class IdealCipherOracle:
         self._ic.update(b"ic")  # derive_seed(seed, "ic", k) is a copy that absorbs k
 
     def _query(self, key: int, tag: int, v: int) -> int:
+        key = key if type(key) is int else as_int(key, "a key")
+        v = v if type(v) is int else as_int(v, "a block")
         perm = self.perms.get(key)
         if perm is None:
             if not 0 <= key < (1 << self.n):
@@ -298,7 +311,7 @@ class IdealCipherOracle:
     def encrypt_many(self, keys: list[int], block: int) -> list[int]:
         """[self.encrypt_block(k, block) for k in keys], which it is unless
         the keys are distinct, never queried before, and they and the block
-        in range.
+        ints in range.
 
         Then each key's first draw is written out as `_query` draws it:
         the key seeds from `_digests`, the (tag 0, block, attempt 0) bytes
@@ -308,8 +321,9 @@ class IdealCipherOracle:
         """
         mask, first = (1 << (2 * self.n)) - 1, self._first
         if not (
-            keys
+            set(map(type, keys)) == {int}
             and _packable(keys, 1 << self.n)
+            and type(block) is int
             and 0 <= block <= mask
             and len(set(keys)) == len(keys)
             and first.keys().isdisjoint(keys)
@@ -343,8 +357,10 @@ class RelatedKeyOracle:
         self.query_count = 0
         self._seen: set[tuple[int, str, int]] = set()
 
-    def _admit(self, offset: int, direction: str, block: int) -> None:
-        """Check one query and count it; a bad one raises before it counts."""
+    def _admit(self, offset: int, direction: str, block: int) -> tuple[int, int]:
+        """Check one query and count it, returning its offset and block as ints; a bad one raises first."""
+        offset = offset if type(offset) is int else as_int(offset, "an offset")
+        block = block if type(block) is int else as_int(block, "a block")
         if not 0 <= offset < (1 << self.n):
             raise DomainError("offset out of range")
         if not 0 <= block < (1 << (2 * self.n)):
@@ -356,6 +372,7 @@ class RelatedKeyOracle:
             raise QueryBudgetExceeded(f"q_e budget {self.limit} exhausted")
         self._seen.add(triple)
         self.query_count += 1
+        return offset, block
 
     def query(self, offset: int, direction: str, block: int) -> int:
         if direction == FORWARD:
@@ -364,7 +381,7 @@ class RelatedKeyOracle:
             op = self._backend.decrypt_block
         else:
             raise DomainError(f"unknown direction {direction!r}")
-        self._admit(offset, direction, block)
+        offset, block = self._admit(offset, direction, block)
         return op(self._key ^ offset, block)
 
     def encrypt(self, offset: int, block: int) -> int:
@@ -374,27 +391,25 @@ class RelatedKeyOracle:
         """[self.encrypt(off, block) for off in offsets] with one backend call.
 
         Every query is admitted first, then the backend's `encrypt_many`
-        answers them all.  When the block and every offset are in range, no
-        triple repeats (in the batch or before it) and the budget has room
-        for all, the batch is admitted with set operations; otherwise
-        `_admit` runs query by query, so a bad offset or block, a repeat
-        or an exhausted budget raises at the same query with the same count.
+        answers them all.  When the block and every offset are ints in range,
+        no triple repeats (in the batch or before it) and the budget has room
+        for all, the batch is admitted with set operations; otherwise `_admit`
+        runs query by query, so a bad offset or block, a repeat or an
+        exhausted budget raises at the same query with the same count.
         """
-        triples = set(zip(offsets, repeat(FORWARD), repeat(block)))
         if (
-            offsets
+            set(map(type, offsets)) == {int}
+            and _packable(offsets, 1 << self.n)
+            and type(block) is int
             and 0 <= block < (1 << (2 * self.n))
-            and 0 <= min(offsets)
-            and max(offsets) < (1 << self.n)
-            and len(triples) == len(offsets)
             and (self.limit is None or self.query_count + len(offsets) <= self.limit)
+            and len(triples := set(zip(offsets, repeat(FORWARD), repeat(block)))) == len(offsets)
             and triples.isdisjoint(self._seen)
         ):
             self._seen |= triples
             self.query_count += len(offsets)
         else:
-            for off in offsets:
-                self._admit(off, FORWARD, block)
+            offsets = [self._admit(off, FORWARD, block)[0] for off in offsets]
         return self._backend.encrypt_many(list(map(self._key.__xor__, offsets)), block)
 
     def decrypt(self, offset: int, block: int) -> int:
@@ -462,6 +477,7 @@ class CountedFunction:
         return self._make()
 
     def query(self, x: int) -> int:
+        x = x if type(x) is int else as_int(x, "an input")
         self.budget.spend(self.index, x)
         return self.oracle(x)
 

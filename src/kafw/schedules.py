@@ -242,6 +242,11 @@ class _Memo:
     def per_key(self) -> dict:
         return self.memo if self.params.n <= MEMO_MAX_N else {}
 
+    @property
+    def is_affine(self) -> bool:
+        """Whether every slot's map is affine (a zero slot is)."""
+        return all(m.is_affine for m in self.slots)
+
 
 @dataclass(frozen=True)
 class KeySchedule(_Memo):
@@ -280,10 +285,6 @@ class KeySchedule(_Memo):
 
     def wf_matrix(self, j: int) -> BinMatrix:
         return self.whitening[j].matrix(self.params)
-
-    @property
-    def is_affine(self) -> bool:
-        return all(m.is_affine for m in (*self.whitening, *self.round_keys))
 
     def has_zero_whitening(self) -> bool:
         return all(m.is_zero(self.params) for m in self.whitening)
@@ -343,10 +344,6 @@ class KafvSchedule(_Memo):
 
     def star_matrix(self, i: int) -> BinMatrix:
         return self.maps[i].matrix(self.params)
-
-    @property
-    def is_affine(self) -> bool:
-        return all(m.is_affine for m in self.maps)
 
 
 @dataclass(frozen=True)

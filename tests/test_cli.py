@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kafw import game
+from kafw import cli, game
 from kafw.cli import build_parser, main
 from kafw.schedules import BUILTIN_NAMES, MAX_BUILTIN_ROUNDS
 
@@ -151,6 +151,26 @@ def test_equivalence_exit_codes(capsys):
     code, recs = run_cli(capsys, "equivalence", "--pair", "lucifer",
                          "--n", "4", "--rounds", "4", "--seeds", "1")
     assert code == 0
+
+
+def test_a_refused_sweep_derives_no_seed(capsys, monkeypatch):
+    """Every oracle seed used to be derived before the sweep checked n, t
+    or the seed count: `--n 99 --seeds 300000` spent 0.57 s before its
+    error record, growing with --seeds."""
+    def derive(*parts):
+        raise AssertionError("a seed was derived")
+
+    monkeypatch.setattr(cli, "derive_seed", derive)
+    for pair, argv, error in (
+        ("kafv-kafw", ("--n", "99", "--rounds", "4", "--seeds", "300000"), "DomainTooLarge"),
+        ("lucifer", ("--n", "4", "--rounds", str(MAX_BUILTIN_ROUNDS + 1), "--seeds", "300000"), "DomainError"),
+        ("kafv-kafw", ("--n", "4", "--rounds", "1", "--seeds", "300000"), "TooFewRounds"),
+        ("lucifer", ("--n", "4", "--rounds", "2", "--seeds", "300000"), "TooFewRounds"),
+        ("kafv-kafw", ("--n", "4", "--rounds", "4", "--seeds", "0"), "DomainError"),
+        ("lucifer", ("--n", "99", "--rounds", "4", "--seeds", "-2"), "DomainTooLarge"),
+    ):
+        code, recs = run_cli(capsys, "equivalence", "--pair", pair, *argv)
+        assert code != 0 and [r["error"] for r in recs] == [error], argv
 
 
 def test_bound_vacuity_flag(capsys):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from kafw import equivalence
+from kafw import equivalence, feistel
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, DomainTooLarge, TooFewRounds
 from kafw.feistel import CipherInstance, psi_tilde_round
@@ -51,9 +51,11 @@ def test_sweep_guards():
 
 
 @pytest.mark.parametrize("sweep", (kafv_vs_kafw_sweep, lucifer_sandwich_sweep))
-def test_sweeps_reject_an_empty_seed_list(sweep):
-    with pytest.raises(DomainError):
-        sweep(4, 4, seeds=())
+@pytest.mark.parametrize("seeds", ((), [], "iterator"))
+def test_sweeps_reject_an_empty_seed_list(sweep, seeds):
+    """An empty iterator is refused too, not passed with no case run."""
+    with pytest.raises(DomainError, match="at least one oracle seed"):
+        sweep(4, 4, seeds=iter(()) if seeds == "iterator" else seeds)
 
 
 @pytest.mark.parametrize("sweep", (kafv_vs_kafw_sweep, lucifer_sandwich_sweep))
@@ -211,7 +213,8 @@ BLOCKINGS = [(None, 1), (3 * 64, 3), (40, 16)]
 def test_sweeps_call_the_traced_names_once_per_seed_block_and_side(monkeypatch, chunk, blocks):
     """The benchmark's tracer counts sweep encryptions through these three
     names: each sweep calls them once per (seed, block, side), each block a
-    column of keys (or one int key) against a row of at most CHUNK cases."""
+    column of keys (or one int key) against rows of halves of at most
+    CHUNK cases."""
     n, t, seeds = 3, 4, (0, 1)
     N = 1 << n
     if chunk is not None:
@@ -221,14 +224,14 @@ def test_sweeps_call_the_traced_names_once_per_seed_block_and_side(monkeypatch, 
 
     def spy(name):
         original = getattr(equivalence, name)
-        assert original is CipherInstance.encrypt_block
+        assert original is feistel._sweep_chain
 
-        def counted(inst, keys, words):
+        def counted(inst, keys, left, right):
             rows = 1 if isinstance(keys, int) else len(keys)
-            assert words.shape[0] == 1 and rows * words.shape[1] <= chunk
+            assert left.shape == right.shape and left.shape[0] == 1 and rows * left.shape[1] <= chunk
             calls[name] += 1
-            cases[name] += rows * words.shape[1]
-            return original(inst, keys, words)
+            cases[name] += rows * left.shape[1]
+            return original(inst, keys, left, right)
 
         monkeypatch.setattr(equivalence, name, counted)
 

@@ -488,39 +488,38 @@ def test_sweep_with_a_broken_conversion_still_mismatches(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer"])
-def test_block_ops_take_word_columns(construction, n):
-    # A sweep passes one word column to two instances: neither may whiten or
-    # round it in place.
+def test_sweep_chain_takes_word_rows(construction, n):
+    # A sweep passes one row of halves to two instances: neither may whiten
+    # or round it in place.
     p = DomainParams.for_width(n)
     rng = random.Random(f"word-columns-{construction}-{n}")
     table = [rng.randrange(p.N) for _ in range(p.N)]
-    words = np.arange(p.N * p.N, dtype=np.int64)
-    saved = words.copy()
+    words = np.arange(p.N * p.N, dtype=np.int64)[None]
+    halves = words >> n, words & p.mask
+    saved = [half.copy() for half in halves]
     for t in (2, 4) if construction == "lucifer" else (1, 2, 4):
         sched = _schedule(construction, p, t, rng)
         ints = CipherInstance(sched, (table.__getitem__,))
         columns = CipherInstance(sched, (np.array(table, dtype=np.int64).__getitem__,))
         key = rng.randrange(p.N)
-        for op, back in (("encrypt_block", "decrypt_block"), ("decrypt_block", "encrypt_block")):
-            out = getattr(columns, op)(key, words)
-            assert np.array_equal(words, saved)
-            assert out.tolist() == [getattr(ints, op)(key, w) for w in range(p.N * p.N)]
-            assert np.array_equal(getattr(columns, back)(key, out), saved)
+        left, right = feistel._sweep_chain(columns, key, *halves)
+        assert all(map(np.array_equal, halves, saved))
+        assert (left << n | right).tolist() == [[ints.encrypt_block(key, w) for w in range(p.N * p.N)]]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("construction", ["kafw", "kaf", "kafv", "lucifer", "keyless"])
-def test_block_ops_take_key_columns(construction, n):
-    """A (K, 1) column of keys against a (1, W) row of words, as the sweeps
-    run them, is the int loop over (key, word) in both directions, K x W
-    ciphertexts even when no sub-key depends on the key; neither operand
-    is written into."""
+def test_sweep_chain_takes_key_columns(construction, n):
+    """A (K, 1) column of keys against a (1, W) row of halves, as the sweeps
+    run them, is the int loop over (key, word), K x W ciphertexts even when
+    no sub-key depends on the key; neither operand is written into."""
     p = DomainParams.for_width(n)
     rng = random.Random(f"key-columns-{construction}-{n}")
     table = [rng.randrange(p.N) for _ in range(p.N)]
     keys = np.array([[0], *([rng.randrange(p.N)] for _ in range(5)), [p.N - 1]], dtype=np.int64)
     words = np.arange(p.N * p.N, dtype=np.int64)[None]
-    saved_keys, saved_words = keys.copy(), words.copy()
+    halves = words >> n, words & p.mask
+    saved = [keys.copy(), *(half.copy() for half in halves)]
     for t in (2, 4) if construction == "lucifer" else (1, 2, 4):
         if construction == "keyless":
             sched = KeySchedule(p, (Z,) * 4, (Z,) * t)
@@ -528,9 +527,8 @@ def test_block_ops_take_key_columns(construction, n):
             sched = _schedule(construction, p, t, rng)
         ints = CipherInstance(sched, (table.__getitem__,))
         columns = CipherInstance(sched, (np.array(table, dtype=np.int64).__getitem__,))
-        for op, back in (("encrypt_block", "decrypt_block"), ("decrypt_block", "encrypt_block")):
-            out = getattr(columns, op)(keys, words)
-            assert np.array_equal(keys, saved_keys) and np.array_equal(words, saved_words)
-            assert out.shape == (len(keys), p.N * p.N)
-            assert out.tolist() == [[getattr(ints, op)(k, w) for w in range(p.N * p.N)] for k in keys[:, 0].tolist()]
-            assert np.array_equal(getattr(columns, back)(keys, out), np.broadcast_to(saved_words, out.shape))
+        left, right = feistel._sweep_chain(columns, keys, *halves)
+        assert all(map(np.array_equal, (keys, *halves), saved))
+        assert left.shape == right.shape == (len(keys), p.N * p.N)
+        assert (left << n | right).tolist() == [[ints.encrypt_block(k, w) for w in range(p.N * p.N)]
+                                                for k in keys[:, 0].tolist()]

@@ -12,7 +12,7 @@ from kafw.auditor import (
 from kafw.equivalence import kafv_vs_kafw_sweep, lucifer_sandwich_sweep
 from kafw.errors import DomainError, ScheduleArityMismatch
 from kafw.game import bound_formula
-from kafw.feistel import BATCH_MIN, CipherInstance
+from kafw.feistel import BATCH_MIN, CipherInstance, _sweep_chain
 from kafw.gf2 import BinMatrix, DomainParams, joint_kernel_basis
 from kafw.oracles import (
     CountedFunction, FunctionBudget, IdealCipherOracle, RandomFunctionOracle, RandomPermutationOracle, RelatedKeyOracle,
@@ -49,19 +49,36 @@ def _four_functions(schedule=None):
 
 def _table_lookup(table_type=list):
     """minimal4 over a table-lookup f: 1 << 17 used to raise IndexError.
-    An array table takes numpy arrays of blocks."""
+    An array table maps numpy arrays to arrays."""
     table = table_type([RandomFunctionOracle(8, 2).query(x) for x in range(256)])
     return CipherInstance(builtin("minimal4", P8), (table.__getitem__,))
 
 
-ROW = np.arange(4)[None]  # a (1, W) row of blocks, as the equivalence sweeps pass them
+ROW = np.arange(4)[None]  # a (1, W) row of blocks, as the equivalence sweeps once passed them
 
-# The package's round-function oracles take ints only: an array key or
-# block used to reach them and raise ValueError, TypeError or OverflowError.
-INT_ONLY = {
+
+class _Lookup:
+    """A table-lookup f that counts its queries; over a numpy table it maps
+    arrays to arrays."""
+
+    def __init__(self, table_type):
+        self.table = table_type([RandomFunctionOracle(8, 2).query(x) for x in range(256)])
+        self.query_count = 0
+
+    def __call__(self, x):
+        self.query_count += 1
+        return self.table[x]
+
+
+# The block interface takes ints only, whatever the round functions: an
+# array key or block used to reach the package's oracles and raise
+# ValueError, TypeError or OverflowError, and a list's lookup TypeError.
+F_KINDS = {
     "function oracle": lambda: RandomFunctionOracle(8, 1),
     "permutation oracle": lambda: RandomPermutationOracle(8, 1),
     "counted function view": lambda: CountedFunction(RandomFunctionOracle(8, 1), FunctionBudget()),
+    "list lookup": lambda: _Lookup(list),
+    "numpy array lookup": lambda: _Lookup(np.array),
 }
 ARRAY_OPERANDS = {  # encrypt_block's (key, block)
     "array of blocks": (3, np.array([1, 2])),
@@ -123,8 +140,7 @@ MISUSE = [
     ("unbatched block 2^16", lambda: _cipher().encrypt_many([1], 1 << 16), DomainError),
     ("table-lookup batch of block 2^17", lambda: _table_lookup().encrypt_many([1, 2, 3, 4], 1 << 17), DomainError),
     ("batched block 2^64 at n = 32", lambda: _wide().encrypt_many([1, 2, 3, 4], 1 << 64), DomainError),
-    # A field-cubic slot gathers from a table of N entries: key -1 would read
-    # its last entry, N raise IndexError, and 2^64 - 1 wrap to -1 in int64.
+    # Array keys, whatever they hold, over an f that maps arrays to arrays.
     *[
         (f"{dtype.__name__} key column holding {bad}",
          lambda bad=bad, dtype=dtype: _table_lookup(np.array).encrypt_block(np.array([[3], [bad]], dtype), ROW),
@@ -153,9 +169,26 @@ MISUSE = [
         (f"{operand} over a {f}",
          lambda make=make, args=args: CipherInstance(builtin("minimal4", P8), (make(),)).encrypt_block(*args),
          DomainError)
-        for f, make in INT_ONLY.items()
+        for f, make in F_KINDS.items()
         for operand, args in ARRAY_OPERANDS.items()
     ],
+    # The oracles take ints too: these raised TypeError or struct.error, or
+    # (True) answered as 1.
+    ("related-key query at offset 1.5", lambda: RelatedKeyOracle(5, _cipher(), 8).encrypt(1.5, 0), DomainError),
+    ("related-key batch of offsets led by 1.5",
+     lambda: RelatedKeyOracle(5, IdealCipherOracle(8, 1), 8).encrypt_many([1.5, 2], 0), DomainError),
+    ("ideal-cipher key 1.5", lambda: IdealCipherOracle(8, 1).encrypt_block(1.5, 0), DomainError),
+    ("ideal-cipher batch of keys led by 1.5", lambda: IdealCipherOracle(8, 1).encrypt_many([1.5, 2], 0), DomainError),
+    ("ideal-cipher batch of block 1.0", lambda: IdealCipherOracle(8, 1).encrypt_many([1, 2], 1.0), DomainError),
+    ("function oracle input 1.5", lambda: RandomFunctionOracle(8, 1).query(1.5), DomainError),
+    ("function oracle input True", lambda: RandomFunctionOracle(8, 1).query(True), DomainError),
+    ("function oracle batch holding 1.5", lambda: RandomFunctionOracle(8, 1).query_many([1, 1.5]), DomainError),
+    ("function oracle batch of True after 1 was drawn",
+     lambda: (lambda o: (o.query(1), o.query_many([True])))(RandomFunctionOracle(8, 1)), DomainError),
+    ("permutation oracle input 1.5", lambda: RandomPermutationOracle(8, 1)(1.5), DomainError),
+    ("permutation oracle backward input True", lambda: RandomPermutationOracle(8, 1).backward(True), DomainError),
+    ("counted function view input 1.5",
+     lambda: CountedFunction(RandomFunctionOracle(8, 1), FunctionBudget()).query(1.5), DomainError),
     ("kafv_to_kafw of a KAFw schedule", lambda: kafv_to_kafw(builtin("minimal4", P8)), ScheduleArityMismatch),
     ("kafv_to_kafw of no schedule", lambda: kafv_to_kafw(None), ScheduleArityMismatch),
     # _table used to truncate each float, auditing k + 0.5 as the identity
@@ -223,12 +256,11 @@ def test_the_edge_of_each_domain_still_works():
     # encrypt_many of a key array (it used to ask `if keys`) is its loop.
     cipher = _four_functions()
     assert cipher.encrypt_many(np.arange(5), 0x1234) == [cipher.encrypt_block(k, 0x1234) for k in range(5)]
-    # A key column broadcasts against a row of blocks; keys 0 and N - 1 included.
+    # The sweeps' chain takes a key column against a row of halves; keys 0 and N - 1 included.
     cipher, keys, blocks = _table_lookup(np.array), np.array([[0], [7], [255]]), np.array([[0, 0x1234, 0xFFFF]])
-    got = cipher.encrypt_block(keys, blocks)
-    assert got.tolist() == [[cipher.encrypt_block(k, b) for b in (0, 0x1234, 0xFFFF)] for k in (0, 7, 255)]
-    assert cipher.decrypt_block(keys, got).tolist() == [[0, 0x1234, 0xFFFF]] * 3
-    assert cipher.encrypt_block(np.array([], np.int64)[:, None], blocks).shape == (0, 3)
+    left, right = _sweep_chain(cipher, keys, blocks >> 8, blocks & 0xFF)
+    assert (left << 8 | right).tolist() == [[cipher.encrypt_block(k, b) for b in (0, 0x1234, 0xFFFF)] for k in (0, 7, 255)]
+    assert _sweep_chain(cipher, np.array([], np.int64)[:, None], blocks >> 8, blocks & 0xFF)[0].shape == (0, 3)
     assert measure_axu(lambda k: np.uint16(k) if k % 2 else k, 4) == 16
     assert check_definition1(builtin("tweakem4", P8), np.int64(3)).good_like
     assert builtin(f"identity_bad({MAX_BUILTIN_ROUNDS})", P8).t == MAX_BUILTIN_ROUNDS
@@ -296,6 +328,74 @@ def test_an_operand_of_another_kind_acts_as_its_int_or_raises_domain_error(value
         assert many[0] == many[1] and many[0][1] == ([1] * 4 if operand == "key" else [0] * 4)
 
 
+def _related_key():
+    return RelatedKeyOracle(0x5C, _four_functions(), 8)
+
+
+# Each oracle entry point: (make the oracle, what it counts, call(oracle, v)
+# with v where the int 5 would go, and for a batch its scalar loop or None).
+# A batch of inputs, keys or offsets puts v second.
+ORACLE_CALLS = {
+    "function query": (lambda: RandomFunctionOracle(8, 1), lambda o: o.query_count,
+                       lambda o, v: o.query(v), None),
+    "function query_many": (lambda: RandomFunctionOracle(8, 1), lambda o: o.query_count,
+                            lambda o, v: o.query_many([1, v, 2]), lambda o, v: [o.query(x) for x in (1, v, 2)]),
+    "permutation forward": (lambda: RandomPermutationOracle(8, 1), lambda o: o.query_count,
+                            lambda o, v: o.forward(v), None),
+    "permutation backward": (lambda: RandomPermutationOracle(8, 1), lambda o: o.query_count,
+                             lambda o, v: o.backward(v), None),
+    "counted function view": (lambda: CountedFunction(RandomFunctionOracle(8, 1), FunctionBudget()),
+                              lambda o: (o.budget.count, o.oracle.query_count), lambda o, v: o(v), None),
+    "ideal-cipher key": (lambda: IdealCipherOracle(8, 1), lambda o: (sorted(o._first), sorted(o.perms)),
+                         lambda o, v: o.encrypt_block(v, 0x1234), None),
+    "ideal-cipher block": (lambda: IdealCipherOracle(8, 1), lambda o: (sorted(o._first), sorted(o.perms)),
+                           lambda o, v: o.decrypt_block(3, v), None),
+    "ideal-cipher batch of keys": (lambda: IdealCipherOracle(8, 1), lambda o: (sorted(o._first), sorted(o.perms)),
+                                   lambda o, v: o.encrypt_many([1, v, 2], 0x1234),
+                                   lambda o, v: [o.encrypt_block(k, 0x1234) for k in (1, v, 2)]),
+    "ideal-cipher batch of block": (lambda: IdealCipherOracle(8, 1), lambda o: (sorted(o._first), sorted(o.perms)),
+                                    lambda o, v: o.encrypt_many([1, 2], v),
+                                    lambda o, v: [o.encrypt_block(k, v) for k in (1, 2)]),
+    "related-key offset": (_related_key, lambda o: o.query_count, lambda o, v: o.encrypt(v, 0x1234), None),
+    "related-key block": (_related_key, lambda o: o.query_count, lambda o, v: o.decrypt(3, v), None),
+    "related-key batch of offsets": (_related_key, lambda o: o.query_count,
+                                     lambda o, v: o.encrypt_many([1, v, *range(6, 6 + 2 * BATCH_MIN)], 0x1234),
+                                     lambda o, v: [o.encrypt(off, 0x1234) for off in (1, v, *range(6, 6 + 2 * BATCH_MIN))]),
+    "related-key batch of block": (_related_key, lambda o: o.query_count,
+                                   lambda o, v: o.encrypt_many(list(range(2 * BATCH_MIN)), v),
+                                   lambda o, v: [o.encrypt(off, v) for off in range(2 * BATCH_MIN)]),
+}
+
+
+def _oracle_outcome(make, counts, call):
+    """(repr of the result or the DomainError's message, counts) of call on a fresh oracle."""
+    oracle = make()
+    try:
+        got = repr(call(oracle))
+    except DomainError as error:
+        got = ("DomainError", str(error))
+    return got, counts(oracle)
+
+
+@pytest.mark.parametrize("name", ORACLE_CALLS)
+@pytest.mark.parametrize("value", KINDS, ids=[repr(value) for value in KINDS])
+def test_an_oracle_operand_acts_as_its_int_or_raises_before_it_counts(value, name):
+    """The block interface's rule at every oracle entry point: a numpy
+    integer scalar gives what its int gives, as an int; anything else
+    raises DomainError before the query is admitted or counted, and a
+    batch is its loop, raising at the same place with the same count."""
+    make, counts, call, loop = ORACLE_CALLS[name]
+    got = _oracle_outcome(make, counts, lambda o: call(o, value))
+    if isinstance(value, np.integer):
+        assert got == _oracle_outcome(make, counts, lambda o: call(o, 5))
+    else:
+        assert got[0][0] == "DomainError"
+    if loop is not None:
+        assert got == _oracle_outcome(make, counts, lambda o: loop(o, value))
+    elif not isinstance(value, np.integer):
+        assert got[1] == counts(make())
+
+
 def test_a_bad_block_raises_before_any_f_query():
     for call in (
         lambda c: c.encrypt_block(3, 1 << 16),
@@ -309,13 +409,13 @@ def test_a_bad_block_raises_before_any_f_query():
         assert cipher.round_functions[0].query_count == 0
 
 
-@pytest.mark.parametrize("f", INT_ONLY)
-def test_an_array_over_an_int_only_oracle_raises_before_any_f_query(f):
+@pytest.mark.parametrize("f", F_KINDS)
+def test_an_array_operand_raises_before_any_f_query(f):
     for key, block in ARRAY_OPERANDS.values():
         for op in ("encrypt_block", "decrypt_block"):
-            oracle = INT_ONLY[f]()
+            oracle = F_KINDS[f]()
             cipher = CipherInstance(builtin("minimal4", P8), (oracle,))
-            with pytest.raises(DomainError, match="round functions that take arrays"):
+            with pytest.raises(DomainError, match="is an int, not a ndarray"):
                 getattr(cipher, op)(key, block)
             if isinstance(oracle, CountedFunction):
                 assert oracle.budget.count == 0

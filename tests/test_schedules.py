@@ -16,6 +16,7 @@ from kafw.schedules import (
     FieldCubicSubkey,
     KafvSchedule,
     KeySchedule,
+    LuciferSchedule,
     XorSubkey,
     ZeroMap,
     builtin,
@@ -184,6 +185,21 @@ def test_xor_map_affine_introspection():
     assert not mixed.is_affine
     with pytest.raises(NotAffine):
         mixed.matrix(P8)
+
+
+def test_a_schedule_is_affine_when_every_map_it_holds_is():
+    """One `is_affine` over the slots for every schedule class: the zero
+    slots KAFv and Lucifer add are affine, so only the maps decide."""
+    rng = random.Random(5)
+    cubic = FieldCubicSubkey(2)
+    for t in (2, 3):
+        for bad in (None, *range(t)):
+            maps = [cubic if i == bad else rand_affine_map(P8, rng) for i in range(t)]
+            want = bad is None
+            assert KeySchedule(P8, (Z,) * 4, tuple(maps)).is_affine is want
+            assert KeySchedule(P8, (Z, Z, cubic, Z), tuple(maps)).is_affine is False
+            assert KafvSchedule(P8, tuple(maps)).is_affine is want
+            assert LuciferSchedule(P8, tuple(maps)).is_affine is want
 
 
 def test_phi_maps_and_arity():
